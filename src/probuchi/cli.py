@@ -53,11 +53,19 @@ def _emit_automaton(aut: Automaton, summary: str) -> None:
 
 
 def _frac(x: Fraction) -> str:
-    return str(x)
+    """An exact rational as text, of any length.
 
-
-def _lasso_doc(w: LassoWord) -> str:
-    return textio.format_lasso(w)
+    Python caps int-to-str conversion at 4,300 digits by default; the cap is
+    lifted for this conversion only, so parsing input keeps it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,9 +159,10 @@ def _cmd_rank(args) -> int:
 def _cmd_prob(args) -> int:
     aut = _load(args.file)
     w = textio.parse_lasso(args.lasso, aut.alphabet)
-    p = lasso_acceptance(aut, w)
+    p = _frac(lasso_acceptance(aut, w))
     _emit(
-        {"command": "prob", "lasso": _lasso_doc(w), "probability": _frac(p)},
+        {"command": "prob", "lasso": textio.format_lasso(w, aut.alphabet),
+         "probability": p},
         f"acceptance probability {p}",
     )
     return EXIT_ANSWERED
@@ -166,7 +175,7 @@ def _cmd_mc(args) -> int:
     _emit(
         {
             "command": "mc",
-            "lasso": _lasso_doc(w),
+            "lasso": textio.format_lasso(w, aut.alphabet),
             "mean": est.mean,
             "stderr": est.stderr,
             "samples": est.samples,
@@ -185,90 +194,71 @@ def _cmd_monitor(args) -> int:
         symbol = line.strip()
         if not symbol:
             continue
-        print(session.feed(symbol))
+        print(_frac(session.feed(symbol)))
     print(f"monitored {session.position} symbol(s)", file=sys.stderr)
     return EXIT_ANSWERED
 
 
 def _certified_lasso(aut: Automaton, w: LassoWord) -> dict:
     return {
-        "lasso": _lasso_doc(w),
+        "lasso": textio.format_lasso(w, aut.alphabet),
         "certificate": {"acceptance": _frac(lasso_acceptance(aut, w))},
     }
 
 
+def _require_pba_role(aut: Automaton) -> None:
+    if aut.role not in ("pba", "fpm", "hpba"):
+        raise AutomatonError("almost-sure decisions need a Buchi PBA role")
+
+
 def _cmd_empty(args) -> int:
     aut = _load(args.file)
-    doc: dict = {"command": "empty", "semantics": args.semantics}
+    sw = None
     if args.semantics == "almost-sure":
-        if aut.role not in ("pba", "fpm", "hpba"):
-            raise AutomatonError("almost-sure decisions need a Buchi PBA role")
+        _require_pba_role(aut)
         w = decide.almost_sure_empty(aut, monoid_cap=args.monoid_cap)
-        if w is None:
-            _emit(doc | {"answer": "empty"}, "empty")
-        else:
-            _emit(doc | {"answer": "nonempty", "witness": _certified_lasso(aut, w)},
-                  f"nonempty, witness {w}")
-        return EXIT_ANSWERED
-    if aut.role == "nba":
+    elif aut.role == "nba":
         w = decide.nba_emptiness(aut)
-        if w is None:
-            _emit(doc | {"answer": "empty"}, "empty")
-        else:
-            member = decide.nba_lasso_member(aut, w)
-            _emit(doc | {"answer": "nonempty",
-                         "witness": {"lasso": _lasso_doc(w),
-                                     "certificate": {"member": member}}},
-                  f"nonempty, witness {w}")
-        return EXIT_ANSWERED
-    if aut.role == "fpm":
+    elif aut.role == "fpm":
         sw = decide.fpm_positive_empty(aut, monoid_cap=args.monoid_cap)
-        if sw is None:
-            _emit(doc | {"answer": "empty"}, "empty")
-        else:
-            w = sw.lasso()
-            _emit(doc | {
-                "answer": "nonempty",
-                "witness": {
-                    "states": sorted(sw.states),
-                    "u": _word(sw.u),
-                    "v": _word(sw.v),
-                } | _certified_lasso(aut, w),
-            }, f"nonempty, witness {w}")
-        return EXIT_ANSWERED
-    if aut.role in ("hpba", "pba"):
+        w = None if sw is None else sw.lasso()
+    elif aut.role in ("hpba", "pba"):
         if aut.role == "pba" and infer_hierarchy(aut) is None:
             raise AutomatonError(
                 "positive emptiness of a non-hierarchical PBA is undecidable; "
                 "use the bounded 'witness' search"
             )
         w = decide.hpba_probable_empty(aut)
-        if w is None:
-            _emit(doc | {"answer": "empty"}, "empty")
-        else:
-            _emit(doc | {"answer": "nonempty", "witness": _certified_lasso(aut, w)},
-                  f"nonempty, witness {w}")
+    else:
+        raise AutomatonError(f"no emptiness procedure for role {aut.role}")
+    doc: dict = {"command": "empty", "semantics": args.semantics}
+    if w is None:
+        _emit(doc | {"answer": "empty"}, "empty")
         return EXIT_ANSWERED
-    raise AutomatonError(f"no emptiness procedure for role {aut.role}")
+    if aut.role == "nba":
+        member = decide.nba_lasso_member(aut, w)
+        witness = {"lasso": textio.format_lasso(w, aut.alphabet),
+                   "certificate": {"member": member}}
+    else:
+        witness = _certified_lasso(aut, w)
+    if sw is not None:
+        witness = {
+            "states": sorted(sw.states),
+            "u": textio.format_word(sw.u, aut.alphabet),
+            "v": textio.format_word(sw.v, aut.alphabet),
+        } | witness
+    _emit(doc | {"answer": "nonempty", "witness": witness},
+          f"nonempty, witness {witness['lasso']}")
+    return EXIT_ANSWERED
 
 
 def _cmd_universal(args) -> int:
     aut = _load(args.file)
-    doc: dict = {"command": "universal", "semantics": args.semantics}
     if args.semantics == "almost-sure":
-        if aut.role not in ("pba", "fpm", "hpba"):
-            raise AutomatonError("almost-sure decisions need a Buchi PBA role")
+        _require_pba_role(aut)
         w = decide.almost_sure_universal(aut, monoid_cap=args.monoid_cap)
     elif aut.role == "nba":
         w = decide.nba_universality(aut, monoid_cap=args.monoid_cap)
-        if w is None:
-            _emit(doc | {"answer": "universal"}, "universal")
-        else:
-            _emit(doc | {"answer": "non-universal",
-                         "counterexample": {"lasso": _lasso_doc(w),
-                                            "certificate": {"member": False}}},
-                  f"non-universal, counterexample {w}")
-        return EXIT_ANSWERED
     elif aut.role == "fpm":
         w = decide.fpm_positive_universal(aut, monoid_cap=args.monoid_cap)
     elif aut.role in ("hpba", "pba"):
@@ -279,17 +269,18 @@ def _cmd_universal(args) -> int:
         w = decide.hpba_probable_universal(aut, monoid_cap=args.monoid_cap)
     else:
         raise AutomatonError(f"no universality procedure for role {aut.role}")
+    doc: dict = {"command": "universal", "semantics": args.semantics}
     if w is None:
         _emit(doc | {"answer": "universal"}, "universal")
+        return EXIT_ANSWERED
+    if aut.role == "nba":
+        counterexample = {"lasso": textio.format_lasso(w, aut.alphabet),
+                          "certificate": {"member": False}}
     else:
-        _emit(doc | {"answer": "non-universal",
-                     "counterexample": _certified_lasso(aut, w)},
-              f"non-universal, counterexample {w}")
+        counterexample = _certified_lasso(aut, w)
+    _emit(doc | {"answer": "non-universal", "counterexample": counterexample},
+          f"non-universal, counterexample {counterexample['lasso']}")
     return EXIT_ANSWERED
-
-
-def _word(symbols: tuple[str, ...]) -> str:
-    return "".join(symbols) if all(len(s) == 1 for s in symbols) else ",".join(symbols)
 
 
 def _cmd_witness(args) -> int:
@@ -310,18 +301,18 @@ def _cmd_witness(args) -> int:
             "answer": "nonempty",
             "witness": {
                 "states": sorted(w.states),
-                "u": _word(w.u),
-                "segments": [_word(s) for s in w.segments],
+                "u": textio.format_word(w.u, aut.alphabet),
+                "segments": [textio.format_word(s, aut.alphabet) for s in w.segments],
                 "start_index": w.start_index,
             },
             "lower_bound": _frac(bound.value),
             "asymptotic": bound.asymptotic,
-            "assembled_lasso": _lasso_doc(bound.lasso),
+            "assembled_lasso": textio.format_lasso(bound.lasso, aut.alphabet),
             "certificate": {
                 "acceptance": _frac(lasso_acceptance(aut, bound.lasso))
             },
         },
-        f"nonempty, lower bound {bound.value}",
+        f"nonempty, lower bound {_frac(bound.value)}",
     )
     return EXIT_ANSWERED
 
@@ -336,20 +327,21 @@ def _cmd_contain(args) -> int:
             "unknown (no refutation within bound)",
         )
         return EXIT_UNKNOWN
+    text = textio.format_lasso(w, b1.alphabet)
     _emit(
         {
             "command": "contain",
             "semantics": args.semantics,
             "answer": "refuted",
             "witness": {
-                "lasso": _lasso_doc(w),
+                "lasso": text,
                 "certificate": {
                     "left_acceptance": _frac(lasso_acceptance(b1, w)),
                     "right_acceptance": _frac(lasso_acceptance(b2, w)),
                 },
             },
         },
-        f"refuted by {w}",
+        f"refuted by {text}",
     )
     return EXIT_ANSWERED
 
@@ -375,64 +367,50 @@ def _cmd_decompose(args) -> int:
     return EXIT_ANSWERED
 
 
+def _cmd_construct(args) -> int:
+    """Construction subcommands: print the serialized result automaton."""
+    if args.command == "gen":
+        out = construct.generate_example(args.name_, *args.params)
+        _emit_automaton(out, f"generated {out.name}")
+        return EXIT_ANSWERED
+    unary = {
+        "dra2hpba": construct.dra_to_hpba,
+        "hpba2nba": construct.hpba_to_nba,
+        "closure": construct.safety_closure,
+    }
+    binary = {
+        "product": construct.fpm_product,
+        "union": construct.almost_sure_union,
+        "intersect": construct.almost_sure_intersection,
+    }
+    if args.command == "complement":
+        out = decide.nba_complement(_load(args.file), cap=args.complement_cap)
+    elif args.command in binary:
+        out = binary[args.command](_load(args.file1), _load(args.file2))
+    else:
+        out = unary[args.command](_load(args.file))
+    _emit_automaton(out, f"{len(out.states)} state(s)")
+    return EXIT_ANSWERED
+
+
+_QUERIES = {
+    "validate": _cmd_validate,
+    "rank": _cmd_rank,
+    "prob": _cmd_prob,
+    "mc": _cmd_mc,
+    "monitor": _cmd_monitor,
+    "decompose": _cmd_decompose,
+    "empty": _cmd_empty,
+    "universal": _cmd_universal,
+    "witness": _cmd_witness,
+    "contain": _cmd_contain,
+}
+
+
 def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "prob":
-            return _cmd_prob(args)
-        if args.command == "mc":
-            return _cmd_mc(args)
-        if args.command == "monitor":
-            return _cmd_monitor(args)
-        if args.command == "complement":
-            out = decide.nba_complement(_load(args.file), cap=args.complement_cap)
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "product":
-            out = construct.fpm_product(_load(args.file1), _load(args.file2))
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "union":
-            out = construct.almost_sure_union(_load(args.file1), _load(args.file2))
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "intersect":
-            out = construct.almost_sure_intersection(
-                _load(args.file1), _load(args.file2)
-            )
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "dra2hpba":
-            out = construct.dra_to_hpba(_load(args.file))
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "hpba2nba":
-            out = construct.hpba_to_nba(_load(args.file))
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "closure":
-            out = construct.safety_closure(_load(args.file))
-            _emit_automaton(out, f"{len(out.states)} state(s)")
-            return EXIT_ANSWERED
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "empty":
-            return _cmd_empty(args)
-        if args.command == "universal":
-            return _cmd_universal(args)
-        if args.command == "witness":
-            return _cmd_witness(args)
-        if args.command == "contain":
-            return _cmd_contain(args)
-        if args.command == "gen":
-            out = construct.generate_example(args.name_, *args.params)
-            _emit_automaton(out, f"generated {out.name}")
-            return EXIT_ANSWERED
-        raise AutomatonError(f"unknown command {args.command}")
+        return _QUERIES.get(args.command, _cmd_construct)(args)
     except ResourceLimitError as exc:
         print(
             json.dumps(

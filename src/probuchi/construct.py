@@ -20,8 +20,10 @@ from .core import (
     ConstructionError,
     RabinAcceptance,
     RankFunction,
+    _hierarchy_check,
     require_valid,
 )
+from .graphs import accepting_cycles, coreachable
 
 __all__ = [
     "complement_to_fpm",
@@ -111,14 +113,12 @@ def reject_pba(m: Automaton) -> Automaton:
         raise ConstructionError("reject_pba needs an fpm")
     require_valid(m)
     assert m.reject is not None
-    return Automaton(
+    return replace(
+        m,
         name=f"rej({m.name})",
         role="pba",
-        alphabet=m.alphabet,
-        states=m.states,
-        initial=m.initial,
         acceptance=BuchiAcceptance(frozenset({m.reject})),
-        transitions=dict(m.transitions),
+        reject=None,
     )
 
 
@@ -288,11 +288,10 @@ def hpba_to_nba(h: Automaton) -> Automaton:
     input must admit a compatible ranking; the error names a violating
     (state, symbol) pair otherwise.
     """
-    from .core import _hierarchy_levels
-
     _require_buchi_probabilistic(h, "hpba_to_nba")
-    if _hierarchy_levels(h) is None:
-        q, a = _hierarchy_counterexample(h)
+    violation = _hierarchy_check(h)[1]
+    if violation is not None:
+        q, a = violation
         raise ConstructionError(
             f"input is not hierarchical: two same-component successors at ({q},{a})"
         )
@@ -321,18 +320,17 @@ def hpba_to_nba(h: Automaton) -> Automaton:
     )
 
 
-def _hierarchy_counterexample(h: Automaton) -> tuple[str, str]:
-    from .graphs import tarjan_sccs
-
-    adjacency = h.support_adjacency()
-    comps = tarjan_sccs(h.states, adjacency)
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-    for q in h.states:
-        for a in h.alphabet:
-            same = [t for t in h.successors(q, a) if comp_of[t] == comp_of[q]]
-            if len(same) > 1:
-                return q, a
-    raise AutomatonError("input is hierarchical after all")
+def _empty_nba(name: str, alphabet: tuple[str, ...], state: str) -> Automaton:
+    """One state, no transitions: an NBA for the empty language."""
+    return Automaton(
+        name=name,
+        role="nba",
+        alphabet=alphabet,
+        states=(state,),
+        initial=state,
+        acceptance=BuchiAcceptance(frozenset()),
+        transitions={},
+    )
 
 
 def safety_closure(h: Automaton) -> Automaton:
@@ -347,41 +345,15 @@ def safety_closure(h: Automaton) -> Automaton:
     If the initial state falls outside Q_>0 the closure is empty and an
     empty-language NBA is returned.
     """
-    from .graphs import tarjan_sccs
-
     nba = hpba_to_nba(h)
     adjacency = nba.support_adjacency()
-    comps = tarjan_sccs(nba.states, adjacency)
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-    finals = nba.final_states
-    good_comp = set()
-    for i, comp in enumerate(comps):
-        has_cycle = len(comp) > 1 or comp[0] in adjacency.get(comp[0], ())
-        if has_cycle and any(q in finals for q in comp):
-            good_comp.add(i)
+    cycles = accepting_cycles(nba.states, adjacency, nba.final_states)
     # States that can reach an accepting cycle.
-    live = set()
-    changed = True
-    while changed:
-        changed = False
-        for q in nba.states:
-            if q in live:
-                continue
-            if comp_of[q] in good_comp or any(t in live for t in adjacency[q]):
-                live.add(q)
-                changed = True
+    live = coreachable([q for comp in cycles for q in comp], adjacency)
     positive = tuple(q for q in h.states if f"({q},0)" in live)
 
     if h.initial not in positive:
-        return Automaton(
-            name=f"closure({h.name})",
-            role="nba",
-            alphabet=h.alphabet,
-            states=(h.initial,),
-            initial=h.initial,
-            acceptance=BuchiAcceptance(frozenset()),
-            transitions={},
-        )
+        return _empty_nba(f"closure({h.name})", h.alphabet, h.initial)
     keep = set(positive)
     transitions: dict = {}
     for q in positive:
@@ -437,23 +409,17 @@ def rabin_decomposition(
             bad = pairs[j - 1][0].union(
                 *(pairs[i - 1][1] for i in index_set if i != j)
             )
-            positive = Automaton(
+            positive = replace(
+                r,
                 name=f"{r.name}[good I={sorted(index_set)}]",
                 role="pba",
-                alphabet=r.alphabet,
-                states=r.states,
-                initial=r.initial,
                 acceptance=BuchiAcceptance(good),
-                transitions=dict(r.transitions),
             )
-            negative = Automaton(
+            negative = replace(
+                r,
                 name=f"{r.name}[bad I={sorted(index_set)} j={j}]",
                 role="pba",
-                alphabet=r.alphabet,
-                states=r.states,
-                initial=r.initial,
                 acceptance=BuchiAcceptance(frozenset(bad)),
-                transitions=dict(r.transitions),
             )
             out.append(((index_set, j), positive, negative))
     return out

@@ -195,9 +195,7 @@ class LassoWord:
 
 def lasso(stem: Iterable[str] | str, cycle: Iterable[str] | str) -> LassoWord:
     """Build a lasso from strings (split into characters) or symbol iterables."""
-    s = tuple(stem) if not isinstance(stem, str) else tuple(stem)
-    c = tuple(cycle) if not isinstance(cycle, str) else tuple(cycle)
-    return LassoWord(s, c)
+    return LassoWord(tuple(stem), tuple(cycle))
 
 
 ProbRow = tuple[tuple[str, Fraction], ...]
@@ -476,15 +474,18 @@ def ranking_violations(
     return bad
 
 
-def _hierarchy_levels(aut: Automaton) -> dict[str, int] | None:
-    """SCC-based level assignment, or None when no compatible ranking exists.
+def _hierarchy_check(
+    aut: Automaton,
+) -> tuple[dict[str, int] | None, tuple[str, str] | None]:
+    """SCC-based levels, or the first (q, a) showing that none exist.
 
     A compatible ranking is constant on SCCs of the positive-support graph
     (levels cannot decrease along edges and every cycle returns), so one
     exists iff every (q, a) has at most one successor inside q's own SCC.
     Numbering the SCCs in topological order then satisfies both rules: a
     cross-SCC edge strictly increases the level, so the only candidate for a
-    same-level successor is the single in-SCC one.
+    same-level successor is the single in-SCC one.  Exactly one of the
+    two results is None.
     """
     adjacency = aut.support_adjacency()
     components = sccs_topological(aut.states, adjacency, aut.index)
@@ -496,8 +497,13 @@ def _hierarchy_levels(aut: Automaton) -> dict[str, int] | None:
         for a in aut.alphabet:
             same = sum(1 for t in aut.successors(q, a) if comp_of[t] == comp_of[q])
             if same > 1:
-                return None
-    return {q: comp_of[q] for q in aut.states}
+                return None, (q, a)
+    return {q: comp_of[q] for q in aut.states}, None
+
+
+def _hierarchy_levels(aut: Automaton) -> dict[str, int] | None:
+    """SCC-based level assignment, or None when no compatible ranking exists."""
+    return _hierarchy_check(aut)[0]
 
 
 def infer_hierarchy(aut: Automaton) -> RankFunction | None:

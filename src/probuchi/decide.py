@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     Automaton,
@@ -30,8 +31,8 @@ from .core import (
     all_words,
     require_valid,
 )
-from .construct import complement_to_fpm, hpba_to_nba
-from .graphs import tarjan_sccs
+from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
+from .graphs import accepting_cycles, bottom_sccs, coreachable
 from .markov import (
     Distribution,
     final_passage_matrix,
@@ -79,16 +80,17 @@ class SearchCancelled(AutomatonError):
     """A cooperative cancellation callback stopped a long search."""
 
 
-def _monoid_cap(cap: int | None) -> int:
+def _cap(cap: int | None, env: str, default: int) -> int:
+    """An explicit cap, else the integer in ``env``, else ``default``."""
     if cap is not None:
         return cap
-    return int(os.environ.get(MONOID_CAP_ENV, 10**6))
-
-
-def _complement_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(COMPLEMENT_CAP_ENV, 10))
+    text = os.environ.get(env)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise AutomatonError(f"{env} must be an integer, got {text!r}") from None
 
 
 def _check_cancel(cancel: Cancel) -> None:
@@ -172,6 +174,72 @@ def _word_key(aut: Automaton, word: Sequence[str]) -> tuple:
     return (len(word), tuple(sk[a] for a in word))
 
 
+K = TypeVar("K", bound=Hashable)
+
+
+def _explore(
+    seeds: Iterable[tuple[K, tuple[str, ...]]],
+    step: Callable[[K, str], K],
+    alphabet: Sequence[str],
+    cap: int | None,
+    cancel: Cancel,
+    what: str = "",
+) -> dict[K, tuple[str, ...]]:
+    """Breadth-first closure of ``seeds`` under ``step``, each with its word.
+
+    Returns every element in discovery order, which is (word length, symbol
+    order), mapped to the first word that reached it; a seed keeps the word
+    it came with.  Discovering an element beyond ``cap`` raises
+    :class:`ResourceLimitError` naming ``what``.
+    """
+    found: dict[K, tuple[str, ...]] = {}
+    for key, word in seeds:
+        found.setdefault(key, word)
+    queue = deque(found)
+    while queue:
+        _check_cancel(cancel)
+        x = queue.popleft()
+        word = found[x]
+        for a in alphabet:
+            y = step(x, a)
+            if y not in found:
+                if cap is not None and len(found) >= cap:
+                    raise ResourceLimitError(
+                        f"{what} exceeds {cap} elements; raise it via "
+                        f"--monoid-cap or {MONOID_CAP_ENV}",
+                        cap_name=MONOID_CAP_ENV,
+                        cap_value=cap,
+                    )
+                found[y] = word + (a,)
+                queue.append(y)
+    return found
+
+
+def _symbol_masks(aut: Automaton) -> dict[str, tuple[int, ...]]:
+    """Per symbol, each state's successor set as a bitmask by declaration index."""
+    idx = aut.index
+    out = {}
+    for a in aut.alphabet:
+        rows = []
+        for q in aut.states:
+            m = 0
+            for t in aut.successors(q, a):
+                m |= 1 << idx[t]
+            rows.append(m)
+        out[a] = tuple(rows)
+    return out
+
+
+def _image(mask: int, rows: Sequence[int]) -> int:
+    """Union of ``rows[j]`` over the set bits j of ``mask``: one support step."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _lex_reach_words(
     aut: Automaton, start: str, at_least_one: bool
 ) -> dict[str, tuple[str, ...]]:
@@ -181,17 +249,8 @@ def _lex_reach_words(
     the empty word does not count, so the start state itself needs a cycle
     to appear in the result.
     """
-    words: dict[str, tuple[str, ...]] = {}
-    if at_least_one:
-        layer: list[tuple[str, tuple[str, ...]]] = []
-        for a in aut.alphabet:
-            for t in aut.successors(start, a):
-                if t not in words:
-                    words[t] = (a,)
-                    layer.append((t, (a,)))
-    else:
-        words[start] = ()
-        layer = [(start, ())]
+    words: dict[str, tuple[str, ...]] = {} if at_least_one else {start: ()}
+    layer: list[tuple[str, tuple[str, ...]]] = [(start, ())]
     while layer:
         nxt: list[tuple[str, tuple[str, ...]]] = []
         for q, w in layer:
@@ -202,31 +261,6 @@ def _lex_reach_words(
                         nxt.append((t, w + (a,)))
         layer = nxt
     return words
-
-
-def _lex_cycle_word(aut: Automaton, f: str) -> tuple[str, ...] | None:
-    """Shortest lex-smallest nonempty word labelling a path from f back to f."""
-    words: dict[str, tuple[str, ...]] = {}
-    layer: list[tuple[str, tuple[str, ...]]] = []
-    for a in aut.alphabet:
-        for t in aut.successors(f, a):
-            if t == f:
-                return (a,)
-            if t not in words:
-                words[t] = (a,)
-                layer.append((t, (a,)))
-    while layer:
-        nxt: list[tuple[str, tuple[str, ...]]] = []
-        for q, w in layer:
-            for a in aut.alphabet:
-                for t in aut.successors(q, a):
-                    if t == f:
-                        return w + (a,)
-                    if t not in words:
-                        words[t] = w + (a,)
-                        nxt.append((t, w + (a,)))
-        layer = nxt
-    return None
 
 
 def _lassos(
@@ -275,14 +309,8 @@ def nba_lasso_member(a: Automaton, w: LassoWord) -> bool:
         edges[(q, i)] = outs
     finals = a.final_states
     nodes = sorted(seen, key=lambda n: (n[1], a.index[n[0]]))
-    for comp in tarjan_sccs(nodes, edges):
-        comp_set = set(comp)
-        nontrivial = len(comp) > 1 or any(
-            n in edges[n] for n in comp
-        )
-        if nontrivial and any(q in finals for q, _ in comp):
-            return True
-    return False
+    final_nodes = {n for n in nodes if n[0] in finals}
+    return bool(accepting_cycles(nodes, edges, final_nodes))
 
 
 def nba_emptiness(a: Automaton) -> LassoWord | None:
@@ -302,7 +330,7 @@ def nba_emptiness(a: Automaton) -> LassoWord | None:
     for f in a.states:
         if f not in a.final_states or f not in reach:
             continue
-        cyc = _lex_cycle_word(a, f)
+        cyc = _lex_reach_words(a, f, at_least_one=True).get(f)
         if cyc is None:
             continue
         u = reach[f]
@@ -343,7 +371,7 @@ def nba_complement(
     if a.role != "nba":
         raise AutomatonError("complementation needs an nba")
     require_valid(a)
-    the_cap = _complement_cap(cap)
+    the_cap = _cap(cap, COMPLEMENT_CAP_ENV, 10)
     n = len(a.states)
     if n > the_cap:
         raise ResourceLimitError(
@@ -360,9 +388,9 @@ def nba_complement(
     names: dict[StateT, str] = {init: "kv0"}
     order: list[StateT] = [init]
     transitions: dict[tuple[str, str], list[str]] = {}
-    queue = [init]
+    queue = deque([init])
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         ranking, owing = state
         g = dict(ranking)
         for sym in a.alphabet:
@@ -431,24 +459,9 @@ def nba_complement(
 def _reduce_nba(a: Automaton) -> Automaton:
     """Trim to states on some accepting run and quotient by forward bisimulation."""
     adjacency = a.support_adjacency()
-    comps = tarjan_sccs(a.states, adjacency)
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
     finals = a.final_states
-    good = set()
-    for i, comp in enumerate(comps):
-        nontrivial = len(comp) > 1 or comp[0] in adjacency.get(comp[0], ())
-        if nontrivial and any(q in finals for q in comp):
-            good.add(i)
-    live: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for q in a.states:
-            if q in live:
-                continue
-            if comp_of[q] in good or any(t in live for t in adjacency[q]):
-                live.add(q)
-                changed = True
+    cycles = accepting_cycles(a.states, adjacency, finals)
+    live = coreachable([q for comp in cycles for q in comp], adjacency)
     # forward reachability within live states
     keep: set[str] = set()
     if a.initial in live:
@@ -462,15 +475,7 @@ def _reduce_nba(a: Automaton) -> Automaton:
                         keep.add(t)
                         stack.append(t)
     if not keep:
-        return Automaton(
-            name=a.name,
-            role="nba",
-            alphabet=a.alphabet,
-            states=("kv0",),
-            initial="kv0",
-            acceptance=BuchiAcceptance(frozenset()),
-            transitions={},
-        )
+        return _empty_nba(a.name, a.alphabet, "kv0")
     kept = [q for q in a.states if q in keep]
     # partition refinement: blocks must stay acceptance-pure
     block_of = {q: (q in finals) for q in kept}
@@ -498,11 +503,11 @@ def _reduce_nba(a: Automaton) -> Automaton:
     for q in kept:
         rep.setdefault(block_of[q], q)
     naming: dict[int, str] = {}
-    bfs = [block_of[a.initial]]
+    bfs = deque([block_of[a.initial]])
     naming[block_of[a.initial]] = "kv0"
     i = 0
     while bfs:
-        b = bfs.pop(0)
+        b = bfs.popleft()
         q = rep[b]
         for sym in a.alphabet:
             for t in a.successors(q, sym):
@@ -538,55 +543,52 @@ def _reduce_nba(a: Automaton) -> Automaton:
 
 # -- transition profiles (Ramsey universality)
 
-
-@dataclass(frozen=True)
-class _Profile:
-    reach: tuple[int, ...]  # bitmask rows: path exists
-    fin: tuple[int, ...]  # bitmask rows: path exists through a final state
+# A profile holds two bitmask rows per state, (reach, fin): a path exists,
+# and a path exists through a final state, endpoints included.  Row by row
+# fin is a subset of reach.
+_Profile = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _profile_compose(p: _Profile, q: _Profile) -> _Profile:
-    n = len(p.reach)
+    q_reach, q_fin = q
     reach = []
     fin = []
-    for i in range(n):
-        r = 0
-        f = 0
-        m = p.reach[i]
+    for m, pf in zip(*p):
+        r = f = 0
         while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            r |= q.reach[j]
-            f |= q.fin[j]
-        m = p.fin[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            f |= q.reach[j]
+            low = m & -m
+            j = low.bit_length() - 1
+            m ^= low
+            r |= q_reach[j]
+            f |= q_reach[j] if pf & low else q_fin[j]
         reach.append(r)
         fin.append(f)
-    return _Profile(tuple(reach), tuple(fin))
+    return tuple(reach), tuple(fin)
 
 
 def _symbol_profiles(a: Automaton) -> dict[str, _Profile]:
-    idx = a.index
     finals = a.final_states
-    out = {}
-    for sym in a.alphabet:
-        reach = []
-        fin = []
-        for q in a.states:
-            r = 0
-            f = 0
-            for t in a.successors(q, sym):
-                bit = 1 << idx[t]
-                r |= bit
-                if q in finals or t in finals:
-                    f |= bit
-            reach.append(r)
-            fin.append(f)
-        out[sym] = _Profile(tuple(reach), tuple(fin))
-    return out
+    final_mask = sum(1 << a.index[q] for q in finals)
+    return {
+        sym: (rows, tuple(r if q in finals else r & final_mask
+                          for q, r in zip(a.states, rows)))
+        for sym, rows in _symbol_masks(a).items()
+    }
+
+
+def _profile_monoid(
+    a: Automaton, cap: int, cancel: Cancel = None
+) -> dict[_Profile, tuple[str, ...]]:
+    """Profiles of all nonempty words in discovery order, each with its word."""
+    gens = _symbol_profiles(a)
+    return _explore(
+        ((gens[sym], (sym,)) for sym in a.alphabet),
+        lambda p, sym: _profile_compose(p, gens[sym]),
+        a.alphabet,
+        cap,
+        cancel,
+        "profile monoid",
+    )
 
 
 def nba_universality(
@@ -613,69 +615,28 @@ def nba_universality(
         _check_cancel(cancel)
         if not nba_lasso_member(a, w):
             return w
-    cap = _monoid_cap(monoid_cap)
-    gens = _symbol_profiles(a)
-    elements: dict[tuple, tuple[str, ...]] = {}
-    order: list[_Profile] = []
-    queue: list[tuple[_Profile, tuple[str, ...]]] = []
-    for sym in a.alphabet:
-        p = gens[sym]
-        key = (p.reach, p.fin)
-        if key not in elements:
-            elements[key] = (sym,)
-            order.append(p)
-            queue.append((p, (sym,)))
-    while queue:
-        _check_cancel(cancel)
-        p, word = queue.pop(0)
-        for sym in a.alphabet:
-            q = _profile_compose(p, gens[sym])
-            key = (q.reach, q.fin)
-            if key not in elements:
-                if len(elements) >= cap:
-                    raise ResourceLimitError(
-                        f"profile monoid exceeds {cap} elements; raise it via "
-                        f"--monoid-cap or {MONOID_CAP_ENV}",
-                        cap_name=MONOID_CAP_ENV,
-                        cap_value=cap,
-                    )
-                elements[key] = word + (sym,)
-                order.append(q)
-                queue.append((q, word + (sym,)))
+    elements = _profile_monoid(a, _cap(monoid_cap, MONOID_CAP_ENV, 10**6), cancel)
     if progress is not None:
-        progress(f"profile monoid has {len(order)} elements")
+        progress(f"profile monoid has {len(elements)} elements")
     n = len(a.states)
     idx0 = a.index[a.initial]
-    ident = _Profile(
+    finals = a.final_states
+    ident = (
         tuple(1 << i for i in range(n)),
-        tuple((1 << i) if a.states[i] in a.final_states else 0 for i in range(n)),
+        tuple((1 << i) if q in finals else 0 for i, q in enumerate(a.states)),
     )
-
-    def accepting(u: _Profile, v: _Profile) -> bool:
-        m = u.reach[idx0]
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            targets = v.reach[q]
-            t = targets
-            while t:
-                s = (t & -t).bit_length() - 1
-                t &= t - 1
-                if v.fin[s] >> s & 1:
-                    return True
-        return False
-
-    for v in order:
+    for v, vw in elements.items():
         _check_cancel(cancel)
         if _profile_compose(v, v) != v:
             continue
-        vw = elements[(v.reach, v.fin)]
-        for u, uw in itertools.chain(
-            [(ident, ())], ((p, elements[(p.reach, p.fin)]) for p in order)
-        ):
+        v_reach, v_fin = v
+        # States with a final-touching v-loop; u v^omega is accepted iff v
+        # leads from a state u reaches into one of them.
+        loops = sum(1 << s for s in range(n) if v_fin[s] >> s & 1)
+        for u, uw in itertools.chain([(ident, ())], elements.items()):
             if _profile_compose(u, v) != u:
                 continue
-            if not accepting(u, v):
+            if not _image(u[0][idx0], v_reach) & loops:
                 witness = LassoWord(uw, vw)
                 if nba_lasso_member(a, witness):
                     raise CertificationError(
@@ -723,60 +684,31 @@ def transition_monoid(
     realizing one.  Exceeding the cap raises :class:`ResourceLimitError`;
     completeness never silently degrades.
     """
-    the_cap = _monoid_cap(cap)
-    idx = aut.index
-    n = len(aut.states)
-    gen: dict[str, tuple[int, ...]] = {}
-    for a in aut.alphabet:
-        rows = []
-        for q in aut.states:
-            m = 0
-            for t in aut.successors(q, a):
-                m |= 1 << idx[t]
-            rows.append(m)
-        gen[a] = tuple(rows)
+    gen = _symbol_masks(aut)
 
     def compose(x: tuple[int, ...], sym: str) -> tuple[int, ...]:
         g = gen[sym]
         out = []
-        for i in range(n):
-            m = x[i]
+        for m in x:
             r = 0
             while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                r |= g[j]
+                low = m & -m
+                r |= g[low.bit_length() - 1]
+                m ^= low
             out.append(r)
         return tuple(out)
 
-    elements: dict[tuple[int, ...], tuple[str, ...]] = {}
-    out: list[tuple[tuple[str, ...], BooleanMatrix]] = []
-    queue: list[tuple[int, ...]] = []
-    for a in aut.alphabet:
-        if gen[a] not in elements:
-            elements[gen[a]] = (a,)
-            out.append(((a,), BooleanMatrix(aut.states, gen[a])))
-            queue.append(gen[a])
-    while queue:
-        _check_cancel(cancel)
-        x = queue.pop(0)
-        w = elements[x]
-        for a in aut.alphabet:
-            y = compose(x, a)
-            if y not in elements:
-                if len(elements) >= the_cap:
-                    raise ResourceLimitError(
-                        f"transition monoid exceeds {the_cap} elements; raise it "
-                        f"via --monoid-cap or {MONOID_CAP_ENV}",
-                        cap_name=MONOID_CAP_ENV,
-                        cap_value=the_cap,
-                    )
-                elements[y] = w + (a,)
-                out.append((w + (a,), BooleanMatrix(aut.states, y)))
-                queue.append(y)
+    elements = _explore(
+        ((gen[a], (a,)) for a in aut.alphabet),
+        compose,
+        aut.alphabet,
+        _cap(cap, MONOID_CAP_ENV, 10**6),
+        cancel,
+        "transition monoid",
+    )
     if progress is not None:
-        progress(f"transition monoid has {len(out)} elements")
-    return out
+        progress(f"transition monoid has {len(elements)} elements")
+    return [(w, BooleanMatrix(aut.states, x)) for x, w in elements.items()]
 
 
 def _require_fpm(m: Automaton, op: str) -> None:
@@ -826,19 +758,14 @@ def fpm_positive_empty(
         _check_cancel(cancel)
         rows = element.rows
         for q in candidates:
-            closure = 1 << idx[q]
-            frontier = closure
-            dead = False
+            closure = frontier = 1 << idx[q]
             while frontier:
-                j = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                new = rows[j] & ~closure
-                if rows[j] & reject_bit:
-                    dead = True
+                step = _image(frontier, rows)
+                if step & reject_bit:
                     break
-                closure |= new
-                frontier |= new
-            if dead:
+                frontier = step & ~closure
+                closure |= frontier
+            if frontier:  # the closure leaks into the reject
                 continue
             states = frozenset(
                 m.states[j] for j in range(len(m.states)) if closure >> j & 1
@@ -850,9 +777,7 @@ def fpm_positive_empty(
     return None
 
 
-def _safe_start_mask(
-    m: Automaton, rows: tuple[int, ...], reject_index: int
-) -> int:
+def _safe_start_mask(rows: tuple[int, ...], reject_index: int) -> int:
     """States from which repeating the macro-step surely hits only the reject.
 
     On the support graph of one macro-step matrix, absorption is almost sure
@@ -860,30 +785,15 @@ def _safe_start_mask(
     reach is the reject singleton.  Returns the bitmask of doomed states.
     """
     n = len(rows)
-    nodes = list(range(n))
-    adjacency = {
-        i: [j for j in range(n) if rows[i] >> j & 1] for i in range(n)
-    }
-    comps = tarjan_sccs(nodes, adjacency)
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-    bad = set()  # nodes of bottom SCCs other than the reject singleton
-    for i, comp in enumerate(comps):
-        if all(comp_of[t] == i for q in comp for t in adjacency[q]):
-            if comp != [reject_index]:
-                bad.update(comp)
-    doomed = 0
-    reach_bad = set(bad)
-    changed = True
-    while changed:
-        changed = False
-        for q in nodes:
-            if q not in reach_bad and any(t in reach_bad for t in adjacency[q]):
-                reach_bad.add(q)
-                changed = True
-    for q in nodes:
-        if q not in reach_bad:
-            doomed |= 1 << q
-    return doomed
+    adjacency = {i: [j for j in range(n) if rows[i] >> j & 1] for i in range(n)}
+    bad = [  # nodes of bottom SCCs other than the reject singleton
+        q
+        for comp in bottom_sccs(range(n), adjacency)
+        if comp != [reject_index]
+        for q in comp
+    ]
+    reach_bad = coreachable(bad, adjacency)
+    return sum(1 << q for q in range(n) if q not in reach_bad)
 
 
 def fpm_positive_universal(
@@ -906,37 +816,17 @@ def fpm_positive_universal(
     idx = m.index
     reject_index = idx[m.reject]
     # reachable supports with shortest realizing stems (empty stem allowed)
-    start = 1 << idx[m.initial]
-    supports: dict[int, tuple[str, ...]] = {start: ()}
-    sym_step: dict[str, tuple[int, ...]] = {}
-    n = len(m.states)
-    for a in m.alphabet:
-        rows = []
-        for q in m.states:
-            mask = 0
-            for t in m.successors(q, a):
-                mask |= 1 << idx[t]
-            rows.append(mask)
-        sym_step[a] = tuple(rows)
-    layer = [(start, ())]
-    while layer:
-        nxt = []
-        for s, w in layer:
-            for a in m.alphabet:
-                rows = sym_step[a]
-                s2 = 0
-                t = s
-                while t:
-                    j = (t & -t).bit_length() - 1
-                    t &= t - 1
-                    s2 |= rows[j]
-                if s2 not in supports:
-                    supports[s2] = w + (a,)
-                    nxt.append((s2, w + (a,)))
-        layer = nxt
+    masks = _symbol_masks(m)
+    supports = _explore(
+        [(1 << idx[m.initial], ())],
+        lambda s, a: _image(s, masks[a]),
+        m.alphabet,
+        None,
+        cancel,
+    )
     monoid = transition_monoid(m, monoid_cap, cancel, progress)
     doomed_of: list[int] = [
-        _safe_start_mask(m, element.rows, reject_index) for _, element in monoid
+        _safe_start_mask(element.rows, reject_index) for _, element in monoid
     ]
     for s, stem in sorted(
         supports.items(), key=lambda kv: _word_key(m, kv[1])

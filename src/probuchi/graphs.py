@@ -1,4 +1,15 @@
-"""Small graph utilities: SCCs in topological order, reachability, BSCCs.
+"""The graph questions every engine reduces to, answered once each.
+
+- :func:`tarjan_sccs`: strongly connected components in reverse
+  topological order;
+- :func:`sccs_topological`: the same components in deterministic
+  topological order (hierarchy levels);
+- :func:`bottom_sccs`: components with no outgoing edge, where a finite
+  Markov chain is absorbed (lasso chains, macro-step support graphs);
+- :func:`accepting_cycles`: components holding a cycle through a final node
+  (NBA lasso membership, trimming, safety closure);
+- :func:`coreachable`: every node with a path into a target set, by one
+  search over reversed edges.
 
 Tarjan's algorithm is written iteratively (explicit recursion stack) so deep
 chains cannot hit Python's recursion limit.
@@ -6,11 +17,12 @@ chains cannot hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Container, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
-__all__ = ["tarjan_sccs", "sccs_topological", "reachable", "bottom_sccs"]
+__all__ = ["tarjan_sccs", "sccs_topological", "bottom_sccs", "accepting_cycles",
+           "coreachable"]
 
 
 def tarjan_sccs(
@@ -102,19 +114,6 @@ def sccs_topological(
     return out
 
 
-def reachable(start: Iterable[N], adjacency: Mapping[N, Sequence[N]]) -> set[N]:
-    """Forward closure of ``start`` under ``adjacency``."""
-    seen = set(start)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def bottom_sccs(
     nodes: Sequence[N], adjacency: Mapping[N, Sequence[N]]
 ) -> list[list[N]]:
@@ -126,3 +125,41 @@ def bottom_sccs(
         if all(comp_of[m] == i for n in comp for m in adjacency.get(n, ())):
             bottom.append(comp)
     return bottom
+
+
+def accepting_cycles(
+    nodes: Sequence[N], adjacency: Mapping[N, Sequence[N]], final: Container[N]
+) -> list[list[N]]:
+    """SCCs that hold a cycle through a node of ``final``, in Tarjan order.
+
+    A component holds a cycle when it has two or more nodes or a self-loop;
+    a run that reaches one can then visit a final node infinitely often.
+    """
+    return [
+        comp
+        for comp in tarjan_sccs(nodes, adjacency)
+        if (len(comp) > 1 or comp[0] in adjacency.get(comp[0], ()))
+        and any(n in final for n in comp)
+    ]
+
+
+def coreachable(
+    targets: Iterable[N], adjacency: Mapping[N, Sequence[N]]
+) -> set[N]:
+    """Nodes with a path, possibly empty, into ``targets``.
+
+    One depth-first search over the reversed edges, linear in the graph.
+    ``adjacency`` must list every node that has an outgoing edge.
+    """
+    reverse: dict[N, list[N]] = {}
+    for v, succs in adjacency.items():
+        for w in succs:
+            reverse.setdefault(w, []).append(v)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for v in reverse.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen

@@ -23,7 +23,7 @@ from .core import (
     RabinAcceptance,
     require_valid,
 )
-from .graphs import tarjan_sccs
+from .graphs import bottom_sccs, coreachable
 
 __all__ = [
     "RationalMatrix",
@@ -274,6 +274,9 @@ class LassoChain:
     rejecting_bsccs: int
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _bscc_accepting(aut: Automaton, comp: list[tuple[str, int]]) -> bool:
     comp_states = {q for q, _ in comp}
     if isinstance(aut.acceptance, BuchiAcceptance):
@@ -313,59 +316,35 @@ def build_lasso_chain(aut: Automaton, w: LassoWord) -> LassoChain:
 
     nodes = sorted(seen, key=lambda n: (n[1], aut.index[n[0]]))
     adjacency = {n: [t for t, _ in edges[n]] for n in nodes}
-    comps = tarjan_sccs(nodes, adjacency)
-    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
 
-    value_of: dict[tuple[str, int], Fraction | None] = {}
-    n_acc = n_rej = 0
-    bscc_value: dict[int, Fraction] = {}
-    bscc_nodes: set[tuple[str, int]] = set()
-    for i, comp in enumerate(comps):
-        if all(comp_of[t] == i for n in comp for t in adjacency[n]):
-            accepting = _bscc_accepting(aut, comp)
-            bscc_value[i] = Fraction(1 if accepting else 0)
-            bscc_nodes.update(comp)
-            if accepting:
-                n_acc += 1
-            else:
-                n_rej += 1
+    bottoms = bottom_sccs(nodes, adjacency)
+    accepting = [_bscc_accepting(aut, comp) for comp in bottoms]
+    bscc_value = {
+        n: _ONE if acc else _ZERO for comp, acc in zip(bottoms, accepting) for n in comp
+    }
     # A transient node that can only reach accepting (or only rejecting)
     # bottom components already has value 1 (or 0); only mixed nodes need
-    # the linear system.  Fixpoint over edges; sizes are desk scale.
-    reach_acc = {
-        n for n in nodes if comp_of[n] in bscc_value and bscc_value[comp_of[n]] == 1
-    }
-    reach_rej = {
-        n for n in nodes if comp_of[n] in bscc_value and bscc_value[comp_of[n]] == 0
-    }
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n not in reach_acc and any(t in reach_acc for t in adjacency[n]):
-                reach_acc.add(n)
-                changed = True
-            if n not in reach_rej and any(t in reach_rej for t in adjacency[n]):
-                reach_rej.add(n)
-                changed = True
+    # the linear system.
+    reach_acc = coreachable([n for n, v in bscc_value.items() if v], adjacency)
+    reach_rej = coreachable([n for n, v in bscc_value.items() if not v], adjacency)
 
+    value_of: dict[tuple[str, int], Fraction | None] = {}
     for n in nodes:
-        ci = comp_of[n]
-        if ci in bscc_value:
-            value_of[n] = bscc_value[ci]
+        if n in bscc_value:
+            value_of[n] = bscc_value[n]
         elif n in reach_acc and n in reach_rej:
             value_of[n] = None
         else:
-            value_of[n] = Fraction(1) if n in reach_acc else Fraction(0)
+            value_of[n] = _ONE if n in reach_acc else _ZERO
 
     return LassoChain(
         nodes=tuple(nodes),
         edges=edges,
         initial={(q, 0): p for q, p in dist.entries.items()},
         value_of=value_of,
-        bscc_nodes=frozenset(bscc_nodes),
-        accepting_bsccs=n_acc,
-        rejecting_bsccs=n_rej,
+        bscc_nodes=frozenset(bscc_value),
+        accepting_bsccs=sum(accepting),
+        rejecting_bsccs=len(accepting) - sum(accepting),
     )
 
 

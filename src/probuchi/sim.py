@@ -5,6 +5,7 @@ seed from the root seed and the sample index, so a fixed root seed gives the
 same estimate regardless of how samples would be sharded across workers.
 Random choices against exact rational distributions are made by lazy binary
 interval refinement, so the estimator carries no floating-point bias.
+Monitor sessions keep the exact rational state distribution.
 """
 
 from __future__ import annotations
@@ -143,19 +144,14 @@ class MonitorSession:
     feed that fails (unknown symbol) leaves the session state untouched.
     Sessions are single-owner: feeding one session concurrently is not
     supported, distinct sessions are independent.
-
-    ``exact=False`` switches the state to a float fast path for very long
-    streams; all guarantees then hold only up to rounding.
     """
 
-    def __init__(self, m: Automaton, exact: bool = True):
+    def __init__(self, m: Automaton):
         if m.role != "fpm":
             raise AutomatonError("monitoring needs an fpm")
         require_valid(m)
         self._m = m
-        self._exact = exact
-        one = Fraction(1) if exact else 1.0
-        self._state: dict[str, Fraction | float] = {m.initial: one}
+        self._state: dict[str, Fraction] = {m.initial: Fraction(1)}
         self._position = 0
 
     @property
@@ -163,19 +159,17 @@ class MonitorSession:
         return self._position
 
     @property
-    def reject_probability(self) -> Fraction | float:
+    def reject_probability(self) -> Fraction:
         assert self._m.reject is not None
-        zero = Fraction(0) if self._exact else 0.0
-        return self._state.get(self._m.reject, zero)
+        return self._state.get(self._m.reject, Fraction(0))
 
-    def feed(self, symbol: str) -> Fraction | float:
+    def feed(self, symbol: str) -> Fraction:
         if symbol not in set(self._m.alphabet):
             raise MonitorError(symbol, self._position)
-        nxt: dict[str, Fraction | float] = {}
+        nxt: dict[str, Fraction] = {}
         for q, p in self._state.items():
             for t, w in self._m.prob_row(q, symbol):
-                weight = w if self._exact else float(w)
-                nxt[t] = nxt.get(t, 0) + p * weight
+                nxt[t] = nxt.get(t, 0) + p * w
         self._state = nxt
         self._position += 1
         return self.reject_probability

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Sequence
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -27,7 +28,8 @@ from .core import (
     ROLES,
 )
 
-__all__ = ["FormatError", "parse", "serialize", "parse_lasso", "format_lasso"]
+__all__ = ["FormatError", "parse", "serialize", "parse_lasso", "format_word",
+           "format_lasso"]
 
 
 class FormatError(AutomatonError):
@@ -309,5 +311,19 @@ def parse_lasso(text: str, alphabet: tuple[str, ...]) -> LassoWord:
     return LassoWord(stem, cycle)
 
 
-def format_lasso(w: LassoWord) -> str:
-    return str(w)
+def format_word(symbols: Sequence[str], alphabet: Sequence[str]) -> str:
+    """Symbols concatenated when every alphabet symbol is one character,
+    comma-separated otherwise, as :func:`parse_lasso` splits them."""
+    return ("" if all(len(a) == 1 for a in alphabet) else ",").join(symbols)
+
+
+def format_lasso(w: LassoWord, alphabet: Sequence[str] | None = None) -> str:
+    """``STEM;CYCLE`` that :func:`parse_lasso` reads back over ``alphabet``.
+
+    Without an alphabet the separator is chosen from the word's own symbols,
+    which misreads a word of one-character symbols over a mixed-width
+    alphabet; pass the alphabet whenever it is known.
+    """
+    if alphabet is None:
+        alphabet = w.stem + w.cycle
+    return format_word(w.stem, alphabet) + ";" + format_word(w.cycle, alphabet)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -199,3 +201,78 @@ def test_resource_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert run(["decompose", str(pra)]) == 2
     doc = out_doc(capsys)
     assert doc["answer"] == "resource-limit"
+
+
+def test_bad_cap_variable_is_an_input_error_naming_it(m_id_file, capsys, monkeypatch):
+    monkeypatch.setenv("PROBUCHI_MONOID_CAP", "abc")
+    assert run(["universal", m_id_file]) == 1
+    err = capsys.readouterr().err
+    assert "PROBUCHI_MONOID_CAP" in err and "'abc'" in err
+    monkeypatch.setenv("PROBUCHI_COMPLEMENT_CAP", "1e3")
+    nba = m_id_file.replace("m_id.pba", "one.nba")
+    with open(nba, "w") as fh:
+        fh.write("type: nba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s\n")
+    assert run(["complement", nba]) == 1
+    assert "PROBUCHI_COMPLEMENT_CAP" in capsys.readouterr().err
+
+
+def _leak_monitor(tmp_path):
+    """Monitor that survives each 'a' with probability 1023/1024."""
+    path = tmp_path / "leak.fpm"
+    path.write_text(
+        "type: fpm\nalphabet: a b\nstates: q r\ninit: q\nfinal: q\nreject: r\n"
+        "q -a-> q : 1023/1024\nq -a-> r : 1/1024\nq -b-> q : 1\n"
+        "r -a-> r : 1\nr -b-> r : 1\n"
+    )
+    return str(path)
+
+
+def _unlimited_int(text: str) -> int:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_rationals_beyond_the_int_str_digit_limit(tmp_path, capsys, monkeypatch):
+    # (1023/1024)^1500 has a 4,516-digit numerator, past Python's default
+    # 4,300-digit conversion limit; the CLI must still print it exactly.
+    limit = sys.get_int_max_str_digits()
+    leak = _leak_monitor(tmp_path)
+    survive = Fraction(1023, 1024) ** 1500
+    assert run(["prob", leak, "a" * 1500 + ";b"]) == 0
+    num, den = out_doc(capsys)["probability"].split("/")
+    assert len(num) > 4300
+    assert Fraction(_unlimited_int(num), _unlimited_int(den)) == survive
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n" * 1500))
+    assert run(["monitor", leak]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1501 and lines[1] == "1/1024"
+    num, den = lines[-1].split("/")
+    assert Fraction(_unlimited_int(num), _unlimited_int(den)) == 1 - survive
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_lasso_output_reads_back_over_a_mixed_width_alphabet(tmp_path, capsys):
+    path = tmp_path / "mixed.pba"
+    path.write_text(
+        "type: pba\nalphabet: ab a b\nstates: s\ninit: s\nfinal: s\n"
+        "s -ab-> s : 1\ns -a-> s : 1\ns -b-> s : 1\n"
+    )
+    assert run(["prob", str(path), "a,b;b"]) == 0
+    doc = out_doc(capsys)
+    assert doc["lasso"] == "a,b;b" and doc["probability"] == "1"
+    nba = tmp_path / "mixed.nba"
+    nba.write_text(
+        "type: nba\nalphabet: ab a b\nstates: s u t\ninit: s\nfinal: t\n"
+        "s -a-> u\nu -b-> t\nt -b-> t\n"
+    )
+    assert run(["empty", str(nba)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["witness"]["lasso"] == "a,b;b"
+    assert captured.err.strip() == "nonempty, witness a,b;b"

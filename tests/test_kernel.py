@@ -1,0 +1,402 @@
+"""Differential tests: the shared graph and bitset kernel against the code it replaced.
+
+Each ``ref_*`` function below is a verbatim-in-behaviour copy of an older
+implementation: the quadratic ``while changed`` can-reach fixpoint, the
+lasso-chain classification built on it, the macro-step doomed-state mask,
+the ``list.pop(0)`` breadth-first monoid enumerators and the early-exit
+cycle-word search.  They are kept here only as oracles; the properties
+require the kernel to give exactly the same answers, in the same order.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from probuchi.core import Automaton, BuchiAcceptance
+from probuchi.decide import (
+    _lex_reach_words,
+    _profile_monoid,
+    _safe_start_mask,
+    transition_monoid,
+)
+from probuchi.graphs import coreachable, tarjan_sccs
+from probuchi.markov import Distribution, _bscc_accepting, build_lasso_chain
+
+from conftest import (
+    random_fpm,
+    random_hpba,
+    random_lasso,
+    random_nba,
+    random_pba,
+    random_pra,
+    random_prob_rows,
+)
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def two_sink_pba(rng: random.Random, n: int) -> Automaton:
+    """Random transient states over an accepting and a rejecting sink.
+
+    Most chains of such a machine hold nodes that can reach both kinds of
+    bottom component, which the plain generators rarely produce.
+    """
+    states = tuple(f"q{i}" for i in range(n)) + ("acc", "rej")
+    trans = random_prob_rows(rng, states, ("a", "b"))
+    for sink in ("acc", "rej"):
+        for a in ("a", "b"):
+            trans[(sink, a)] = ((sink, Fraction(1)),)
+    return Automaton(
+        name="two_sink",
+        role="pba",
+        alphabet=("a", "b"),
+        states=states,
+        initial="q0",
+        acceptance=BuchiAcceptance(frozenset({"acc"})),
+        transitions=trans,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+
+
+def ref_fixpoint(nodes, adjacency, targets):
+    reach = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            if n not in reach and any(t in reach for t in adjacency[n]):
+                reach.add(n)
+                changed = True
+    return reach
+
+
+def ref_chain_values(aut, w):
+    """(value_of, bscc_nodes, accepting, rejecting) as the fixpoint chain gave them."""
+    dist = Distribution.dirac(aut.initial)
+    for a in w.stem:
+        dist = dist.step(aut, a)
+    length = len(w.cycle)
+    start = [(q, 0) for q in sorted(dist.support(), key=aut.index.__getitem__)]
+    edges = {}
+    frontier = list(start)
+    seen = set(start)
+    while frontier:
+        node = frontier.pop()
+        q, i = node
+        nxt = []
+        for t, p in aut.prob_row(q, w.cycle[i]):
+            target = (t, (i + 1) % length)
+            nxt.append((target, p))
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+        edges[node] = tuple(nxt)
+    nodes = sorted(seen, key=lambda n: (n[1], aut.index[n[0]]))
+    adjacency = {n: [t for t, _ in edges[n]] for n in nodes}
+    comps = tarjan_sccs(nodes, adjacency)
+    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
+    n_acc = n_rej = 0
+    bscc_value = {}
+    bscc_nodes = set()
+    for i, comp in enumerate(comps):
+        if all(comp_of[t] == i for n in comp for t in adjacency[n]):
+            accepting = _bscc_accepting(aut, comp)
+            bscc_value[i] = Fraction(1 if accepting else 0)
+            bscc_nodes.update(comp)
+            if accepting:
+                n_acc += 1
+            else:
+                n_rej += 1
+    in_value = {n for n in nodes if comp_of[n] in bscc_value}
+    reach_acc = ref_fixpoint(
+        nodes, adjacency, {n for n in in_value if bscc_value[comp_of[n]] == 1}
+    )
+    reach_rej = ref_fixpoint(
+        nodes, adjacency, {n for n in in_value if bscc_value[comp_of[n]] == 0}
+    )
+    value_of = {}
+    for n in nodes:
+        ci = comp_of[n]
+        if ci in bscc_value:
+            value_of[n] = bscc_value[ci]
+        elif n in reach_acc and n in reach_rej:
+            value_of[n] = None
+        else:
+            value_of[n] = Fraction(1) if n in reach_acc else Fraction(0)
+    return value_of, frozenset(bscc_nodes), n_acc, n_rej
+
+
+def ref_safe_start_mask(rows, reject_index):
+    n = len(rows)
+    nodes = list(range(n))
+    adjacency = {i: [j for j in range(n) if rows[i] >> j & 1] for i in range(n)}
+    comps = tarjan_sccs(nodes, adjacency)
+    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
+    bad = set()
+    for i, comp in enumerate(comps):
+        if all(comp_of[t] == i for q in comp for t in adjacency[q]):
+            if comp != [reject_index]:
+                bad.update(comp)
+    reach_bad = ref_fixpoint(nodes, adjacency, bad)
+    doomed = 0
+    for q in nodes:
+        if q not in reach_bad:
+            doomed |= 1 << q
+    return doomed
+
+
+def ref_symbol_masks(aut):
+    idx = aut.index
+    gen = {}
+    for a in aut.alphabet:
+        rows = []
+        for q in aut.states:
+            m = 0
+            for t in aut.successors(q, a):
+                m |= 1 << idx[t]
+            rows.append(m)
+        gen[a] = tuple(rows)
+    return gen
+
+
+def ref_transition_monoid(aut):
+    """(word, rows) pairs in discovery order."""
+    gen = ref_symbol_masks(aut)
+    n = len(aut.states)
+
+    def compose(x, sym):
+        g = gen[sym]
+        out = []
+        for i in range(n):
+            m = x[i]
+            r = 0
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                r |= g[j]
+            out.append(r)
+        return tuple(out)
+
+    elements = {}
+    out = []
+    queue = []
+    for a in aut.alphabet:
+        if gen[a] not in elements:
+            elements[gen[a]] = (a,)
+            out.append(((a,), gen[a]))
+            queue.append(gen[a])
+    while queue:
+        x = queue.pop(0)
+        w = elements[x]
+        for a in aut.alphabet:
+            y = compose(x, a)
+            if y not in elements:
+                elements[y] = w + (a,)
+                out.append((w + (a,), y))
+                queue.append(y)
+    return out
+
+
+def ref_profile_compose(p, q):
+    p_reach, p_fin = p
+    q_reach, q_fin = q
+    reach = []
+    fin = []
+    for i in range(len(p_reach)):
+        r = 0
+        f = 0
+        m = p_reach[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            r |= q_reach[j]
+            f |= q_fin[j]
+        m = p_fin[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            f |= q_reach[j]
+        reach.append(r)
+        fin.append(f)
+    return tuple(reach), tuple(fin)
+
+
+def ref_profile_monoid(a):
+    """((reach, fin), word) pairs in discovery order."""
+    idx = a.index
+    finals = a.final_states
+    gens = {}
+    for sym in a.alphabet:
+        reach = []
+        fin = []
+        for q in a.states:
+            r = 0
+            f = 0
+            for t in a.successors(q, sym):
+                bit = 1 << idx[t]
+                r |= bit
+                if q in finals or t in finals:
+                    f |= bit
+            reach.append(r)
+            fin.append(f)
+        gens[sym] = (tuple(reach), tuple(fin))
+    elements = {}
+    queue = []
+    for sym in a.alphabet:
+        p = gens[sym]
+        if p not in elements:
+            elements[p] = (sym,)
+            queue.append((p, (sym,)))
+    while queue:
+        p, word = queue.pop(0)
+        for sym in a.alphabet:
+            q = ref_profile_compose(p, gens[sym])
+            if q not in elements:
+                elements[q] = word + (sym,)
+                queue.append((q, word + (sym,)))
+    return list(elements.items())
+
+
+def ref_lex_cycle_word(aut, f):
+    words = {}
+    layer = []
+    for a in aut.alphabet:
+        for t in aut.successors(f, a):
+            if t == f:
+                return (a,)
+            if t not in words:
+                words[t] = (a,)
+                layer.append((t, (a,)))
+    while layer:
+        nxt = []
+        for q, w in layer:
+            for a in aut.alphabet:
+                for t in aut.successors(q, a):
+                    if t == f:
+                        return w + (a,)
+                    if t not in words:
+                        words[t] = w + (a,)
+                        nxt.append((t, w + (a,)))
+        layer = nxt
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=n - 1)
+    adjacency = {
+        v: sorted(set(draw(st.lists(node, max_size=4)))) for v in range(n)
+    }
+    targets = draw(st.sets(node, max_size=n))
+    return list(range(n)), adjacency, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_coreachable_matches_fixpoint(graph):
+    nodes, adjacency, targets = graph
+    assert coreachable(targets, adjacency) == ref_fixpoint(nodes, adjacency, targets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_coreachable_matches_fixpoint_on_nba_support_graphs(seed):
+    rng = random.Random(seed)
+    a = random_nba(rng, rng.randint(1, 8), rng.choice([("a", "b"), ("a", "b", "c")]))
+    adjacency = a.support_adjacency()
+    targets = [q for q in a.states if rng.random() < 0.3]
+    assert coreachable(targets, adjacency) == ref_fixpoint(a.states, adjacency, targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from(["pba", "fpm", "hpba", "pra", "two-sink"]))
+def test_lasso_chain_matches_fixpoint_chain(seed, kind):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    aut = {
+        "pba": lambda: random_pba(rng, n),
+        "fpm": lambda: random_fpm(rng, n + 1),
+        "hpba": lambda: random_hpba(rng, n),
+        "pra": lambda: random_pra(rng, n, rng.randint(1, 3)),
+        "two-sink": lambda: two_sink_pba(rng, n),
+    }[kind]()
+    w = random_lasso(rng, aut.alphabet, 5)
+    chain = build_lasso_chain(aut, w)
+    value_of, bscc_nodes, n_acc, n_rej = ref_chain_values(aut, w)
+    assert chain.value_of == value_of
+    assert list(chain.value_of) == list(value_of)
+    assert chain.bscc_nodes == bscc_nodes
+    assert (chain.accepting_bsccs, chain.rejecting_bsccs) == (n_acc, n_rej)
+
+
+@st.composite
+def macro_steps(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    rows = tuple(draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n)))
+    reject = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):  # make the reject absorbing, as in a monitor
+        rows = rows[:reject] + (1 << reject,) + rows[reject + 1:]
+    return rows, reject
+
+
+@settings(max_examples=400, deadline=None)
+@given(macro_steps())
+def test_safe_start_mask_matches_reference(step):
+    rows, reject = step
+    assert _safe_start_mask(rows, reject) == ref_safe_start_mask(rows, reject)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.booleans())
+def test_transition_monoid_matches_pop0_enumerator(seed, monitor):
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    if monitor:
+        aut = random_fpm(rng, rng.randint(2, 6), alphabet)
+    else:
+        aut = random_nba(rng, rng.randint(1, 5), alphabet)
+    got = [(w, e.rows) for w, e in transition_monoid(aut)]
+    assert got == ref_transition_monoid(aut)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_profile_monoid_matches_pop0_enumerator(seed):
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    a = random_nba(rng, rng.randint(1, 5), alphabet)
+    assert list(_profile_monoid(a, 10**6).items()) == ref_profile_monoid(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_cycle_word_is_the_reach_word_of_the_state_itself(seed):
+    rng = random.Random(seed)
+    a = random_nba(rng, rng.randint(1, 7), rng.choice([("a", "b"), ("a", "b", "c")]))
+    for f in a.states:
+        assert _lex_reach_words(a, f, at_least_one=True).get(f) == ref_lex_cycle_word(a, f)
+
+
+def test_two_sink_chains_have_mixed_nodes():
+    # Guard against a vacuous chain property: the two-sink machines must
+    # give chains with unknowns (value None) and both kinds of bottom
+    # component.
+    rng = random.Random(7)
+    mixed = both = 0
+    for _ in range(200):
+        aut = two_sink_pba(rng, rng.randint(1, 6))
+        value_of, _, n_acc, n_rej = ref_chain_values(aut, random_lasso(rng, aut.alphabet, 4))
+        mixed += any(v is None for v in value_of.values())
+        both += n_acc > 0 and n_rej > 0
+    assert mixed > 50 and both > 100

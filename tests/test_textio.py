@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probuchi import (
     gen_m_id,
@@ -15,6 +16,7 @@ from probuchi import (
     complement_to_fpm,
     lasso,
 )
+from probuchi.core import LassoWord
 from probuchi.textio import FormatError, format_lasso, parse, parse_lasso, serialize
 
 from conftest import random_dra, random_fpm, random_nba, random_pba, random_pra
@@ -151,3 +153,32 @@ def test_parse_lasso_errors():
         parse_lasso("1;", ("0", "1"))
     with pytest.raises(AutomatonError):
         parse_lasso(";2", ("0", "1"))
+
+
+def test_format_lasso_uses_the_alphabet_separator():
+    # With a mixed-width alphabet the word "a,b" must keep its commas, or
+    # it reads back as the single symbol "ab".
+    alphabet = ("ab", "a", "b")
+    w = lasso("ab", "b")
+    assert format_lasso(w) == "ab;b"
+    assert format_lasso(w, alphabet) == "a,b;b"
+    assert parse_lasso(format_lasso(w, alphabet), alphabet) == w
+
+
+_SYMBOLS = st.text(alphabet="abxyz01", min_size=1, max_size=3)
+
+
+@st.composite
+def _alphabet_and_lasso(draw):
+    alphabet = tuple(draw(st.lists(_SYMBOLS, min_size=1, max_size=5, unique=True)))
+    word = st.lists(st.sampled_from(alphabet), max_size=6)
+    stem = tuple(draw(word))
+    cycle = tuple(draw(word.filter(bool)))
+    return alphabet, LassoWord(stem, cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alphabet_and_lasso())
+def test_format_lasso_round_trips_over_mixed_width_alphabets(case):
+    alphabet, w = case
+    assert parse_lasso(format_lasso(w, alphabet), alphabet) == w
