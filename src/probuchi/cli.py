@@ -285,7 +285,10 @@ def _cmd_universal(args) -> int:
 
 def _cmd_witness(args) -> int:
     aut = _load(args.file)
-    x = Fraction(args.x)
+    try:
+        x = Fraction(args.x)
+    except ZeroDivisionError:
+        raise AutomatonError(f"--x {args.x!r} has a zero denominator") from None
     w = decide.pba_positive_nonempty_bounded(aut, args.max_len, args.max_j, x)
     if w is None:
         _emit(

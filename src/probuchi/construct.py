@@ -389,6 +389,10 @@ def rabin_decomposition(
     """
     if r.role != "pra":
         raise ConstructionError("rabin_decomposition needs a pra")
+    if cap < 1:
+        raise ConstructionError(
+            f"decomposition cap (--cap) must be at least 1, got {cap}"
+        )
     require_valid(r)
     pairs = r.rabin_pairs
     n = len(pairs)

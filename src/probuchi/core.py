@@ -532,10 +532,10 @@ def post(aut: Automaton, q: str, u: Iterable[str]) -> frozenset[str]:
     """
     if q not in aut.index:
         raise AutomatonError(f"unknown state {q!r}")
+    u = tuple(u)
+    aut.check_symbols(u)
     current = {q}
-    for i, a in enumerate(u):
-        if a not in set(aut.alphabet):
-            raise UnknownSymbolError(a, i)
+    for a in u:
         current = {t for s in current for t in aut.successors(s, a)}
     return frozenset(current)
 

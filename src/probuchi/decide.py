@@ -29,16 +29,18 @@ from .core import (
     LassoWord,
     ResourceLimitError,
     all_words,
+    post,
     require_valid,
 )
 from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
-from .graphs import accepting_cycles, bottom_sccs, coreachable
+from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
 from .markov import (
     Distribution,
     final_passage_matrix,
     lasso_acceptance,
     word_matrix,
 )
+from .textio import format_lasso
 
 __all__ = [
     "SubsetWitness",
@@ -70,6 +72,11 @@ Progress = Callable[[str], None] | None
 
 MONOID_CAP_ENV = "PROBUCHI_MONOID_CAP"
 COMPLEMENT_CAP_ENV = "PROBUCHI_COMPLEMENT_CAP"
+_CAP_FLAGS = {MONOID_CAP_ENV: "--monoid-cap", COMPLEMENT_CAP_ENV: "--complement-cap"}
+
+# Stem and cycle bound of the lasso probe that runs before the complete
+# universality decision.
+_PROBE_BOUND = 3
 
 
 class CertificationError(AutomatonError):
@@ -81,16 +88,23 @@ class SearchCancelled(AutomatonError):
 
 
 def _cap(cap: int | None, env: str, default: int) -> int:
-    """An explicit cap, else the integer in ``env``, else ``default``."""
-    if cap is not None:
-        return cap
-    text = os.environ.get(env)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise AutomatonError(f"{env} must be an integer, got {text!r}") from None
+    """An explicit cap, else the integer in ``env``, else ``default``.
+
+    A cap below 1 is an input error naming its flag or variable.
+    """
+    source = _CAP_FLAGS[env]
+    if cap is None:
+        text = os.environ.get(env)
+        if text is None:
+            return default
+        source = env
+        try:
+            cap = int(text)
+        except ValueError:
+            raise AutomatonError(f"{env} must be an integer, got {text!r}") from None
+    if cap < 1:
+        raise AutomatonError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _check_cancel(cancel: Cancel) -> None:
@@ -179,17 +193,18 @@ K = TypeVar("K", bound=Hashable)
 
 def _explore(
     seeds: Iterable[tuple[K, tuple[str, ...]]],
-    step: Callable[[K, str], K],
+    step: Callable[[K, str], Iterable[K]],
     alphabet: Sequence[str],
-    cap: int | None,
-    cancel: Cancel,
+    cap: int | None = None,
+    cancel: Cancel = None,
     what: str = "",
 ) -> dict[K, tuple[str, ...]]:
     """Breadth-first closure of ``seeds`` under ``step``, each with its word.
 
-    Returns every element in discovery order, which is (word length, symbol
-    order), mapped to the first word that reached it; a seed keeps the word
-    it came with.  Discovering an element beyond ``cap`` raises
+    ``step(x, a)`` lists the successors of ``x`` on symbol ``a``.  Returns
+    every element in discovery order, which is (word length, symbol order),
+    mapped to the first word that reached it; a seed keeps the word it came
+    with.  Discovering an element beyond ``cap`` raises
     :class:`ResourceLimitError` naming ``what``.
     """
     found: dict[K, tuple[str, ...]] = {}
@@ -201,17 +216,17 @@ def _explore(
         x = queue.popleft()
         word = found[x]
         for a in alphabet:
-            y = step(x, a)
-            if y not in found:
-                if cap is not None and len(found) >= cap:
-                    raise ResourceLimitError(
-                        f"{what} exceeds {cap} elements; raise it via "
-                        f"--monoid-cap or {MONOID_CAP_ENV}",
-                        cap_name=MONOID_CAP_ENV,
-                        cap_value=cap,
-                    )
-                found[y] = word + (a,)
-                queue.append(y)
+            for y in step(x, a):
+                if y not in found:
+                    if cap is not None and len(found) >= cap:
+                        raise ResourceLimitError(
+                            f"{what} exceeds {cap} elements; raise it via "
+                            f"--monoid-cap or {MONOID_CAP_ENV}",
+                            cap_name=MONOID_CAP_ENV,
+                            cap_value=cap,
+                        )
+                    found[y] = word + (a,)
+                    queue.append(y)
     return found
 
 
@@ -249,18 +264,11 @@ def _lex_reach_words(
     the empty word does not count, so the start state itself needs a cycle
     to appear in the result.
     """
-    words: dict[str, tuple[str, ...]] = {} if at_least_one else {start: ()}
-    layer: list[tuple[str, tuple[str, ...]]] = [(start, ())]
-    while layer:
-        nxt: list[tuple[str, tuple[str, ...]]] = []
-        for q, w in layer:
-            for a in aut.alphabet:
-                for t in aut.successors(q, a):
-                    if t not in words:
-                        words[t] = w + (a,)
-                        nxt.append((t, w + (a,)))
-        layer = nxt
-    return words
+    if at_least_one:
+        seeds = [(t, (a,)) for a in aut.alphabet for t in aut.successors(start, a)]
+    else:
+        seeds = [(start, ())]
+    return _explore(seeds, aut.successors, aut.alphabet)
 
 
 def _lassos(
@@ -287,30 +295,16 @@ def nba_lasso_member(a: Automaton, w: LassoWord) -> bool:
         raise AutomatonError("lasso membership needs a nondeterministic automaton")
     require_valid(a)
     a.check_symbols(w.stem + w.cycle)
-    current = {a.initial}
-    for s in w.stem:
-        current = {t for q in current for t in a.successors(q, s)}
+    current = post(a, a.initial, w.stem)
     if not current:
         return False
-    length = len(w.cycle)
-    start = [(q, 0) for q in current]
-    seen = set(start)
-    stack = list(start)
-    edges: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    while stack:
-        q, i = stack.pop()
-        outs = []
-        for t in a.successors(q, w.cycle[i]):
-            node = (t, (i + 1) % length)
-            outs.append(node)
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-        edges[(q, i)] = outs
+    rows = a.transitions  # target tuples, since the role is nondeterministic
+    nodes, _, adjacency = lasso_product(
+        current, w.cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
+    )
     finals = a.final_states
-    nodes = sorted(seen, key=lambda n: (n[1], a.index[n[0]]))
     final_nodes = {n for n in nodes if n[0] in finals}
-    return bool(accepting_cycles(nodes, edges, final_nodes))
+    return bool(accepting_cycles(nodes, adjacency, final_nodes))
 
 
 def nba_emptiness(a: Automaton) -> LassoWord | None:
@@ -346,7 +340,9 @@ def nba_emptiness(a: Automaton) -> LassoWord | None:
     if best_w is None:
         return None
     if not nba_lasso_member(a, best_w):
-        raise CertificationError(f"emptiness witness {best_w} failed membership")
+        raise CertificationError(
+            f"emptiness witness {format_lasso(best_w, a.alphabet)} failed membership"
+        )
     return best_w
 
 
@@ -462,20 +458,14 @@ def _reduce_nba(a: Automaton) -> Automaton:
     finals = a.final_states
     cycles = accepting_cycles(a.states, adjacency, finals)
     live = coreachable([q for comp in cycles for q in comp], adjacency)
-    # forward reachability within live states
-    keep: set[str] = set()
-    if a.initial in live:
-        stack = [a.initial]
-        keep.add(a.initial)
-        while stack:
-            q = stack.pop()
-            for sym in a.alphabet:
-                for t in a.successors(q, sym):
-                    if t in live and t not in keep:
-                        keep.add(t)
-                        stack.append(t)
-    if not keep:
+    if a.initial not in live:
         return _empty_nba(a.name, a.alphabet, "kv0")
+    # forward reachability within live states
+    keep = _explore(
+        [(a.initial, ())],
+        lambda q, sym: [t for t in a.successors(q, sym) if t in live],
+        a.alphabet,
+    )
     kept = [q for q in a.states if q in keep]
     # partition refinement: blocks must stay acceptance-pure
     block_of = {q: (q in finals) for q in kept}
@@ -498,24 +488,17 @@ def _reduce_nba(a: Automaton) -> Automaton:
             block_of = new_block
             break
         block_of = new_block
-    # name blocks in BFS discovery order from the initial block
+    # name blocks in BFS discovery order from the initial block; every
+    # block is reached, since every kept state is
     rep: dict[int, str] = {}
     for q in kept:
         rep.setdefault(block_of[q], q)
-    naming: dict[int, str] = {}
-    bfs = deque([block_of[a.initial]])
-    naming[block_of[a.initial]] = "kv0"
-    i = 0
-    while bfs:
-        b = bfs.popleft()
-        q = rep[b]
-        for sym in a.alphabet:
-            for t in a.successors(q, sym):
-                if t in keep and block_of[t] not in naming:
-                    i += 1
-                    naming[block_of[t]] = f"kv{i}"
-                    bfs.append(block_of[t])
-    # unreachable blocks cannot occur (kept set is reachable)
+    blocks = _explore(
+        [(block_of[a.initial], ())],
+        lambda b, sym: [block_of[t] for t in a.successors(rep[b], sym) if t in keep],
+        a.alphabet,
+    )
+    naming = {b: f"kv{i}" for i, b in enumerate(blocks)}
     transitions: dict[tuple[str, str], tuple[str, ...]] = {}
     for q in kept:
         src = naming[block_of[q]]
@@ -583,7 +566,7 @@ def _profile_monoid(
     gens = _symbol_profiles(a)
     return _explore(
         ((gens[sym], (sym,)) for sym in a.alphabet),
-        lambda p, sym: _profile_compose(p, gens[sym]),
+        lambda p, sym: (_profile_compose(p, gens[sym]),),
         a.alphabet,
         cap,
         cancel,
@@ -593,7 +576,6 @@ def _profile_monoid(
 
 def nba_universality(
     a: Automaton,
-    probe_bound: int = 3,
     monoid_cap: int | None = None,
     cancel: Cancel = None,
     progress: Progress = None,
@@ -611,7 +593,7 @@ def nba_universality(
     if a.role != "nba":
         raise AutomatonError("universality needs an nba")
     require_valid(a)
-    for w in _lassos(a.alphabet, probe_bound, probe_bound):
+    for w in _lassos(a.alphabet, _PROBE_BOUND, _PROBE_BOUND):
         _check_cancel(cancel)
         if not nba_lasso_member(a, w):
             return w
@@ -640,7 +622,8 @@ def nba_universality(
                 witness = LassoWord(uw, vw)
                 if nba_lasso_member(a, witness):
                     raise CertificationError(
-                        f"universality counterexample {witness} is accepted"
+                        f"universality counterexample "
+                        f"{format_lasso(witness, a.alphabet)} is accepted"
                     )
                 return witness
     return None
@@ -654,7 +637,9 @@ def hpba_probable_empty(h: Automaton) -> LassoWord | None:
     """None when L_>0(h) is empty, else a witness with exact acceptance > 0."""
     w = nba_emptiness(hpba_to_nba(h))
     if w is not None and lasso_acceptance(h, w) <= 0:
-        raise CertificationError(f"witness {w} has zero acceptance")
+        raise CertificationError(
+            f"witness {format_lasso(w, h.alphabet)} has zero acceptance"
+        )
     return w
 
 
@@ -662,7 +647,9 @@ def hpba_probable_universal(h: Automaton, **kw) -> LassoWord | None:
     """None when L_>0(h) is universal, else a lasso with exact acceptance 0."""
     w = nba_universality(hpba_to_nba(h), **kw)
     if w is not None and lasso_acceptance(h, w) != 0:
-        raise CertificationError(f"counterexample {w} has positive acceptance")
+        raise CertificationError(
+            f"counterexample {format_lasso(w, h.alphabet)} has positive acceptance"
+        )
     return w
 
 
@@ -700,7 +687,7 @@ def transition_monoid(
 
     elements = _explore(
         ((gen[a], (a,)) for a in aut.alphabet),
-        compose,
+        lambda x, sym: (compose(x, sym),),
         aut.alphabet,
         _cap(cap, MONOID_CAP_ENV, 10**6),
         cancel,
@@ -815,22 +802,20 @@ def fpm_positive_universal(
     assert m.reject is not None
     idx = m.index
     reject_index = idx[m.reject]
-    # reachable supports with shortest realizing stems (empty stem allowed)
+    # reachable supports with shortest realizing stems (empty stem allowed),
+    # in shortlex order of the stems
     masks = _symbol_masks(m)
     supports = _explore(
         [(1 << idx[m.initial], ())],
-        lambda s, a: _image(s, masks[a]),
+        lambda s, a: (_image(s, masks[a]),),
         m.alphabet,
-        None,
-        cancel,
+        cancel=cancel,
     )
     monoid = transition_monoid(m, monoid_cap, cancel, progress)
     doomed_of: list[int] = [
         _safe_start_mask(element.rows, reject_index) for _, element in monoid
     ]
-    for s, stem in sorted(
-        supports.items(), key=lambda kv: _word_key(m, kv[1])
-    ):
+    for s, stem in supports.items():
         _check_cancel(cancel)
         for (vword, _element), doomed in zip(monoid, doomed_of):
             if s & ~doomed:
@@ -838,7 +823,8 @@ def fpm_positive_universal(
             w = LassoWord(stem, vword).normalized()
             if lasso_acceptance(m, w) != 0:
                 raise CertificationError(
-                    f"rejected-lasso counterexample {w} has positive acceptance"
+                    f"rejected-lasso counterexample {format_lasso(w, m.alphabet)} "
+                    f"has positive acceptance"
                 )
             return w
     return None
@@ -858,7 +844,9 @@ def almost_sure_empty(b: Automaton, **kw) -> LassoWord | None:
     if ce is None:
         return None
     if lasso_acceptance(b, ce) != 1:
-        raise CertificationError(f"almost-sure witness {ce} not accepted surely")
+        raise CertificationError(
+            f"almost-sure witness {format_lasso(ce, b.alphabet)} not accepted surely"
+        )
     return ce
 
 
@@ -873,7 +861,9 @@ def almost_sure_universal(b: Automaton, **kw) -> LassoWord | None:
         return None
     w = sw.lasso()
     if lasso_acceptance(b, w) >= 1:
-        raise CertificationError(f"counterexample {w} is accepted almost surely")
+        raise CertificationError(
+            f"counterexample {format_lasso(w, b.alphabet)} is accepted almost surely"
+        )
     return w
 
 
@@ -1014,6 +1004,8 @@ def containment_refute(
         raise AutomatonError("semantics must be positive or almost-sure")
     if b1.alphabet != b2.alphabet:
         raise AutomatonError("containment needs a shared alphabet")
+    if bound < 1:
+        raise AutomatonError("bound must be at least 1")
     for aut in (b1, b2):
         require_valid(aut)
     for w in _lassos(b1.alphabet, bound, bound):

@@ -9,7 +9,10 @@
 - :func:`accepting_cycles`: components holding a cycle through a final node
   (NBA lasso membership, trimming, safety closure);
 - :func:`coreachable`: every node with a path into a target set, by one
-  search over reversed edges.
+  search over reversed edges;
+- :func:`lasso_product`: the reachable (state, cycle position) graph of a
+  lasso's cycle, which exact lasso acceptance weighs with probabilities and
+  NBA lasso membership searches for accepting cycles.
 
 Tarjan's algorithm is written iteratively (explicit recursion stack) so deep
 chains cannot hit Python's recursion limit.
@@ -17,12 +20,13 @@ chains cannot hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Container, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
+W = TypeVar("W")
 
 __all__ = ["tarjan_sccs", "sccs_topological", "bottom_sccs", "accepting_cycles",
-           "coreachable"]
+           "coreachable", "lasso_product"]
 
 
 def tarjan_sccs(
@@ -76,17 +80,13 @@ def tarjan_sccs(
 
 
 def sccs_topological(
-    nodes: Sequence[N],
-    adjacency: Mapping[N, Sequence[N]],
-    order: Mapping[N, int] | None = None,
+    nodes: Sequence[N], adjacency: Mapping[N, Sequence[N]], order: Mapping[N, int]
 ) -> list[list[N]]:
-    """SCCs sorted topologically, ties broken by smallest member index.
+    """SCCs sorted topologically, ties broken by smallest member ``order``.
 
-    Kahn's algorithm on the condensation with an index-ordered ready set,
-    which makes the numbering deterministic for a fixed node order.
+    Kahn's algorithm on the condensation with an order-sorted ready set,
+    which makes the numbering deterministic.
     """
-    if order is None:
-        order = {n: i for i, n in enumerate(nodes)}
     comps = tarjan_sccs(nodes, adjacency)
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     succs: list[set[int]] = [set() for _ in comps]
@@ -163,3 +163,37 @@ def coreachable(
                 seen.add(v)
                 stack.append(v)
     return seen
+
+
+def lasso_product(
+    start: Iterable[N],
+    cycle: Sequence[str],
+    row: Callable[[N, str], Iterable[tuple[N, W]]],
+    order: Mapping[N, int],
+) -> tuple[list[tuple[N, int]], dict, dict]:
+    """The (state, cycle position) graph reachable from ``start`` at position 0.
+
+    Node (q, i) steps along ``row(q, cycle[i])``, a sequence of
+    (target, weight) pairs, to (target, (i + 1) mod |cycle|).  Returns the
+    nodes sorted by (position, ``order`` of the state), each node's weighted
+    successors in row order, and the same successors without weights.
+    """
+    length = len(cycle)
+    stack = [(q, 0) for q in start]
+    seen = set(stack)
+    edges = {}
+    adjacency = {}
+    while stack:
+        node = stack.pop()
+        q, i = node
+        nxt = []
+        succs = adjacency[node] = []
+        for t, w in row(q, cycle[i]):
+            target = (t, (i + 1) % length)
+            nxt.append((target, w))
+            succs.append(target)
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+        edges[node] = tuple(nxt)
+    return sorted(seen, key=lambda n: (n[1], order[n[0]])), edges, adjacency

@@ -23,7 +23,7 @@ from .core import (
     RabinAcceptance,
     require_valid,
 )
-from .graphs import bottom_sccs, coreachable
+from .graphs import bottom_sccs, coreachable, lasso_product
 
 __all__ = [
     "RationalMatrix",
@@ -34,6 +34,8 @@ __all__ = [
     "binary_value_lasso",
     "solve_linear",
 ]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,18 @@ class Distribution:
             from .core import UnknownSymbolError
 
             raise UnknownSymbolError(symbol)
-        out: dict[str, Fraction] = {}
-        for q, p in self.entries.items():
-            for t, w in aut.prob_row(q, symbol):
-                out[t] = out.get(t, Fraction(0)) + p * w
-        return Distribution(out)
+        return Distribution(_step(aut, self.entries, symbol))
+
+
+def _step(
+    aut: Automaton, entries: Mapping[str, Fraction], symbol: str
+) -> dict[str, Fraction]:
+    """State masses after one ``symbol``, exactly; the caller checks the symbol."""
+    out: dict[str, Fraction] = {}
+    for q, p in entries.items():
+        for t, w in aut.prob_row(q, symbol):
+            out[t] = out.get(t, _ZERO) + p * w
+    return out
 
 
 def _symbol_matrix(aut: Automaton, a: str) -> RationalMatrix:
@@ -274,9 +283,6 @@ class LassoChain:
     rejecting_bsccs: int
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 def _bscc_accepting(aut: Automaton, comp: list[tuple[str, int]]) -> bool:
     comp_states = {q for q, _ in comp}
     if isinstance(aut.acceptance, BuchiAcceptance):
@@ -295,27 +301,14 @@ def build_lasso_chain(aut: Automaton, w: LassoWord) -> LassoChain:
     dist = Distribution.dirac(aut.initial)
     for a in w.stem:
         dist = dist.step(aut, a)
-    length = len(w.cycle)
     aut.check_symbols(w.cycle)
 
-    start = [(q, 0) for q in sorted(dist.support(), key=aut.index.__getitem__)]
-    edges: dict[tuple[str, int], tuple[tuple[tuple[str, int], Fraction], ...]] = {}
-    frontier = list(start)
-    seen = set(start)
-    while frontier:
-        node = frontier.pop()
-        q, i = node
-        nxt = []
-        for t, p in aut.prob_row(q, w.cycle[i]):
-            target = (t, (i + 1) % length)
-            nxt.append((target, p))
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-        edges[node] = tuple(nxt)
-
-    nodes = sorted(seen, key=lambda n: (n[1], aut.index[n[0]]))
-    adjacency = {n: [t for t, _ in edges[n]] for n in nodes}
+    nodes, edges, adjacency = lasso_product(
+        sorted(dist.support(), key=aut.index.__getitem__),
+        w.cycle,
+        aut.prob_row,
+        aut.index,
+    )
 
     bottoms = bottom_sccs(nodes, adjacency)
     accepting = [_bscc_accepting(aut, comp) for comp in bottoms]

@@ -16,7 +16,7 @@ from math import sqrt
 from typing import Iterable, Iterator
 
 from .core import Automaton, AutomatonError, LassoWord, require_valid
-from .markov import build_lasso_chain
+from .markov import _step, build_lasso_chain
 
 __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "MonitorError"]
 
@@ -166,11 +166,7 @@ class MonitorSession:
     def feed(self, symbol: str) -> Fraction:
         if symbol not in set(self._m.alphabet):
             raise MonitorError(symbol, self._position)
-        nxt: dict[str, Fraction] = {}
-        for q, p in self._state.items():
-            for t, w in self._m.prob_row(q, symbol):
-                nxt[t] = nxt.get(t, 0) + p * w
-        self._state = nxt
+        self._state = _step(self._m, self._state, symbol)
         self._position += 1
         return self.reject_probability
 

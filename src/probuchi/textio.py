@@ -320,10 +320,10 @@ def format_word(symbols: Sequence[str], alphabet: Sequence[str]) -> str:
 def format_lasso(w: LassoWord, alphabet: Sequence[str] | None = None) -> str:
     """``STEM;CYCLE`` that :func:`parse_lasso` reads back over ``alphabet``.
 
-    Without an alphabet the separator is chosen from the word's own symbols,
-    which misreads a word of one-character symbols over a mixed-width
-    alphabet; pass the alphabet whenever it is known.
+    Without an alphabet this is ``str(w)``, whose separator is chosen from
+    the word's own symbols and so misreads a word of one-character symbols
+    over a mixed-width alphabet; pass the alphabet whenever it is known.
     """
     if alphabet is None:
-        alphabet = w.stem + w.cycle
+        return str(w)
     return format_word(w.stem, alphabet) + ";" + format_word(w.cycle, alphabet)

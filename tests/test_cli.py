@@ -276,3 +276,48 @@ def test_lasso_output_reads_back_over_a_mixed_width_alphabet(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["witness"]["lasso"] == "a,b;b"
     assert captured.err.strip() == "nonempty, witness a,b;b"
+
+
+def test_witness_zero_denominator_is_an_input_error(m_id_file, capsys):
+    code = run(["witness", m_id_file, "--max-len", "1", "--max-j", "1", "--x", "1/0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--x" in captured.err
+
+
+def test_caps_below_one_are_input_errors_naming_them(
+    m_id_file, tmp_path, capsys, monkeypatch
+):
+    nba = tmp_path / "one.nba"
+    nba.write_text("type: nba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s\n")
+    pra = tmp_path / "one.pra"
+    pra.write_text(
+        "type: pra\nalphabet: a\nstates: s\ninit: s\npair: {} {s}\ns -a-> s : 1\n"
+    )
+    cases = [
+        (["universal", m_id_file, "--monoid-cap", "0"], "--monoid-cap"),
+        (["empty", m_id_file, "--monoid-cap", "-2"], "--monoid-cap"),
+        (["complement", str(nba), "--complement-cap", "-1"], "--complement-cap"),
+        (["decompose", str(pra), "--cap", "-1"], "--cap"),
+    ]
+    for argv, name in cases:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and name in captured.err
+    monkeypatch.setenv("PROBUCHI_MONOID_CAP", "-3")
+    assert run(["universal", m_id_file]) == 1
+    assert "PROBUCHI_MONOID_CAP" in capsys.readouterr().err
+    monkeypatch.setenv("PROBUCHI_COMPLEMENT_CAP", "0")
+    assert run(["complement", str(nba)]) == 1
+    assert "PROBUCHI_COMPLEMENT_CAP" in capsys.readouterr().err
+
+
+def test_contain_bound_below_one_is_an_input_error(m_id_file, capsys):
+    for bound in ("0", "-2"):
+        argv = ["contain", m_id_file, m_id_file, "--semantics", "positive",
+                "--bound", bound]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bound must be at least 1" in captured.err

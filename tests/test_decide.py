@@ -471,3 +471,65 @@ def test_progress_callback_reports():
     m = complement_to_fpm(gen_m_id())
     fpm_positive_universal(m, progress=messages.append)
     assert any("monoid" in msg for msg in messages)
+
+
+def test_containment_refute_rejects_bounds_below_one():
+    from probuchi import AutomatonError
+
+    m = gen_m_id()
+    for bound in (0, -2):
+        with pytest.raises(AutomatonError, match="bound must be at least 1"):
+            containment_refute(m, m, "positive", bound)
+
+
+def _mixed_width_nba():
+    """NBA over (ab, a, b) whose emptiness witness is the lasso ;a,b."""
+    return Automaton(
+        name="mixed",
+        role="nba",
+        alphabet=("ab", "a", "b"),
+        states=("p", "q"),
+        initial="p",
+        acceptance=BuchiAcceptance(frozenset({"p"})),
+        transitions={("p", "a"): ("q",), ("q", "b"): ("p",)},
+    )
+
+
+_AB = lasso("", ("a", "b"))
+
+
+class _Subset:
+    @staticmethod
+    def lasso():
+        return _AB
+
+
+@pytest.mark.parametrize(
+    "call, patches",
+    [
+        (nba_emptiness, {"nba_lasso_member": lambda a, w: False}),
+        (hpba_probable_empty, {"hpba_to_nba": lambda h: h,
+                               "nba_emptiness": lambda a: _AB,
+                               "lasso_acceptance": lambda h, w: Fraction(0)}),
+        (hpba_probable_universal, {"hpba_to_nba": lambda h: h,
+                                   "nba_universality": lambda a: _AB,
+                                   "lasso_acceptance": lambda h, w: Fraction(1, 2)}),
+        (almost_sure_empty, {"complement_to_fpm": lambda b: b,
+                             "fpm_positive_universal": lambda m: _AB,
+                             "lasso_acceptance": lambda b, w: Fraction(0)}),
+        (almost_sure_universal, {"complement_to_fpm": lambda b: b,
+                                 "fpm_positive_empty": lambda m: _Subset(),
+                                 "lasso_acceptance": lambda b, w: Fraction(1)}),
+    ],
+)
+def test_certification_errors_print_lassos_over_the_alphabet(
+    call, patches, monkeypatch
+):
+    from probuchi import decide
+    from probuchi.decide import CertificationError
+
+    for name, fake in patches.items():
+        monkeypatch.setattr(decide, name, fake)
+    with pytest.raises(CertificationError) as err:
+        call(_mixed_width_nba())
+    assert ";a,b" in str(err.value)

@@ -3,29 +3,42 @@
 Each ``ref_*`` function below is a verbatim-in-behaviour copy of an older
 implementation: the quadratic ``while changed`` can-reach fixpoint, the
 lasso-chain classification built on it, the macro-step doomed-state mask,
-the ``list.pop(0)`` breadth-first monoid enumerators and the early-exit
-cycle-word search.  They are kept here only as oracles; the properties
-require the kernel to give exactly the same answers, in the same order.
+the ``list.pop(0)`` breadth-first monoid enumerators, the early-exit
+cycle-word search, the layered breadth-first reach words, the NBA trim and
+quotient with its own searches, the private NBA lasso product and the
+monitor's own accumulation loop.  They are kept here only as oracles; the
+properties require the kernel to give exactly the same answers, in the same
+order.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from probuchi import decide
+from probuchi.construct import _empty_nba
 from probuchi.core import Automaton, BuchiAcceptance
 from probuchi.decide import (
     _lex_reach_words,
     _profile_monoid,
+    _reduce_nba,
     _safe_start_mask,
+    nba_complement,
+    nba_lasso_member,
     transition_monoid,
 )
-from probuchi.graphs import coreachable, tarjan_sccs
+from probuchi.graphs import accepting_cycles, coreachable, tarjan_sccs
 from probuchi.markov import Distribution, _bscc_accepting, build_lasso_chain
+from probuchi.sim import MonitorSession
+from probuchi.textio import serialize
 
 from conftest import (
+    random_dra,
     random_fpm,
     random_hpba,
     random_lasso,
@@ -287,6 +300,143 @@ def ref_lex_cycle_word(aut, f):
     return None
 
 
+def ref_lex_reach_words(aut, start, at_least_one):
+    """Layered breadth-first search, one list per word length."""
+    words = {} if at_least_one else {start: ()}
+    layer = [(start, ())]
+    while layer:
+        nxt = []
+        for q, w in layer:
+            for a in aut.alphabet:
+                for t in aut.successors(q, a):
+                    if t not in words:
+                        words[t] = w + (a,)
+                        nxt.append((t, w + (a,)))
+        layer = nxt
+    return words
+
+
+def ref_reduce_nba(a):
+    """Trim and bisimulation quotient with its own two searches."""
+    adjacency = a.support_adjacency()
+    finals = a.final_states
+    cycles = accepting_cycles(a.states, adjacency, finals)
+    live = coreachable([q for comp in cycles for q in comp], adjacency)
+    keep = set()
+    if a.initial in live:
+        stack = [a.initial]
+        keep.add(a.initial)
+        while stack:
+            q = stack.pop()
+            for sym in a.alphabet:
+                for t in a.successors(q, sym):
+                    if t in live and t not in keep:
+                        keep.add(t)
+                        stack.append(t)
+    if not keep:
+        return _empty_nba(a.name, a.alphabet, "kv0")
+    kept = [q for q in a.states if q in keep]
+    block_of = {q: (q in finals) for q in kept}
+    while True:
+        sig = {
+            q: (
+                block_of[q],
+                tuple(
+                    frozenset(block_of[t] for t in a.successors(q, sym) if t in keep)
+                    for sym in a.alphabet
+                ),
+            )
+            for q in kept
+        }
+        new_ids = {}
+        new_block = {}
+        for q in kept:
+            new_block[q] = new_ids.setdefault(sig[q], len(new_ids))
+        if len(new_ids) == len(set(block_of.values())):
+            block_of = new_block
+            break
+        block_of = new_block
+    rep = {}
+    for q in kept:
+        rep.setdefault(block_of[q], q)
+    naming = {}
+    bfs = deque([block_of[a.initial]])
+    naming[block_of[a.initial]] = "kv0"
+    i = 0
+    while bfs:
+        b = bfs.popleft()
+        q = rep[b]
+        for sym in a.alphabet:
+            for t in a.successors(q, sym):
+                if t in keep and block_of[t] not in naming:
+                    i += 1
+                    naming[block_of[t]] = f"kv{i}"
+                    bfs.append(block_of[t])
+    transitions = {}
+    for q in kept:
+        src = naming[block_of[q]]
+        for sym in a.alphabet:
+            targets = {
+                naming[block_of[t]] for t in a.successors(q, sym) if t in keep
+            }
+            if targets:
+                prev = set(transitions.get((src, sym), ()))
+                transitions[(src, sym)] = tuple(sorted(prev | targets))
+    final_blocks = frozenset(naming[block_of[q]] for q in kept if q in finals)
+    states = tuple(sorted(naming.values(), key=lambda s: int(s[2:])))
+    return Automaton(
+        name=a.name,
+        role="nba",
+        alphabet=a.alphabet,
+        states=states,
+        initial="kv0",
+        acceptance=BuchiAcceptance(final_blocks),
+        transitions=transitions,
+    )
+
+
+def ref_nba_lasso_member(a, w):
+    """Stem loop and a private (state, cycle position) search."""
+    current = {a.initial}
+    for s in w.stem:
+        current = {t for q in current for t in a.successors(q, s)}
+    if not current:
+        return False
+    length = len(w.cycle)
+    start = [(q, 0) for q in current]
+    seen = set(start)
+    stack = list(start)
+    edges = {}
+    while stack:
+        q, i = stack.pop()
+        outs = []
+        for t in a.successors(q, w.cycle[i]):
+            node = (t, (i + 1) % length)
+            outs.append(node)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+        edges[(q, i)] = outs
+    finals = a.final_states
+    nodes = sorted(seen, key=lambda n: (n[1], a.index[n[0]]))
+    final_nodes = {n for n in nodes if n[0] in finals}
+    return bool(accepting_cycles(nodes, edges, final_nodes))
+
+
+def ref_monitor_run(m, word):
+    """Reject masses after each symbol and the final state masses."""
+    state = {m.initial: Fraction(1)}
+    rejects = []
+    for symbol in word:
+        nxt = {}
+        for q, p in state.items():
+            for t, w in m.prob_row(q, symbol):
+                nxt[t] = nxt.get(t, 0) + p * w
+        state = nxt
+        rejects.append(state.get(m.reject, Fraction(0)))
+    return rejects, state
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -400,3 +550,74 @@ def test_two_sink_chains_have_mixed_nodes():
         mixed += any(v is None for v in value_of.values())
         both += n_acc > 0 and n_rej > 0
     assert mixed > 50 and both > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.booleans())
+def test_lex_reach_words_matches_layered_bfs(seed, monitor):
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    if monitor:
+        aut = random_fpm(rng, rng.randint(2, 7), alphabet)
+    else:
+        aut = random_nba(rng, rng.randint(1, 7), alphabet)
+    for start in aut.states:
+        for at_least_one in (False, True):
+            got = _lex_reach_words(aut, start, at_least_one)
+            want = ref_lex_reach_words(aut, start, at_least_one)
+            assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_reduce_nba_matches_reference_reduction(seed):
+    rng = random.Random(seed)
+    a = random_nba(rng, rng.randint(1, 3), rng.choice([("a", "b"), ("a", "b", "c")]))
+    big = random_nba(rng, rng.randint(1, 9), a.alphabet)
+    assert serialize(_reduce_nba(big)) == serialize(ref_reduce_nba(big))
+    got = serialize(nba_complement(a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_reduce_nba", ref_reduce_nba)
+        want = serialize(nba_complement(a))
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.booleans())
+def test_nba_lasso_member_matches_reference_product(seed, deterministic):
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    if deterministic:  # one run per word, from a dra's transitions
+        d = random_dra(rng, rng.randint(1, 6), 1, alphabet)
+        a = Automaton(
+            name="det",
+            role="nba",
+            alphabet=alphabet,
+            states=d.states,
+            initial=d.initial,
+            acceptance=BuchiAcceptance(d.rabin_pairs[0][1]),
+            transitions=d.transitions,
+        )
+    else:
+        a = random_nba(rng, rng.randint(1, 7), alphabet)
+    for _ in range(8):
+        w = random_lasso(rng, alphabet, 5)
+        assert nba_lasso_member(a, w) == ref_nba_lasso_member(a, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_monitor_feed_matches_reference_loop(seed):
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    m = random_fpm(rng, rng.randint(2, 7), alphabet)
+    word = [rng.choice(alphabet) for _ in range(rng.randint(0, 20))]
+    session = MonitorSession(m)
+    got = [session.feed(a) for a in word]
+    rejects, state = ref_monitor_run(m, word)
+    assert got == rejects
+    assert list(session._state.items()) == list(state.items())
+    dist = Distribution.dirac(m.initial)
+    for a in word:
+        dist = dist.step(m, a)
+    assert dist.entries == {q: p for q, p in state.items() if p}
