@@ -36,6 +36,7 @@ from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
 from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
 from .markov import (
     Distribution,
+    _bscc_accepting,
     final_passage_matrix,
     lasso_acceptance,
     word_matrix,
@@ -285,16 +286,23 @@ def _lassos(
 
 
 def nba_lasso_member(a: Automaton, w: LassoWord) -> bool:
-    """Does some run on ``w`` visit a final state infinitely often?
+    """Does some run on ``w`` meet the acceptance condition?
 
-    Decided on the graph over (state, cycle position): membership holds iff
-    a final-state node inside a cycle of that graph is reachable from the
-    stem's successor set.
+    Decided on the graph over (state, cycle position).  For an NBA,
+    membership holds iff a final-state node inside a cycle of that graph is
+    reachable from the stem's successor set.  A DRA has one run, so its
+    graph is a path into a single bottom SCC, whose states are the ones the
+    run visits infinitely often; the Rabin pairs are checked on them.
     """
     if a.role not in ("nba", "dra"):
         raise AutomatonError("lasso membership needs a nondeterministic automaton")
     require_valid(a)
     a.check_symbols(w.stem + w.cycle)
+    return _lasso_member(a, w)
+
+
+def _lasso_member(a: Automaton, w: LassoWord) -> bool:
+    """:func:`nba_lasso_member` for a validated automaton and word."""
     current = post(a, a.initial, w.stem)
     if not current:
         return False
@@ -302,6 +310,9 @@ def nba_lasso_member(a: Automaton, w: LassoWord) -> bool:
     nodes, _, adjacency = lasso_product(
         current, w.cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
     )
+    if a.role == "dra":
+        (loop,) = bottom_sccs(nodes, adjacency)
+        return _bscc_accepting(a, loop)
     finals = a.final_states
     final_nodes = {n for n in nodes if n[0] in finals}
     return bool(accepting_cycles(nodes, adjacency, final_nodes))
@@ -595,7 +606,7 @@ def nba_universality(
     require_valid(a)
     for w in _lassos(a.alphabet, _PROBE_BOUND, _PROBE_BOUND):
         _check_cancel(cancel)
-        if not nba_lasso_member(a, w):
+        if not _lasso_member(a, w):
             return w
     elements = _profile_monoid(a, _cap(monoid_cap, MONOID_CAP_ENV, 10**6), cancel)
     if progress is not None:
@@ -620,7 +631,7 @@ def nba_universality(
                 continue
             if not _image(u[0][idx0], v_reach) & loops:
                 witness = LassoWord(uw, vw)
-                if nba_lasso_member(a, witness):
+                if _lasso_member(a, witness):
                     raise CertificationError(
                         f"universality counterexample "
                         f"{format_lasso(witness, a.alphabet)} is accepted"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probuchi import (
     Automaton,
@@ -38,6 +39,8 @@ from probuchi.decide import (
 
 from conftest import (
     all_lassos,
+    dra_accepts,
+    random_dra,
     random_fpm,
     random_lasso,
     random_nba,
@@ -533,3 +536,43 @@ def test_certification_errors_print_lassos_over_the_alphabet(
     with pytest.raises(CertificationError) as err:
         call(_mixed_width_nba())
     assert ";a,b" in str(err.value)
+
+
+def test_dra_lasso_membership_example():
+    d = random_dra(random.Random(1), 4, 2)
+    w = lasso("", "a")
+    assert nba_lasso_member(d, w) == dra_accepts(d, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dra_lasso_membership_matches_direct_run(seed):
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    d = random_dra(rng, rng.randint(1, 6), rng.randint(1, 3), alphabet)
+    for _ in range(8):
+        w = random_lasso(rng, alphabet, 5)
+        assert nba_lasso_member(d, w) == dra_accepts(d, w)
+
+
+def all_but_one_lasso() -> Automaton:
+    """Every word except (aaab)^omega: no lasso within the probe bound is rejected."""
+    edges = [("p0", "a", "p1"), ("p1", "a", "p2"), ("p2", "a", "p3"), ("p3", "b", "p0"),
+             ("p0", "b", "f"), ("p1", "b", "f"), ("p2", "b", "f"), ("p3", "a", "f"),
+             ("f", "a", "f"), ("f", "b", "f")]
+    return nba("not_aaab", ("a", "b"), ("p0", "p1", "p2", "p3", "f"), "p0", ("f",), edges)
+
+
+@pytest.mark.parametrize(
+    "make, counterexample",
+    [(inf_many_a, lasso("", "b")), (all_but_one_lasso, lasso("aaab", "aaab"))],
+)
+def test_nba_universality_validates_once(make, counterexample, monkeypatch):
+    from probuchi import core
+
+    calls = []
+    validate = core.validate
+    monkeypatch.setattr(core, "validate", lambda aut: calls.append(aut) or validate(aut))
+    a = make()
+    assert nba_universality(a) == counterexample
+    assert len(calls) == 1

@@ -5,8 +5,9 @@ implementation: the quadratic ``while changed`` can-reach fixpoint, the
 lasso-chain classification built on it, the macro-step doomed-state mask,
 the ``list.pop(0)`` breadth-first monoid enumerators, the early-exit
 cycle-word search, the layered breadth-first reach words, the NBA trim and
-quotient with its own searches, the private NBA lasso product and the
-monitor's own accumulation loop.  They are kept here only as oracles; the
+quotient with its own searches, the private NBA lasso product, the
+monitor's own accumulation loop and the dense absorption system over every
+mixed node of a lasso chain.  They are kept here only as oracles; the
 properties require the kernel to give exactly the same answers, in the same
 order.
 """
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from probuchi import decide
 from probuchi.construct import _empty_nba
-from probuchi.core import Automaton, BuchiAcceptance
+from probuchi.core import Automaton, BuchiAcceptance, LassoWord, RabinAcceptance
 from probuchi.decide import (
     _lex_reach_words,
     _profile_monoid,
@@ -33,7 +34,14 @@ from probuchi.decide import (
     transition_monoid,
 )
 from probuchi.graphs import accepting_cycles, coreachable, tarjan_sccs
-from probuchi.markov import Distribution, _bscc_accepting, build_lasso_chain
+from probuchi.markov import (
+    Distribution,
+    _absorption,
+    _bscc_accepting,
+    build_lasso_chain,
+    lasso_acceptance,
+    solve_linear,
+)
 from probuchi.sim import MonitorSession
 from probuchi.textio import serialize
 
@@ -71,6 +79,61 @@ def two_sink_pba(rng: random.Random, n: int) -> Automaton:
         acceptance=BuchiAcceptance(frozenset({"acc"})),
         transitions=trans,
     )
+
+
+def leaky_ring(rng: random.Random, n: int, rabin: bool) -> Automaton:
+    """A ring of n transient states over an accepting and a rejecting sink.
+
+    On each symbol a ring state moves on to the next one and to one other
+    ring state, and leaks mass to both sinks, so nearly every node of a
+    chain is mixed, as in the benchmark's uniform-leak machines; here the
+    leaks differ from row to row.
+    """
+    ts = [f"t{i}" for i in range(n)]
+    trans = {}
+    for i, q in enumerate(ts):
+        for a in ("a", "b"):
+            acc, rej = Fraction(rng.randint(1, 4), 16), Fraction(rng.randint(1, 4), 16)
+            rest = 1 - acc - rej
+            keep = rest * Fraction(rng.randint(1, 4), 4)
+            row = {ts[(i + 1) % n]: keep}
+            other = rng.choice(ts)
+            row[other] = row.get(other, Fraction(0)) + rest - keep
+            row["acc"], row["rej"] = acc, rej
+            trans[(q, a)] = tuple((t, p) for t, p in row.items() if p)
+    for sink in ("acc", "rej"):
+        for a in ("a", "b"):
+            trans[(sink, a)] = ((sink, Fraction(1)),)
+    if rabin:
+        role, acceptance = "pra", RabinAcceptance(((frozenset({"rej"}), frozenset({"acc"})),))
+    else:
+        role, acceptance = "pba", BuchiAcceptance(frozenset({"acc"}))
+    return Automaton(
+        name="leaky_ring",
+        role=role,
+        alphabet=("a", "b"),
+        states=tuple(ts) + ("acc", "rej"),
+        initial="t0",
+        acceptance=acceptance,
+        transitions=trans,
+    )
+
+
+FOLD_KINDS = ["ring-pba", "ring-pra", "pba", "pra"]
+
+
+def fold_case(rng: random.Random, kind: str, length: int):
+    """An automaton and a lasso with a cycle of ``length`` and a stem of 0 to 3."""
+    n = rng.randint(1, 7)
+    aut = {
+        "ring-pba": lambda: leaky_ring(rng, n, rabin=False),
+        "ring-pra": lambda: leaky_ring(rng, n, rabin=True),
+        "pba": lambda: random_pba(rng, n),
+        "pra": lambda: random_pra(rng, n, rng.randint(1, 3)),
+    }[kind]()
+    stem = tuple(rng.choice(aut.alphabet) for _ in range(rng.randint(0, 3)))
+    cycle = tuple(rng.choice(aut.alphabet) for _ in range(length))
+    return aut, LassoWord(stem, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +206,38 @@ def ref_chain_values(aut, w):
         else:
             value_of[n] = Fraction(1) if n in reach_acc else Fraction(0)
     return value_of, frozenset(bscc_nodes), n_acc, n_rej
+
+
+def ref_dense_acceptance(aut, w):
+    """Acceptance and the value of every mixed node, from one dense system.
+
+    Each mixed node of the whole chain is an unknown: x_n minus the weights
+    of its mixed successors equals the weight of its accepting known ones.
+    """
+    chain = build_lasso_chain(aut, w)
+    unknown = [n for n in chain.nodes if chain.value_of[n] is None]
+    solved = {}
+    if unknown:
+        pos = {n: i for i, n in enumerate(unknown)}
+        m = len(unknown)
+        a = [[Fraction(0)] * m for _ in range(m)]
+        b = [Fraction(0)] * m
+        for n in unknown:
+            i = pos[n]
+            a[i][i] += 1
+            for t, p in chain.edges[n]:
+                v = chain.value_of[t]
+                if v is None:
+                    a[i][pos[t]] -= p
+                else:
+                    b[i] += p * v
+        xs = solve_linear(a, b)
+        solved = {n: xs[pos[n]] for n in unknown}
+    total = Fraction(0)
+    for node, mass in chain.initial.items():
+        v = chain.value_of[node]
+        total += mass * (solved[node] if v is None else v)
+    return total, solved
 
 
 def ref_safe_start_mask(rows, reject_index):
@@ -621,3 +716,31 @@ def test_monitor_feed_matches_reference_loop(seed):
     for a in word:
         dist = dist.step(m, a)
     assert dist.entries == {q: p for q, p in state.items() if p}
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.sampled_from(FOLD_KINDS), st.integers(min_value=1, max_value=5))
+def test_folded_absorption_matches_dense_solve(seed, kind, length):
+    aut, w = fold_case(random.Random(seed), kind, length)
+    want, dense = ref_dense_acceptance(aut, w)
+    assert lasso_acceptance(aut, w) == want
+    heads = _absorption(build_lasso_chain(aut, w), length)
+    assert heads == {n: v for n, v in dense.items() if n[1] == 0}
+
+
+def test_fold_cases_have_mixed_nodes():
+    # Guard against a vacuous fold property: the drawn cases must have
+    # mixed nodes at cycle position 0, also with a cycle of length 1, and
+    # several of them reached by stems that spread the start of the cycle
+    # over more than one state.
+    rng = random.Random(11)
+    mixed = single = spread = 0
+    for i in range(400):
+        length = 1 + i % 5
+        aut, w = fold_case(rng, FOLD_KINDS[i % len(FOLD_KINDS)], length)
+        chain = build_lasso_chain(aut, w)
+        heads = [n for n in chain.nodes if n[1] == 0 and chain.value_of[n] is None]
+        mixed += bool(heads)
+        single += bool(heads) and length == 1
+        spread += len(heads) > 1 and len(chain.initial) > 1
+    assert mixed > 150 and single > 30 and spread > 60
