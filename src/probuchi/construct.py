@@ -20,6 +20,7 @@ from .core import (
     ConstructionError,
     RabinAcceptance,
     RankFunction,
+    ResourceLimitError,
     _hierarchy_check,
     require_valid,
 )
@@ -397,11 +398,9 @@ def rabin_decomposition(
     pairs = r.rabin_pairs
     n = len(pairs)
     if n > cap:
-        from .core import ResourceLimitError
-
         raise ResourceLimitError(
             f"{n} Rabin pairs exceed the decomposition cap {cap}; "
-            "pass a larger cap explicitly",
+            "raise it via decompose --cap",
             cap_name="decomposition cap",
             cap_value=cap,
         )

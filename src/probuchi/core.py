@@ -134,8 +134,10 @@ class RankFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", dict(self.levels))
 
-    def level(self, q: str) -> int:
-        return self.levels[q]
+
+def word_separator(symbols: Iterable[str]) -> str:
+    """Separator of a written word: "" if every symbol is one character, else ","."""
+    return "" if all(len(s) == 1 for s in symbols) else ","
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ class LassoWord:
             raise ValueError("lasso cycle must be nonempty")
 
     def __str__(self) -> str:
-        sep = "" if all(len(s) == 1 for s in self.stem + self.cycle) else ","
+        sep = word_separator(self.stem + self.cycle)
         return sep.join(self.stem) + ";" + sep.join(self.cycle)
 
     def prefix(self, n: int) -> tuple[str, ...]:
@@ -322,9 +324,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.violations)
 
 
 def validate(aut: Automaton) -> ValidationReport:

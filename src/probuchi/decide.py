@@ -27,6 +27,7 @@ from .core import (
     AutomatonError,
     BuchiAcceptance,
     LassoWord,
+    NONDET_ROLES,
     ResourceLimitError,
     all_words,
     post,
@@ -74,6 +75,10 @@ Progress = Callable[[str], None] | None
 MONOID_CAP_ENV = "PROBUCHI_MONOID_CAP"
 COMPLEMENT_CAP_ENV = "PROBUCHI_COMPLEMENT_CAP"
 _CAP_FLAGS = {MONOID_CAP_ENV: "--monoid-cap", COMPLEMENT_CAP_ENV: "--complement-cap"}
+
+# Fixed limits of the rank-based complement: states, rank choices per step.
+COMPLEMENT_STATE_LIMIT = 50_000
+COMPLEMENT_BRANCH_LIMIT = 50_000
 
 # Stem and cycle bound of the lasso probe that runs before the complete
 # universality decision.
@@ -152,14 +157,6 @@ class BooleanMatrix:
     states: tuple[str, ...]
     rows: tuple[int, ...]  # bitmask of successors per state, by declaration index
 
-    def entry(self, q: str, q2: str) -> bool:
-        i, j = self.states.index(q), self.states.index(q2)
-        return bool(self.rows[i] >> j & 1)
-
-    def successors(self, q: str) -> frozenset[str]:
-        row = self.rows[self.states.index(q)]
-        return frozenset(t for j, t in enumerate(self.states) if row >> j & 1)
-
 
 @dataclass(frozen=True)
 class LassoLowerBound:
@@ -180,12 +177,8 @@ class LassoLowerBound:
 # Shared search helpers
 
 
-def _sym_key(aut: Automaton) -> dict[str, int]:
-    return {a: i for i, a in enumerate(aut.alphabet)}
-
-
 def _word_key(aut: Automaton, word: Sequence[str]) -> tuple:
-    sk = _sym_key(aut)
+    sk = {a: i for i, a in enumerate(aut.alphabet)}
     return (len(word), tuple(sk[a] for a in word))
 
 
@@ -294,7 +287,7 @@ def nba_lasso_member(a: Automaton, w: LassoWord) -> bool:
     graph is a path into a single bottom SCC, whose states are the ones the
     run visits infinitely often; the Rabin pairs are checked on them.
     """
-    if a.role not in ("nba", "dra"):
+    if a.role not in NONDET_ROLES:
         raise AutomatonError("lasso membership needs a nondeterministic automaton")
     require_valid(a)
     a.check_symbols(w.stem + w.cycle)
@@ -360,20 +353,15 @@ def nba_emptiness(a: Automaton) -> LassoWord | None:
 # -- rank-based complementation
 
 
-def nba_complement(
-    a: Automaton,
-    cap: int | None = None,
-    state_cap: int = 50_000,
-    branch_cap: int = 50_000,
-) -> Automaton:
+def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     """Complement NBA via level rankings bounded by 2(|Q| - |F|).
 
     Classical rank-based construction: states pair a level ranking of the
     reachable subset with an obligation set tracking which even-ranked runs
     still owe a visit to an odd rank; acceptance is an empty obligation set.
     The result is trimmed and quotiented by forward bisimulation.  Inputs
-    larger than the cap, or explorations exceeding the state or branching
-    caps, raise :class:`ResourceLimitError` naming the cap to raise.
+    larger than the cap, or explorations beyond the fixed state or branching
+    limits, raise :class:`ResourceLimitError` naming the cap.
     """
     if a.role != "nba":
         raise AutomatonError("complementation needs an nba")
@@ -393,7 +381,6 @@ def nba_complement(
     StateT = tuple[tuple[tuple[str, int], ...], frozenset[str]]
     init: StateT = (((a.initial, r_max),), frozenset())
     names: dict[StateT, str] = {init: "kv0"}
-    order: list[StateT] = [init]
     transitions: dict[tuple[str, str], list[str]] = {}
     queue = deque([init])
     while queue:
@@ -416,13 +403,13 @@ def nba_complement(
                 ]
                 choices.append(allowed)
                 count *= len(allowed)
-                if count > branch_cap:
+                if count > COMPLEMENT_BRANCH_LIMIT:
                     raise ResourceLimitError(
-                        f"rank branching exceeds {branch_cap} at one transition; "
-                        f"raise branch_cap (input likely too large for the "
-                        f"rank-based method)",
+                        f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
+                        f"transition; the limit is fixed (input likely too large "
+                        f"for the rank-based method)",
                         cap_name="branch_cap",
-                        cap_value=branch_cap,
+                        cap_value=COMPLEMENT_BRANCH_LIMIT,
                     )
             owing_succ = {
                 t for q in owing for t in a.successors(q, sym) if t in succ_bound
@@ -437,15 +424,14 @@ def nba_complement(
                     o2 = frozenset(even)
                 nxt: StateT = (g2, o2)
                 if nxt not in names:
-                    if len(names) >= state_cap:
+                    if len(names) >= COMPLEMENT_STATE_LIMIT:
                         raise ResourceLimitError(
-                            f"complement exploration exceeds {state_cap} states; "
-                            f"raise state_cap",
+                            f"complement exploration exceeds "
+                            f"{COMPLEMENT_STATE_LIMIT} states; the limit is fixed",
                             cap_name="state_cap",
-                            cap_value=state_cap,
+                            cap_value=COMPLEMENT_STATE_LIMIT,
                         )
                     names[nxt] = f"kv{len(names)}"
-                    order.append(nxt)
                     queue.append(nxt)
                 targets.append(names[nxt])
             transitions[(names[state], sym)] = targets
@@ -453,10 +439,10 @@ def nba_complement(
         name=f"compl({a.name})",
         role="nba",
         alphabet=a.alphabet,
-        states=tuple(names[s] for s in order),
+        states=tuple(names.values()),
         initial="kv0",
         acceptance=BuchiAcceptance(
-            frozenset(names[s] for s in order if not s[1])
+            frozenset(name for s, name in names.items() if not s[1])
         ),
         transitions={k: tuple(v) for k, v in transitions.items()},
     )
@@ -471,12 +457,14 @@ def _reduce_nba(a: Automaton) -> Automaton:
     live = coreachable([q for comp in cycles for q in comp], adjacency)
     if a.initial not in live:
         return _empty_nba(a.name, a.alphabet, "kv0")
-    # forward reachability within live states
-    keep = _explore(
-        [(a.initial, ())],
-        lambda q, sym: [t for t in a.successors(q, sym) if t in live],
-        a.alphabet,
-    )
+    # live successors per symbol; forward reachability within live states
+    # closes keep under them, so from a kept state they all stay in keep
+    succ = {
+        (q, sym): [t for t in a.successors(q, sym) if t in live]
+        for q in live
+        for sym in a.alphabet
+    }
+    keep = _explore([(a.initial, ())], lambda q, sym: succ[q, sym], a.alphabet)
     kept = [q for q in a.states if q in keep]
     # partition refinement: blocks must stay acceptance-pure
     block_of = {q: (q in finals) for q in kept}
@@ -485,8 +473,7 @@ def _reduce_nba(a: Automaton) -> Automaton:
             q: (
                 block_of[q],
                 tuple(
-                    frozenset(block_of[t] for t in a.successors(q, sym) if t in keep)
-                    for sym in a.alphabet
+                    frozenset(block_of[t] for t in succ[q, sym]) for sym in a.alphabet
                 ),
             )
             for q in kept
@@ -506,31 +493,27 @@ def _reduce_nba(a: Automaton) -> Automaton:
         rep.setdefault(block_of[q], q)
     blocks = _explore(
         [(block_of[a.initial], ())],
-        lambda b, sym: [block_of[t] for t in a.successors(rep[b], sym) if t in keep],
+        lambda b, sym: [block_of[t] for t in succ[rep[b], sym]],
         a.alphabet,
     )
     naming = {b: f"kv{i}" for i, b in enumerate(blocks)}
+    # at the fixpoint the members of a block share their acceptance and
+    # their successor blocks, so one member gives the block's row
     transitions: dict[tuple[str, str], tuple[str, ...]] = {}
-    for q in kept:
-        src = naming[block_of[q]]
+    for b, src in naming.items():
         for sym in a.alphabet:
-            targets = {
-                naming[block_of[t]] for t in a.successors(q, sym) if t in keep
-            }
+            targets = {naming[block_of[t]] for t in succ[rep[b], sym]}
             if targets:
-                prev = set(transitions.get((src, sym), ()))
-                transitions[(src, sym)] = tuple(sorted(prev | targets))
-    final_blocks = frozenset(
-        naming[block_of[q]] for q in kept if q in finals
-    )
-    states = tuple(sorted(naming.values(), key=lambda s: int(s[2:])))
+                transitions[(src, sym)] = tuple(sorted(targets))
     return Automaton(
         name=a.name,
         role="nba",
         alphabet=a.alphabet,
-        states=states,
+        states=tuple(naming.values()),
         initial="kv0",
-        acceptance=BuchiAcceptance(final_blocks),
+        acceptance=BuchiAcceptance(
+            frozenset(src for b, src in naming.items() if rep[b] in finals)
+        ),
         transitions=transitions,
     )
 
@@ -682,6 +665,7 @@ def transition_monoid(
     realizing one.  Exceeding the cap raises :class:`ResourceLimitError`;
     completeness never silently degrades.
     """
+    require_valid(aut)
     gen = _symbol_masks(aut)
 
     def compose(x: tuple[int, ...], sym: str) -> tuple[int, ...]:
@@ -707,12 +691,6 @@ def transition_monoid(
     if progress is not None:
         progress(f"transition monoid has {len(elements)} elements")
     return [(w, BooleanMatrix(aut.states, x)) for x, w in elements.items()]
-
-
-def _require_fpm(m: Automaton, op: str) -> None:
-    if m.role != "fpm":
-        raise AutomatonError(f"{op} needs an fpm")
-    require_valid(m)
 
 
 def verify_subset_witness(m: Automaton, w: SubsetWitness) -> bool:
@@ -741,7 +719,9 @@ def fpm_positive_empty(
     decision.  The witness is the first hit scanning monoid elements in
     discovery order and start states by their shortest reaching word.
     """
-    _require_fpm(m, "fpm_positive_empty")
+    if m.role != "fpm":
+        raise AutomatonError("fpm_positive_empty needs an fpm")
+    monoid = transition_monoid(m, monoid_cap, cancel, progress)  # validates m
     assert m.reject is not None
     idx = m.index
     reach = _lex_reach_words(m, m.initial, at_least_one=True)
@@ -752,7 +732,7 @@ def fpm_positive_empty(
     ]
     candidates.sort(key=lambda q: (_word_key(m, reach[q]), idx[q]))
     reject_bit = 1 << idx[m.reject]
-    for vword, element in transition_monoid(m, monoid_cap, cancel, progress):
+    for vword, element in monoid:
         _check_cancel(cancel)
         rows = element.rows
         for q in candidates:
@@ -809,7 +789,9 @@ def fpm_positive_universal(
     supports of the deterministic subset automaton against the transition
     monoid is therefore a complete decision.
     """
-    _require_fpm(m, "fpm_positive_universal")
+    if m.role != "fpm":
+        raise AutomatonError("fpm_positive_universal needs an fpm")
+    monoid = transition_monoid(m, monoid_cap, cancel, progress)  # validates m
     assert m.reject is not None
     idx = m.index
     reject_index = idx[m.reject]
@@ -822,7 +804,6 @@ def fpm_positive_universal(
         m.alphabet,
         cancel=cancel,
     )
-    monoid = transition_monoid(m, monoid_cap, cancel, progress)
     doomed_of: list[int] = [
         _safe_start_mask(element.rows, reject_index) for _, element in monoid
     ]

@@ -26,6 +26,7 @@ from .core import (
     BuchiAcceptance,
     LassoWord,
     RabinAcceptance,
+    UnknownSymbolError,
     require_valid,
 )
 from .graphs import bottom_sccs, coreachable, lasso_product
@@ -154,8 +155,6 @@ class Distribution:
     def step(self, aut: Automaton, symbol: str) -> "Distribution":
         """One transition step of a probabilistic automaton."""
         if symbol not in set(aut.alphabet):
-            from .core import UnknownSymbolError
-
             raise UnknownSymbolError(symbol)
         return Distribution(_step(aut, self.entries, symbol))
 
@@ -188,6 +187,7 @@ def word_matrix(aut: Automaton, u: Iterable[str]) -> RationalMatrix:
     """
     if not aut.is_probabilistic:
         raise AutomatonError("word matrices need a probabilistic automaton")
+    require_valid(aut)
     aut.check_symbols(u)
     result = RationalMatrix.identity(aut.states)
     for a in u:
@@ -208,6 +208,7 @@ def final_passage_matrix(aut: Automaton, u: Sequence[str]) -> RationalMatrix:
         raise AutomatonError("final-passage matrices need Buchi acceptance")
     if not u:
         raise AutomatonError("final-passage matrices need a nonempty word")
+    require_valid(aut)
     aut.check_symbols(u)
     finals = aut.acceptance.final
     n = len(aut.states)

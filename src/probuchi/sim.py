@@ -29,31 +29,23 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class _SplitMix64:
-    """splitmix64 stream; cheap, seedable, and splittable by construction."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        return _mix64(self._state)
-
-
 def sample_seed(root: int, index: int) -> int:
     """Per-sample seed derived from the root seed; order-independent."""
     return _mix64((root & _MASK) ^ _mix64(index + 1))
 
 
 class _BitSource:
+    """Bits of a splitmix64 stream, each 64-bit word lowest bit first."""
+
     def __init__(self, seed: int):
-        self._gen = _SplitMix64(seed)
+        self._state = seed & _MASK
         self._word = 0
         self._left = 0
 
     def bit(self) -> int:
         if self._left == 0:
-            self._word = self._gen.next64()
+            self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+            self._word = _mix64(self._state)
             self._left = 64
         self._left -= 1
         b = self._word & 1

@@ -23,9 +23,11 @@ from .core import (
     BUCHI_ROLES,
     BuchiAcceptance,
     LassoWord,
+    PROBABILISTIC_ROLES,
     RabinAcceptance,
     RankFunction,
     ROLES,
+    word_separator,
 )
 
 __all__ = ["FormatError", "parse", "serialize", "parse_lasso", "format_word",
@@ -161,7 +163,7 @@ def parse(text: str, name: str = "automaton") -> Automaton:
         if not (arrow.startswith("-") and arrow.endswith("->") and len(arrow) > 3):
             raise FormatError(f"bad transition arrow {arrow!r}", line_no, arrow_col)
         sym = arrow[1:-2]
-        probabilistic_role = role in ("pba", "fpm", "hpba", "pra")
+        probabilistic_role = role in PROBABILISTIC_ROLES
         if (src, sym, dst) in seen_edges:
             raise FormatError(f"duplicate transition {src} -{sym}-> {dst}", line_no, head_col)
         seen_edges.add((src, sym, dst))
@@ -291,15 +293,15 @@ def parse_lasso(text: str, alphabet: tuple[str, ...]) -> LassoWord:
     if ";" not in text:
         raise AutomatonError("lasso must be written STEM;CYCLE")
     stem_text, _, cycle_text = text.partition(";")
-    single = all(len(a) == 1 for a in alphabet)
+    sep = word_separator(alphabet)
 
     def split(part: str) -> tuple[str, ...]:
         part = part.strip()
         if not part:
             return ()
-        if single:
+        if not sep:
             return tuple(part)
-        return tuple(s.strip() for s in part.split(",") if s.strip())
+        return tuple(s.strip() for s in part.split(sep) if s.strip())
 
     stem, cycle = split(stem_text), split(cycle_text)
     if not cycle:
@@ -314,7 +316,7 @@ def parse_lasso(text: str, alphabet: tuple[str, ...]) -> LassoWord:
 def format_word(symbols: Sequence[str], alphabet: Sequence[str]) -> str:
     """Symbols concatenated when every alphabet symbol is one character,
     comma-separated otherwise, as :func:`parse_lasso` splits them."""
-    return ("" if all(len(a) == 1 for a in alphabet) else ",").join(symbols)
+    return word_separator(alphabet).join(symbols)
 
 
 def format_lasso(w: LassoWord, alphabet: Sequence[str] | None = None) -> str:

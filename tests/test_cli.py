@@ -321,3 +321,34 @@ def test_contain_bound_below_one_is_an_input_error(m_id_file, capsys):
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "bound must be at least 1" in captured.err
+
+
+def test_decompose_resource_limit_names_its_flag(tmp_path, capsys):
+    pra = tmp_path / "many.pra"
+    pairs = "\n".join("pair: {s} {t}" for _ in range(7))
+    pra.write_text(
+        f"type: pra\nalphabet: a\nstates: s t\ninit: s\n{pairs}\n"
+        "s -a-> t : 1\nt -a-> t : 1\n"
+    )
+    assert run(["decompose", str(pra)]) == 2
+    doc = out_doc(capsys)
+    assert doc["answer"] == "resource-limit" and "--cap" in doc["detail"]
+
+
+def test_complement_resource_limit(tmp_path, capsys, monkeypatch):
+    from probuchi import decide
+
+    nba = tmp_path / "has1.nba"
+    nba.write_text(
+        "type: nba\nalphabet: 0 1\nstates: p q\ninit: p\nfinal: q\n"
+        "p -0-> p\np -1-> p\np -1-> q\nq -0-> q\nq -1-> q\n"
+    )
+    monkeypatch.setattr(decide, "COMPLEMENT_STATE_LIMIT", 3)
+    assert run(["complement", str(nba)]) == 2
+    doc = out_doc(capsys)
+    assert doc == {
+        "command": "complement",
+        "answer": "resource-limit",
+        "cap": "state_cap",
+        "detail": "complement exploration exceeds 3 states; the limit is fixed",
+    }

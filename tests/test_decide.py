@@ -1,6 +1,7 @@
 """Decision procedures and their certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,21 @@ from hypothesis import given, settings, strategies as st
 from probuchi import (
     Automaton,
     BuchiAcceptance,
+    InvalidAutomatonError,
     ResourceLimitError,
     complement_to_fpm,
+    final_passage_matrix,
     gen_m_id,
     gen_succinct,
     hpba_to_nba,
     lasso,
     lasso_acceptance,
+    word_matrix,
 )
 from probuchi.decide import (
+    AsymptoticWitness,
     SearchCancelled,
+    SubsetWitness,
     acceptance_lower_bound,
     almost_sure_empty,
     almost_sure_universal,
@@ -576,3 +582,55 @@ def test_nba_universality_validates_once(make, counterexample, monkeypatch):
     a = make()
     assert nba_universality(a) == counterexample
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "limit, value, cap_name, message",
+    [
+        ("COMPLEMENT_STATE_LIMIT", 3, "state_cap",
+         "complement exploration exceeds 3 states; the limit is fixed"),
+        ("COMPLEMENT_BRANCH_LIMIT", 1, "branch_cap",
+         "rank branching exceeds 1 at one transition; the limit is fixed "
+         "(input likely too large for the rank-based method)"),
+    ],
+    ids=["states", "branching"],
+)
+def test_nba_complement_fixed_limits(limit, value, cap_name, message, monkeypatch):
+    from probuchi import decide
+
+    monkeypatch.setattr(decide, limit, value)
+    with pytest.raises(ResourceLimitError) as err:
+        nba_complement(contains_a_one())
+    assert err.value.cap_name == cap_name and err.value.cap_value == value
+    assert str(err.value) == message
+
+
+def _ghost_target_monitor() -> Automaton:
+    m = gen_m_id()
+    return replace(
+        m, transitions={**m.transitions, ("q1", "0"): (("ghost", Fraction(1)),)}
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: transition_monoid(m),
+        lambda m: word_matrix(m, ("0",)),
+        lambda m: final_passage_matrix(m, ("0",)),
+        lambda m: verify_subset_witness(
+            m, SubsetWitness(frozenset({"q1"}), ("0",), ("0",))
+        ),
+        lambda m: verify_asymptotic_witness(
+            m, AsymptoticWitness(frozenset({"q1"}), ("0",), (("0",),))
+        ),
+        lambda m: fpm_positive_empty(m),
+        lambda m: fpm_positive_universal(m),
+    ],
+    ids=["transition_monoid", "word_matrix", "final_passage_matrix",
+         "verify_subset_witness", "verify_asymptotic_witness",
+         "fpm_positive_empty", "fpm_positive_universal"],
+)
+def test_invalid_automata_raise_invalid_automaton_error(call):
+    with pytest.raises(InvalidAutomatonError, match="ghost"):
+        call(_ghost_target_monitor())

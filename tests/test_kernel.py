@@ -744,3 +744,56 @@ def test_fold_cases_have_mixed_nodes():
         single += bool(heads) and length == 1
         spread += len(heads) > 1 and len(chain.initial) > 1
     assert mixed > 150 and single > 30 and spread > 60
+
+
+def twinned_nba(rng: random.Random) -> Automaton:
+    """A nonempty NBA in which every state q has a copy q' with q's row and
+    finality; each edge goes at random into its target or the target's copy,
+    so q and q' are bisimilar and merge whenever both are reached."""
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    base = random_nba(rng, rng.randint(2, 8), alphabet)
+    while not ref_reduce_nba(base).final_states:
+        base = random_nba(rng, rng.randint(2, 8), alphabet)
+    trans = {}
+    for (q, a), row in base.transitions.items():
+        targets = tuple(sorted({t + "'" if rng.random() < 0.5 else t for t in row}))
+        trans[(q, a)] = trans[(q + "'", a)] = targets
+    return Automaton(
+        name="twinned",
+        role="nba",
+        alphabet=alphabet,
+        states=tuple(s for q in base.states for s in (q, q + "'")),
+        initial=base.initial,
+        acceptance=BuchiAcceptance(
+            frozenset(s for q in base.final_states for s in (q, q + "'"))
+        ),
+        transitions=trans,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_reduce_nba_matches_reference_reduction_on_twinned_nbas(seed):
+    a = twinned_nba(random.Random(seed))
+    assert serialize(_reduce_nba(a)) == serialize(ref_reduce_nba(a))
+
+
+def test_twinned_nbas_merge_states():
+    # Guard against a vacuous twinned property: nearly every drawn case must
+    # keep more states after the trim than its quotient has blocks, so some
+    # block has several members.
+    rng = random.Random(12)
+    merged = 0
+    for _ in range(300):
+        a = twinned_nba(rng)
+        adjacency = a.support_adjacency()
+        cycles = accepting_cycles(a.states, adjacency, a.final_states)
+        live = coreachable([q for comp in cycles for q in comp], adjacency)
+        kept, stack = {a.initial}, [a.initial]
+        while stack:
+            for t in adjacency[stack.pop()]:
+                if t in live and t not in kept:
+                    kept.add(t)
+                    stack.append(t)
+        merged += len(_reduce_nba(a).states) < len(kept)
+    assert merged >= 270
