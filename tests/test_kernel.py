@@ -6,10 +6,10 @@ lasso-chain classification built on it, the macro-step doomed-state mask,
 the ``list.pop(0)`` breadth-first monoid enumerators, the early-exit
 cycle-word search, the layered breadth-first reach words, the NBA trim and
 quotient with its own searches, the private NBA lasso product, the
-monitor's own accumulation loop and the dense absorption system over every
-mixed node of a lasso chain.  They are kept here only as oracles; the
-properties require the kernel to give exactly the same answers, in the same
-order.
+monitor's own accumulation loop, the dense absorption system over every
+mixed node of a lasso chain and the sampler that refines a ``Fraction``
+interval.  They are kept here only as oracles; the properties require the
+kernel to give exactly the same answers, in the same order.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +43,16 @@ from probuchi.markov import (
     lasso_acceptance,
     solve_linear,
 )
-from probuchi.sim import MonitorSession
+from probuchi.sim import (
+    McEstimate,
+    MonitorSession,
+    _BitSource,
+    _cumulative,
+    _pick,
+    mc_lasso_estimate,
+    monitor_stream,
+    sample_seed,
+)
 from probuchi.textio import serialize
 
 from conftest import (
@@ -532,6 +542,45 @@ def ref_monitor_run(m, word):
     return rejects, state
 
 
+def ref_pick(weights, bits):
+    """Index distributed exactly as ``weights``, refining a ``Fraction``
+    interval and re-summing the cumulative weights on every call."""
+    cum = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        cum.append(acc)
+    lo, hi = Fraction(0), Fraction(1)
+    while True:
+        k = next((i for i, c in enumerate(cum) if lo < c), None)
+        if k is not None and hi <= cum[k]:
+            return k
+        mid = (lo + hi) / 2
+        if bits.bit():
+            lo = mid
+        else:
+            hi = mid
+
+
+def ref_mc_estimate(aut, w, n, seed):
+    """The Monte Carlo loop over the lasso chain, drawing with ``ref_pick``."""
+    chain = build_lasso_chain(aut, w)
+    in_bscc = {node: chain.value_of[node] for node in chain.bscc_nodes}
+    init_nodes = sorted(chain.initial, key=lambda nd: chain.nodes.index(nd))
+    init_weights = [chain.initial[nd] for nd in init_nodes]
+    hits = 0
+    for i in range(n):
+        bits = _BitSource(sample_seed(seed, i))
+        node = init_nodes[ref_pick(init_weights, bits)]
+        while node not in in_bscc:
+            targets = chain.edges[node]
+            node = targets[ref_pick([p for _, p in targets], bits)][0]
+        if in_bscc[node] == 1:
+            hits += 1
+    mean = hits / n
+    return McEstimate(mean=mean, stderr=sqrt(mean * (1.0 - mean) / n), samples=n, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -797,3 +846,146 @@ def test_twinned_nbas_merge_states():
                     stack.append(t)
         merged += len(_reduce_nba(a).states) < len(kept)
     assert merged >= 270
+
+
+def random_weights(rng: random.Random) -> list[Fraction]:
+    """1 to 8 weights summing to one over a denominator 2^i 3^j of up to
+    about 2^89, some of them zero.  Longer vectors are drawn more often, so
+    most picks refine past the first bit."""
+    den = 2 ** rng.randint(0, 64) * 3 ** rng.randint(0, 16)
+    k = 9 - min(rng.randint(1, 8), rng.randint(1, 8))
+    raw = [0 if rng.random() < 0.15 else rng.randint(1, 2**32) for _ in range(k)]
+    if not any(raw):
+        raw[-1] = 1
+    total = sum(raw)
+    nums = [r * den // total for r in raw[:-1]]
+    nums.append(den - sum(nums))
+    return [Fraction(x, den) for x in nums]
+
+
+class CountingBits:
+    """A bit source that counts the bits drawn from it."""
+
+    def __init__(self, seed: int):
+        self.source = _BitSource(seed)
+        self.drawn = 0
+
+    def bit(self) -> int:
+        self.drawn += 1
+        return self.source.bit()
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(min_value=0, max_value=2**64 - 1))
+def test_pick_matches_fraction_pick(seed, bit_seed):
+    weights = random_weights(random.Random(seed))
+    ours, ref = _BitSource(bit_seed), _BitSource(bit_seed)
+    den, cum = _cumulative(weights)
+    for _ in range(4):
+        assert _pick(den, cum, ours) == ref_pick(weights, ref)
+        assert vars(ours) == vars(ref)
+
+
+def test_drawn_picks_need_several_bits():
+    # Guard against a vacuous pick property: most drawn picks must refine
+    # the interval more than once, not end on the first bit or before it.
+    rng = random.Random(13)
+    several = total = 0
+    for _ in range(500):
+        weights = random_weights(rng)
+        den, cum = _cumulative(weights)
+        bits = CountingBits(rng.getrandbits(64))
+        for _ in range(4):
+            bits.drawn = 0
+            _pick(den, cum, bits)
+            several += bits.drawn >= 2
+            total += 1
+    assert several >= 0.8 * total
+    assert {len(random_weights(rng)) for _ in range(500)} == set(range(1, 9))
+
+
+MC_KINDS = ["pba", "fpm", "hpba", "pra", "two-sink", "ring"]
+
+
+def mc_case(rng: random.Random, kind: str):
+    """An automaton of ``kind`` and a lasso with a stem and cycle of up to 3.
+
+    The conftest machines mostly accept with probability 0 or 1, where any
+    walk gives the same mean; the two-sink and ring machines mostly do not.
+    """
+    n = rng.randint(1, 6)
+    aut = {
+        "pba": lambda: random_pba(rng, n),
+        "fpm": lambda: random_fpm(rng, max(n, 2)),
+        "hpba": lambda: random_hpba(rng, n),
+        "pra": lambda: random_pra(rng, n, rng.randint(1, 3)),
+        "two-sink": lambda: two_sink_pba(rng, n),
+        "ring": lambda: leaky_ring(rng, n, rabin=rng.random() < 0.5),
+    }[kind]()
+    return aut, random_lasso(rng, aut.alphabet, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from(MC_KINDS))
+def test_mc_estimate_matches_fraction_sampler(seed, kind):
+    rng = random.Random(seed)
+    aut, w = mc_case(rng, kind)
+    mc_seed = rng.getrandbits(64)
+    assert mc_lasso_estimate(aut, w, 40, mc_seed) == ref_mc_estimate(aut, w, 40, mc_seed)
+
+
+def test_mc_cases_have_mixed_means():
+    # Guard against a vacuous estimate property: a fair share of the drawn
+    # cases must have a mean strictly between 0 and 1, which a wrong pick
+    # can move.
+    rng = random.Random(14)
+    mixed = 0
+    for i in range(300):
+        aut, w = mc_case(rng, MC_KINDS[i % len(MC_KINDS)])
+        mixed += 0 < mc_lasso_estimate(aut, w, 40, rng.getrandbits(64)).mean < 1
+    assert mixed >= 60
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_monitor_feed_matches_reference_loop_on_long_streams(seed):
+    # Streams of up to 200 symbols cross the session's periodic reduction
+    # of its numerators many times.
+    rng = random.Random(seed)
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    m = random_fpm(rng, rng.randint(2, 7), alphabet)
+    word = [rng.choice(alphabet) for _ in range(rng.randint(0, 200))]
+    session = MonitorSession(m)
+    got = [session.feed(a) for a in word]
+    rejects, state = ref_monitor_run(m, word)
+    assert got == rejects
+    assert list(session._state.items()) == list(state.items())
+    assert list(monitor_stream(m, word)) == [Fraction(0)] + rejects
+
+
+def test_monitor_denominator_stays_bounded():
+    # The masses settle at 1/2 on s and t, so the exact denominator is 2;
+    # without the periodic reduction the stored one would double on every
+    # symbol.
+    half = Fraction(1, 2)
+    m = Automaton(
+        name="halves",
+        role="fpm",
+        alphabet=("a",),
+        states=("s", "t", "rej"),
+        initial="s",
+        acceptance=BuchiAcceptance(frozenset({"s", "t"})),
+        transitions={
+            ("s", "a"): (("s", half), ("t", half)),
+            ("t", "a"): (("s", half), ("t", half)),
+            ("rej", "a"): (("rej", Fraction(1)),),
+        },
+        reject="rej",
+    )
+    session = MonitorSession(m)
+    widest = 0
+    for _ in range(5000):
+        assert session.feed("a") == 0
+        widest = max(widest, session._den.bit_length())
+    assert widest < 64
+    assert session._state == {"s": half, "t": half}

@@ -12,9 +12,11 @@ from probuchi import (
     lasso,
     lasso_acceptance,
 )
+from probuchi.core import AutomatonError
 from probuchi.sim import (
     MonitorError,
     MonitorSession,
+    _cumulative,
     mc_lasso_estimate,
     monitor_stream,
 )
@@ -78,6 +80,14 @@ def test_mc_seeds_agree_within_six_stderr():
         for j in range(i + 1, len(estimates)):
             tol = 6 * max(estimates[i].stderr, estimates[j].stderr)
             assert abs(estimates[i].mean - estimates[j].mean) <= tol
+
+
+@pytest.mark.parametrize("weights", [[F(1, 2)], [F(3, 4), F(1, 2)], []])
+def test_cumulative_weights_must_sum_to_one(weights):
+    # A draw past a total below one would refine forever; one above one
+    # would leave the last segment unreachable.
+    with pytest.raises(AutomatonError, match="not 1"):
+        _cumulative(weights)
 
 
 def test_monitor_stream_example():
