@@ -20,7 +20,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     Automaton,
@@ -38,6 +38,7 @@ from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
 from .markov import (
     Distribution,
     _bscc_accepting,
+    _lasso_value,
     final_passage_matrix,
     lasso_acceptance,
     word_matrix,
@@ -183,16 +184,17 @@ def _word_key(aut: Automaton, word: Sequence[str]) -> tuple:
 
 
 K = TypeVar("K", bound=Hashable)
+S = TypeVar("S")
 
 
 def _explore(
-    seeds: Iterable[tuple[K, tuple[str, ...]]],
-    step: Callable[[K, str], Iterable[K]],
-    alphabet: Sequence[str],
+    seeds: Iterable[tuple[K, tuple[S, ...]]],
+    step: Callable[[K, S], Iterable[K]],
+    alphabet: Sequence[S],
     cap: int | None = None,
     cancel: Cancel = None,
     what: str = "",
-) -> dict[K, tuple[str, ...]]:
+) -> dict[K, tuple[S, ...]]:
     """Breadth-first closure of ``seeds`` under ``step``, each with its word.
 
     ``step(x, a)`` lists the successors of ``x`` on symbol ``a``.  Returns
@@ -201,7 +203,7 @@ def _explore(
     with.  Discovering an element beyond ``cap`` raises
     :class:`ResourceLimitError` naming ``what``.
     """
-    found: dict[K, tuple[str, ...]] = {}
+    found: dict[K, tuple[S, ...]] = {}
     for key, word in seeds:
         found.setdefault(key, word)
     queue = deque(found)
@@ -359,9 +361,15 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     Classical rank-based construction: states pair a level ranking of the
     reachable subset with an obligation set tracking which even-ranked runs
     still owe a visit to an odd rank; acceptance is an empty obligation set.
-    The result is trimmed and quotiented by forward bisimulation.  Inputs
-    larger than the cap, or explorations beyond the fixed state or branching
-    limits, raise :class:`ResourceLimitError` naming the cap.
+    Macro-states are explored breadth-first on integers: a ranking is a
+    tuple of (state index, rank) pairs and the obligation set a bitmask,
+    stepped through the input's per-symbol successor masks.  Each explored
+    macro-state costs, per symbol, one pass over its ranking's edges and
+    one dictionary probe per rank choice.  The integer successor table
+    then goes to :func:`_quotient`, which trims it and quotients it by
+    forward bisimulation; no intermediate automaton is built.  Inputs
+    larger than the cap, or explorations beyond the fixed state or
+    branching limits, raise :class:`ResourceLimitError` naming the cap.
     """
     if a.role != "nba":
         raise AutomatonError("complementation needs an nba")
@@ -375,32 +383,28 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
             cap_name=COMPLEMENT_CAP_ENV,
             cap_value=the_cap,
         )
-    finals = a.final_states
-    r_max = 2 * (n - len(finals))
+    final = [q in a.final_states for q in a.states]
+    r_max = 2 * (n - sum(final))
+    gens = list(_symbol_masks(a).values())
+    succ_lists = [[[t for t in range(n) if m >> t & 1] for m in g] for g in gens]
 
-    StateT = tuple[tuple[tuple[str, int], ...], frozenset[str]]
-    init: StateT = (((a.initial, r_max),), frozenset())
-    names: dict[StateT, str] = {init: "kv0"}
-    transitions: dict[tuple[str, str], list[str]] = {}
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
-        ranking, owing = state
-        g = dict(ranking)
-        for sym in a.alphabet:
-            succ_bound: dict[str, int] = {}
-            for q, r in g.items():
-                for t in a.successors(q, sym):
+    StateT = tuple[tuple[tuple[int, int], ...], int]
+    init: StateT = (((a.index[a.initial], r_max),), 0)
+    ids: dict[StateT, int] = {init: 0}
+    found = [init]
+    table: list[list[list[int]]] = []
+    for ranking, owing in found:  # grows while it is read: breadth-first
+        rows = []
+        for g, succ in zip(gens, succ_lists):
+            succ_bound: dict[int, int] = {}
+            for q, r in ranking:
+                for t in succ[q]:
                     succ_bound[t] = min(succ_bound.get(t, r_max), r)
-            dom = sorted(succ_bound, key=a.index.__getitem__)
-            choices: list[list[int]] = []
+            dom = sorted(succ_bound)
+            choices: list[range] = []
             count = 1
             for t in dom:
-                allowed = [
-                    r
-                    for r in range(succ_bound[t] + 1)
-                    if t not in finals or r % 2 == 0
-                ]
+                allowed = range(0, succ_bound[t] + 1, 2 if final[t] else 1)
                 choices.append(allowed)
                 count *= len(allowed)
                 if count > COMPLEMENT_BRANCH_LIMIT:
@@ -411,108 +415,125 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
                         cap_name="branch_cap",
                         cap_value=COMPLEMENT_BRANCH_LIMIT,
                     )
-            owing_succ = {
-                t for q in owing for t in a.successors(q, sym) if t in succ_bound
-            }
+            owing_succ = _image(owing, g)
             targets = []
             for combo in itertools.product(*choices):
                 g2 = tuple(zip(dom, combo))
-                even = {t for t, r in g2 if r % 2 == 0}
-                if owing:
-                    o2 = frozenset(owing_succ & even)
-                else:
-                    o2 = frozenset(even)
-                nxt: StateT = (g2, o2)
-                if nxt not in names:
-                    if len(names) >= COMPLEMENT_STATE_LIMIT:
+                even = 0
+                for t, r in g2:
+                    if not r & 1:
+                        even |= 1 << t
+                nxt: StateT = (g2, owing_succ & even if owing else even)
+                j = ids.get(nxt)
+                if j is None:
+                    if len(ids) >= COMPLEMENT_STATE_LIMIT:
                         raise ResourceLimitError(
                             f"complement exploration exceeds "
                             f"{COMPLEMENT_STATE_LIMIT} states; the limit is fixed",
                             cap_name="state_cap",
                             cap_value=COMPLEMENT_STATE_LIMIT,
                         )
-                    names[nxt] = f"kv{len(names)}"
-                    queue.append(nxt)
-                targets.append(names[nxt])
-            transitions[(names[state], sym)] = targets
-    out = Automaton(
-        name=f"compl({a.name})",
-        role="nba",
-        alphabet=a.alphabet,
-        states=tuple(names.values()),
-        initial="kv0",
-        acceptance=BuchiAcceptance(
-            frozenset(name for s, name in names.items() if not s[1])
-        ),
-        transitions={k: tuple(v) for k, v in transitions.items()},
-    )
-    return _reduce_nba(out)
+                    j = ids[nxt] = len(found)
+                    found.append(nxt)
+                targets.append(j)
+            targets.sort()
+            rows.append(targets)
+        table.append(rows)
+    accepting = {i for i, (_, owing) in enumerate(found) if not owing}
+    return _quotient(f"compl({a.name})", a.alphabet, table, accepting, 0)
 
 
 def _reduce_nba(a: Automaton) -> Automaton:
-    """Trim to states on some accepting run and quotient by forward bisimulation."""
-    adjacency = a.support_adjacency()
-    finals = a.final_states
-    cycles = accepting_cycles(a.states, adjacency, finals)
-    live = coreachable([q for comp in cycles for q in comp], adjacency)
-    if a.initial not in live:
-        return _empty_nba(a.name, a.alphabet, "kv0")
-    # live successors per symbol; forward reachability within live states
-    # closes keep under them, so from a kept state they all stay in keep
-    succ = {
-        (q, sym): [t for t in a.successors(q, sym) if t in live]
-        for q in live
-        for sym in a.alphabet
+    """Trim to states on some accepting run and quotient by forward bisimulation.
+
+    :func:`_quotient` over the integer successor table of ``a``, states
+    numbered in declaration order; building the table is linear in the
+    transitions.
+    """
+    idx = a.index
+    table = [
+        [[idx[t] for t in a.successors(q, sym)] for sym in a.alphabet]
+        for q in a.states
+    ]
+    finals = {idx[q] for q in a.final_states}
+    return _quotient(a.name, a.alphabet, table, finals, idx[a.initial])
+
+
+def _quotient(
+    name: str,
+    alphabet: tuple[str, ...],
+    table: Sequence[Sequence[Sequence[int]]],
+    finals: Container[int],
+    initial: int,
+) -> Automaton:
+    """The trimmed forward-bisimulation quotient of an integer NBA.
+
+    ``table[q][i]`` lists the successors of state q on ``alphabet[i]`` in
+    ascending order.  States off every accepting run from ``initial`` are
+    dropped; if that is all of them the result is the one-state empty NBA.
+    The kept states are split, starting from {final, non-final}, by their
+    signature: own block plus, per symbol, the bitmask of successor blocks,
+    until the block count stops growing.  That is the coarsest partition in
+    which a block's members share finality and successor blocks, so each
+    round costs O(|kept| + |edges|) and at most |kept| rounds run.  Blocks
+    are named ``kv0``, ``kv1``, ... in breadth-first order from the initial
+    block, reading each block's first member's successors in state order.
+    """
+    adjacency = {
+        q: sorted({t for row in rows for t in row}) for q, rows in enumerate(table)
     }
-    keep = _explore([(a.initial, ())], lambda q, sym: succ[q, sym], a.alphabet)
-    kept = [q for q in a.states if q in keep]
-    # partition refinement: blocks must stay acceptance-pure
-    block_of = {q: (q in finals) for q in kept}
+    cycles = accepting_cycles(range(len(table)), adjacency, finals)
+    live = coreachable([q for comp in cycles for q in comp], adjacency)
+    if initial not in live:
+        return _empty_nba(name, alphabet, "kv0")
+    # live successors; forward reachability within live states closes keep
+    # under them, so from a kept state they all stay in keep
+    succ = {q: [[t for t in row if t in live] for row in table[q]] for q in live}
+    symbols = range(len(alphabet))
+    kept = sorted(_explore([(initial, ())], lambda q, i: succ[q][i], symbols))
+    block = {q: int(q in finals) for q in kept}
+    count = len(set(block.values()))
     while True:
-        sig = {
-            q: (
-                block_of[q],
-                tuple(
-                    frozenset(block_of[t] for t in succ[q, sym]) for sym in a.alphabet
-                ),
-            )
-            for q in kept
-        }
-        new_ids: dict = {}
+        sigs: dict[tuple[int, ...], int] = {}
         new_block = {}
         for q in kept:
-            new_block[q] = new_ids.setdefault(sig[q], len(new_ids))
-        if len(new_ids) == len(set(block_of.values())):
-            block_of = new_block
+            sig = [block[q]]
+            for row in succ[q]:
+                mask = 0
+                for t in row:
+                    mask |= 1 << block[t]
+                sig.append(mask)
+            new_block[q] = sigs.setdefault(tuple(sig), len(sigs))
+        block = new_block
+        if len(sigs) == count:
             break
-        block_of = new_block
-    # name blocks in BFS discovery order from the initial block; every
-    # block is reached, since every kept state is
-    rep: dict[int, str] = {}
-    for q in kept:
-        rep.setdefault(block_of[q], q)
-    blocks = _explore(
-        [(block_of[a.initial], ())],
-        lambda b, sym: [block_of[t] for t in succ[rep[b], sym]],
-        a.alphabet,
-    )
-    naming = {b: f"kv{i}" for i, b in enumerate(blocks)}
+        count = len(sigs)
     # at the fixpoint the members of a block share their acceptance and
     # their successor blocks, so one member gives the block's row
+    rep: dict[int, int] = {}
+    for q in kept:
+        rep.setdefault(block[q], q)
+    order = list(_explore(
+        [(block[initial], ())],
+        lambda b, i: [block[t] for t in succ[rep[b]][i]],
+        symbols,
+    ))
+    number = {b: i for i, b in enumerate(order)}
+    names = [f"kv{i}" for i in range(len(order))]
     transitions: dict[tuple[str, str], tuple[str, ...]] = {}
-    for b, src in naming.items():
-        for sym in a.alphabet:
-            targets = {naming[block_of[t]] for t in succ[rep[b], sym]}
-            if targets:
-                transitions[(src, sym)] = tuple(sorted(targets))
+    for src, b in zip(names, order):
+        for sym, row in zip(alphabet, succ[rep[b]]):
+            if row:
+                targets = sorted({number[block[t]] for t in row})
+                transitions[(src, sym)] = tuple(names[i] for i in targets)
     return Automaton(
-        name=a.name,
+        name=name,
         role="nba",
-        alphabet=a.alphabet,
-        states=tuple(naming.values()),
+        alphabet=alphabet,
+        states=tuple(names),
         initial="kv0",
         acceptance=BuchiAcceptance(
-            frozenset(src for b, src in naming.items() if rep[b] in finals)
+            frozenset(src for src, b in zip(names, order) if rep[b] in finals)
         ),
         transitions=transitions,
     )
@@ -760,18 +781,31 @@ def _safe_start_mask(rows: tuple[int, ...], reject_index: int) -> int:
 
     On the support graph of one macro-step matrix, absorption is almost sure
     into bottom SCCs; a start state is "doomed" iff every bottom SCC it can
-    reach is the reject singleton.  Returns the bitmask of doomed states.
+    reach is the reject singleton.  The reflexive-transitive closure comes
+    from Warshall's algorithm on the row bitmasks, O(n^2) word operations.
+    Returns the bitmask of doomed states.
     """
-    n = len(rows)
-    adjacency = {i: [j for j in range(n) if rows[i] >> j & 1] for i in range(n)}
-    bad = [  # nodes of bottom SCCs other than the reject singleton
-        q
-        for comp in bottom_sccs(range(n), adjacency)
-        if comp != [reject_index]
-        for q in comp
-    ]
-    reach_bad = coreachable(bad, adjacency)
-    return sum(1 << q for q in range(n) if q not in reach_bad)
+    closure = [r | 1 << i for i, r in enumerate(rows)]
+    for k in range(len(closure)):
+        through, bit = closure[k], 1 << k
+        closure = [c | through if c & bit else c for c in closure]
+    return _doomed_mask(closure, reject_index)
+
+
+def _doomed_mask(closure: Sequence[int], reject_index: int) -> int:
+    """:func:`_safe_start_mask` from the reflexive-transitive closure.
+
+    State j lies in a bottom SCC iff every state it reaches reaches it back;
+    its component is then ``closure[j]``.
+    """
+    n = len(closure)
+    bad = 0  # states of bottom SCCs other than the reject singleton
+    for j, c in enumerate(closure):
+        if c != 1 << reject_index and all(
+            closure[k] >> j & 1 for k in range(n) if c >> k & 1
+        ):
+            bad |= 1 << j
+    return sum(1 << q for q, c in enumerate(closure) if not c & bad)
 
 
 def fpm_positive_universal(
@@ -784,10 +818,23 @@ def fpm_positive_universal(
 
     Non-universality always has an ultimately periodic witness; whether a
     lasso u v^omega is rejected almost surely depends only on the support S
-    reached on u and the support matrix of v (absorption into the reject is
-    a bottom-SCC condition on the macro-step graph).  Scanning the reachable
-    supports of the deterministic subset automaton against the transition
-    monoid is therefore a complete decision.
+    reached on u and the support matrix x of v (absorption into the reject
+    is a bottom-SCC condition on the macro-step graph).  Scanning the
+    reachable supports of the deterministic subset automaton against the
+    transition monoid is therefore a complete decision.
+
+    The scan pays per idempotent, not per element (the Ramsey view of
+    Fogarty & Vardi, TACAS 2010): the reject absorbs, so x and its
+    idempotent power x^k doom the same states, and the support graph of an
+    idempotent is transitive, so its doomed mask needs no closure.  Each
+    support is tested against the subset-maximal masks only, an antichain
+    (De Wulf et al., CAV 2006).  The first support that is hit is then
+    matched against the monoid in discovery order, computing doomed masks
+    only until the first element that dooms it, which gives the shortlex
+    witness of the exhaustive scan.  Beyond the monoid itself this costs
+    O(n) support steps per element for the idempotent test, O(n^2) bit
+    tests per idempotent, one test per support and antichain mask, and on
+    a non-universal answer O(n^2) word operations per element scanned.
     """
     if m.role != "fpm":
         raise AutomatonError("fpm_positive_universal needs an fpm")
@@ -795,6 +842,13 @@ def fpm_positive_universal(
     assert m.reject is not None
     idx = m.index
     reject_index = idx[m.reject]
+    doomed = set()
+    for _, element in monoid:
+        rows = element.rows
+        if all(_image(r, rows) == r for r in rows):  # idempotent, so transitive
+            closure = [r | 1 << i for i, r in enumerate(rows)]
+            doomed.add(_doomed_mask(closure, reject_index))
+    maximal = [d for d in doomed if not any(d != e and not d & ~e for e in doomed)]
     # reachable supports with shortest realizing stems (empty stem allowed),
     # in shortlex order of the stems
     masks = _symbol_masks(m)
@@ -804,22 +858,24 @@ def fpm_positive_universal(
         m.alphabet,
         cancel=cancel,
     )
-    doomed_of: list[int] = [
-        _safe_start_mask(element.rows, reject_index) for _, element in monoid
-    ]
     for s, stem in supports.items():
         _check_cancel(cancel)
-        for (vword, _element), doomed in zip(monoid, doomed_of):
-            if s & ~doomed:
-                continue
-            w = LassoWord(stem, vword).normalized()
-            if lasso_acceptance(m, w) != 0:
-                raise CertificationError(
-                    f"rejected-lasso counterexample {format_lasso(w, m.alphabet)} "
-                    f"has positive acceptance"
-                )
-            return w
-    return None
+        if any(not s & ~d for d in maximal):
+            break
+    else:
+        return None
+    cycle = next(
+        vword
+        for vword, element in monoid
+        if not s & ~_safe_start_mask(element.rows, reject_index)
+    )
+    w = LassoWord(stem, cycle).normalized()
+    if lasso_acceptance(m, w) != 0:
+        raise CertificationError(
+            f"rejected-lasso counterexample {format_lasso(w, m.alphabet)} "
+            f"has positive acceptance"
+        )
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +1056,16 @@ def containment_refute(
         raise AutomatonError("bound must be at least 1")
     for aut in (b1, b2):
         require_valid(aut)
+    for aut in (b1, b2):
+        if not aut.is_probabilistic:
+            raise AutomatonError("lasso acceptance needs a probabilistic automaton")
     for w in _lassos(b1.alphabet, bound, bound):
         _check_cancel(cancel)
-        p1 = lasso_acceptance(b1, w)
+        p1 = _lasso_value(b1, w)
         if semantics == "positive":
-            if p1 > 0 and lasso_acceptance(b2, w) == 0:
+            if p1 > 0 and _lasso_value(b2, w) == 0:
                 return w
         else:
-            if p1 == 1 and lasso_acceptance(b2, w) < 1:
+            if p1 == 1 and _lasso_value(b2, w) < 1:
                 return w
     return None

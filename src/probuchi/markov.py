@@ -360,8 +360,12 @@ def lasso_acceptance(aut: Automaton, w: LassoWord) -> Fraction:
         raise AutomatonError("lasso acceptance needs a probabilistic automaton")
     require_valid(aut)
     aut.check_symbols(w.stem)
-    chain = build_lasso_chain(aut, w)
+    return _lasso_value(aut, w)
 
+
+def _lasso_value(aut: Automaton, w: LassoWord) -> Fraction:
+    """:func:`lasso_acceptance` once the automaton and the stem are checked."""
+    chain = build_lasso_chain(aut, w)
     solved = _absorption(chain, len(w.cycle))
     total = Fraction(0)
     for node, mass in chain.initial.items():

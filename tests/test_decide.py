@@ -491,6 +491,27 @@ def test_containment_refute_rejects_bounds_below_one():
             containment_refute(m, m, "positive", bound)
 
 
+def test_containment_refute_validates_each_operand_once(monkeypatch):
+    from probuchi import core
+
+    calls = []
+    validate = core.validate
+    monkeypatch.setattr(core, "validate", lambda aut: calls.append(aut) or validate(aut))
+    m = gen_m_id()
+    assert containment_refute(m, m, "positive", 2) is None
+    assert len(calls) == 2
+
+
+def test_containment_refute_needs_probabilistic_operands():
+    from probuchi import AutomatonError
+
+    m = gen_m_id()
+    nba = random_nba(random.Random(3), 2, m.alphabet)
+    for b1, b2 in ((m, nba), (nba, m)):
+        with pytest.raises(AutomatonError, match="needs a probabilistic automaton"):
+            containment_refute(b1, b2, "positive", 2)
+
+
 def _mixed_width_nba():
     """NBA over (ab, a, b) whose emptiness witness is the lasso ;a,b."""
     return Automaton(

@@ -7,13 +7,16 @@ the ``list.pop(0)`` breadth-first monoid enumerators, the early-exit
 cycle-word search, the layered breadth-first reach words, the NBA trim and
 quotient with its own searches, the private NBA lasso product, the
 monitor's own accumulation loop, the dense absorption system over every
-mixed node of a lasso chain and the sampler that refines a ``Fraction``
-interval.  They are kept here only as oracles; the properties require the
-kernel to give exactly the same answers, in the same order.
+mixed node of a lasso chain, the sampler that refines a ``Fraction``
+interval, the monitor universality scan over every monoid element's
+doomed mask and the rank-based complement explored on state names.  They
+are kept here only as oracles; the properties require the kernel to give
+exactly the same answers, in the same order.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
@@ -23,13 +26,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probuchi import decide
-from probuchi.construct import _empty_nba
-from probuchi.core import Automaton, BuchiAcceptance, LassoWord, RabinAcceptance
+from probuchi.construct import _empty_nba, complement_to_fpm
+from probuchi.core import (
+    Automaton,
+    BuchiAcceptance,
+    LassoWord,
+    RabinAcceptance,
+    ResourceLimitError,
+)
 from probuchi.decide import (
+    _doomed_mask,
     _lex_reach_words,
     _profile_monoid,
     _reduce_nba,
     _safe_start_mask,
+    fpm_positive_universal,
     nba_complement,
     nba_lasso_member,
     transition_monoid,
@@ -500,6 +511,96 @@ def ref_reduce_nba(a):
     )
 
 
+def ref_image(mask, rows):
+    out = 0
+    for j, row in enumerate(rows):
+        if mask >> j & 1:
+            out |= row
+    return out
+
+
+def ref_compose(x, y):
+    return tuple(ref_image(m, y) for m in x)
+
+
+def ref_fpm_positive_universal(m):
+    """The exhaustive scan: every reachable support against every monoid
+    element's doomed mask.  Returns the lasso and the rows of the witness
+    element, or None."""
+    elements = ref_transition_monoid(m)
+    idx = m.index
+    reject = idx[m.reject]
+    gen = ref_symbol_masks(m)
+    start = 1 << idx[m.initial]
+    supports = {start: ()}
+    queue = [start]
+    while queue:
+        s = queue.pop(0)
+        for a in m.alphabet:
+            t = ref_image(s, gen[a])
+            if t not in supports:
+                supports[t] = supports[s] + (a,)
+                queue.append(t)
+    doomed = [ref_safe_start_mask(rows, reject) for _, rows in elements]
+    for s, stem in supports.items():
+        for (vword, rows), d in zip(elements, doomed):
+            if s & ~d == 0:
+                return LassoWord(stem, vword).normalized(), rows
+    return None
+
+
+def ref_nba_complement(a):
+    """The rank-based complement on state names, reduced by ref_reduce_nba."""
+    finals = a.final_states
+    n = len(a.states)
+    r_max = 2 * (n - len(finals))
+    init = (((a.initial, r_max),), frozenset())
+    names = {init: "kv0"}
+    transitions = {}
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        ranking, owing = state
+        g = dict(ranking)
+        for sym in a.alphabet:
+            succ_bound = {}
+            for q, r in g.items():
+                for t in a.successors(q, sym):
+                    succ_bound[t] = min(succ_bound.get(t, r_max), r)
+            dom = sorted(succ_bound, key=a.index.__getitem__)
+            choices = []
+            count = 1
+            for t in dom:
+                allowed = [r for r in range(succ_bound[t] + 1) if t not in finals or r % 2 == 0]
+                choices.append(allowed)
+                count *= len(allowed)
+                if count > decide.COMPLEMENT_BRANCH_LIMIT:
+                    raise ResourceLimitError("branching", "branch_cap", count)
+            owing_succ = {t for q in owing for t in a.successors(q, sym) if t in succ_bound}
+            targets = []
+            for combo in itertools.product(*choices):
+                g2 = tuple(zip(dom, combo))
+                even = {t for t, r in g2 if r % 2 == 0}
+                nxt = (g2, frozenset(owing_succ & even) if owing else frozenset(even))
+                if nxt not in names:
+                    if len(names) >= decide.COMPLEMENT_STATE_LIMIT:
+                        raise ResourceLimitError("states", "state_cap", len(names))
+                    names[nxt] = f"kv{len(names)}"
+                    queue.append(nxt)
+                targets.append(names[nxt])
+            transitions[(names[state], sym)] = tuple(targets)
+    out = Automaton(
+        name=f"compl({a.name})",
+        role="nba",
+        alphabet=a.alphabet,
+        states=tuple(names.values()),
+        initial="kv0",
+        acceptance=BuchiAcceptance(frozenset(name for s, name in names.items() if not s[1])),
+        transitions=transitions,
+    )
+    return ref_reduce_nba(out)
+
+
 def ref_nba_lasso_member(a, w):
     """Stem loop and a private (state, cycle position) search."""
     current = {a.initial}
@@ -846,6 +947,115 @@ def test_twinned_nbas_merge_states():
                     stack.append(t)
         merged += len(_reduce_nba(a).states) < len(kept)
     assert merged >= 270
+
+
+def complement_outcome(complement, a: Automaton) -> str:
+    """The serialized complement, or the name of the limit it ran into."""
+    try:
+        return serialize(complement(a))
+    except ResourceLimitError as err:
+        return f"limit {err.cap_name}"
+
+
+# A state limit low enough that the reference exploration stays quick on
+# every drawn input; both sides read it when called.
+TEST_STATE_LIMIT = 1_000
+
+
+def complement_outcomes(a: Automaton) -> tuple[str, str]:
+    """The complement's and the reference's outcomes under the test limit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "COMPLEMENT_STATE_LIMIT", TEST_STATE_LIMIT)
+        return (complement_outcome(nba_complement, a),
+                complement_outcome(ref_nba_complement, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_nba_complement_matches_reference_exploration(seed):
+    rng = random.Random(seed)
+    a = random_nba(rng, rng.randint(1, 4), rng.choice([("a", "b"), ("a", "b", "c")]))
+    got, want = complement_outcomes(a)
+    assert got == want
+
+
+def small_twinned_nba(rng: random.Random) -> Automaton:
+    """A twinned NBA within the default complementation cap of 10 states."""
+    a = twinned_nba(rng)
+    while len(a.states) > 10:
+        a = twinned_nba(rng)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_nba_complement_matches_reference_exploration_on_twinned_nbas(seed):
+    got, want = complement_outcomes(small_twinned_nba(random.Random(seed)))
+    assert got == want
+
+
+def test_complement_cases_are_mostly_built():
+    # Guard against vacuous complement properties: most drawn cases of
+    # either kind must finish under the test limit with a nonempty result.
+    rng = random.Random(13)
+    plain = twinned = 0
+    for _ in range(40):
+        a = random_nba(rng, rng.randint(1, 4), rng.choice([("a", "b"), ("a", "b", "c")]))
+        plain += "final: kv" in complement_outcomes(a)[0]
+        twinned += "final: kv" in complement_outcomes(small_twinned_nba(rng))[0]
+    assert plain >= 20 and twinned >= 20
+
+
+def fpm_case(rng: random.Random, complemented: bool) -> Automaton:
+    """A random monitor, or the complementation monitor of a random PBA,
+    which is far more often universal."""
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    if complemented:
+        return complement_to_fpm(random_pba(rng, rng.randint(1, 4), alphabet))
+    return random_fpm(rng, rng.randint(2, 7), alphabet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.booleans())
+def test_fpm_positive_universal_matches_exhaustive_scan(seed, complemented):
+    m = fpm_case(random.Random(seed), complemented)
+    want = ref_fpm_positive_universal(m)
+    assert fpm_positive_universal(m) == (None if want is None else want[0])
+
+
+def test_fpm_universality_cases_are_mixed():
+    # Guard against a vacuous universality property: both answers must be
+    # common, and many witness elements must not be idempotent, so the
+    # lazy scan has to find an element the idempotent masks do not list.
+    rng = random.Random(14)
+    universal = refuted = non_idempotent = 0
+    for i in range(600):
+        want = ref_fpm_positive_universal(fpm_case(rng, i % 2 == 0))
+        if want is None:
+            universal += 1
+        else:
+            refuted += 1
+            rows = want[1]
+            non_idempotent += ref_compose(rows, rows) != rows
+    assert universal >= 30 and refuted >= 30 and non_idempotent >= 30
+
+
+def test_doomed_mask_is_the_idempotent_powers():
+    # doomed(x) == doomed(x^omega) on every monoid element, where x^omega is
+    # the idempotent among the powers of x; the idempotent's mask also comes
+    # from its rows without a closure.
+    rng = random.Random(15)
+    for _ in range(300):
+        m = random_fpm(rng, rng.randint(2, 7), rng.choice([("a", "b"), ("a", "b", "c")]))
+        reject = m.index[m.reject]
+        for _, x in ref_transition_monoid(m):
+            e = x
+            while ref_compose(e, e) != e:
+                e = ref_compose(e, x)
+            doomed = ref_safe_start_mask(x, reject)
+            assert ref_safe_start_mask(e, reject) == doomed
+            closure = [r | 1 << i for i, r in enumerate(e)]
+            assert _doomed_mask(closure, reject) == doomed
 
 
 def random_weights(rng: random.Random) -> list[Fraction]:
