@@ -20,7 +20,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Sequence, TypeVar
 
 from .core import (
     Automaton,
@@ -36,9 +36,13 @@ from .core import (
 from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
 from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
 from .markov import (
+    _ONE,
+    _ZERO,
     Distribution,
     _bscc_accepting,
+    _cycle_values,
     _lasso_value,
+    _step,
     final_passage_matrix,
     lasso_acceptance,
     word_matrix,
@@ -267,13 +271,23 @@ def _lex_reach_words(
     return _explore(seeds, aut.successors, aut.alphabet)
 
 
-def _lassos(
-    alphabet: tuple[str, ...], stem_bound: int, cycle_bound: int
-) -> Iterator[LassoWord]:
-    """All lassos with |stem| <= stem_bound, 1 <= |cycle| <= cycle_bound."""
-    for u in all_words(alphabet, 0, stem_bound):
-        for v in all_words(alphabet, 1, cycle_bound):
-            yield LassoWord(u, v)
+def _walk_stems(
+    alphabet: Sequence[S],
+    bound: int,
+    start: K,
+    step: Callable[[K, S], K],
+    cancel: Cancel = None,
+) -> dict[tuple[S, ...], K]:
+    """``start`` carried along every stem of length <= ``bound`` by ``step``.
+
+    Stems come in :func:`all_words` order, the empty one first, and each is
+    one ``step`` from its prefix, so the walk costs one step per stem.
+    """
+    walked = {(): start}
+    for u in all_words(alphabet, 1, bound):
+        _check_cancel(cancel)
+        walked[u] = step(walked[u[:-1]], u[-1])
+    return walked
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +315,30 @@ def _lasso_member(a: Automaton, w: LassoWord) -> bool:
     current = post(a, a.initial, w.stem)
     if not current:
         return False
-    rows = a.transitions  # target tuples, since the role is nondeterministic
-    nodes, _, adjacency = lasso_product(
-        current, w.cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
-    )
+    nodes, adjacency = _support_product(a, current, w.cycle)
     if a.role == "dra":
         (loop,) = bottom_sccs(nodes, adjacency)
         return _bscc_accepting(a, loop)
+    return bool(_accepting_loops(a, nodes, adjacency))
+
+
+def _support_product(
+    a: Automaton, start: Iterable[str], cycle: Sequence[str]
+) -> tuple[list[tuple[str, int]], dict]:
+    """Nodes and successors of the (state, cycle position) graph of ``cycle``."""
+    rows = a.transitions  # target tuples, since the role is nondeterministic
+    nodes, _, adjacency = lasso_product(
+        start, cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
+    )
+    return nodes, adjacency
+
+
+def _accepting_loops(
+    a: Automaton, nodes: list[tuple[str, int]], adjacency: dict
+) -> list[list[tuple[str, int]]]:
+    """Components of an NBA's support product with a cycle through a final state."""
     finals = a.final_states
-    final_nodes = {n for n in nodes if n[0] in finals}
-    return bool(accepting_cycles(nodes, adjacency, final_nodes))
+    return accepting_cycles(nodes, adjacency, {n for n in nodes if n[0] in finals})
 
 
 def nba_emptiness(a: Automaton) -> LassoWord | None:
@@ -597,7 +625,10 @@ def nba_universality(
 ) -> LassoWord | None:
     """None when the NBA accepts every word, else a rejected counterexample.
 
-    A bounded lasso search runs first as a fast path.  The complete decision
+    A bounded lasso search runs first as a fast path: stems and cycles up
+    to length 3, at one support product and one SCC search per cycle
+    (sum_{1<=c<=3} |Sigma|^c of them) rather than per lasso, and one
+    successor set per stem.  The complete decision
     enumerates the finite monoid of transition profiles (reachability with
     and without touching a final state) and checks every linked pair
     (U, V idempotent, UV = U): the language is universal iff each such pair
@@ -608,10 +639,10 @@ def nba_universality(
     if a.role != "nba":
         raise AutomatonError("universality needs an nba")
     require_valid(a)
-    for w in _lassos(a.alphabet, _PROBE_BOUND, _PROBE_BOUND):
-        _check_cancel(cancel)
-        if not _lasso_member(a, w):
-            return w
+    probed = _universality_probe(a, cancel)
+    if probed is not None:
+        _certify_rejected(a, probed)
+        return probed
     elements = _profile_monoid(a, _cap(monoid_cap, MONOID_CAP_ENV, 10**6), cancel)
     if progress is not None:
         progress(f"profile monoid has {len(elements)} elements")
@@ -635,13 +666,49 @@ def nba_universality(
                 continue
             if not _image(u[0][idx0], v_reach) & loops:
                 witness = LassoWord(uw, vw)
-                if _lasso_member(a, witness):
-                    raise CertificationError(
-                        f"universality counterexample "
-                        f"{format_lasso(witness, a.alphabet)} is accepted"
-                    )
+                _certify_rejected(a, witness)
                 return witness
     return None
+
+
+def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None:
+    """The first lasso within :data:`_PROBE_BOUND` that ``a`` rejects, or None.
+
+    Lassos come stem by stem, each stem's cycles in :func:`all_words` order.
+    Each stem's successor set is computed once, and each cycle v gets one
+    support product, started from the union of those sets: v keeps the set
+    of states q whose node (q, 0) reaches an accepting loop, and u v^omega
+    is rejected exactly when post(u) misses that set.
+    """
+    stems = _walk_stems(
+        a.alphabet,
+        _PROBE_BOUND,
+        frozenset({a.initial}),
+        lambda qs, sym: frozenset(t for q in qs for t in a.successors(q, sym)),
+        cancel,
+    )
+    starts = frozenset().union(*stems.values())
+    cycles = list(all_words(a.alphabet, 1, _PROBE_BOUND))
+    accepted_from: dict[tuple[str, ...], set[str]] = {}
+    for u, current in stems.items():
+        for v in cycles:
+            _check_cancel(cancel)
+            if v not in accepted_from:
+                nodes, adjacency = _support_product(a, starts, v)
+                loops = _accepting_loops(a, nodes, adjacency)
+                reach = coreachable((n for comp in loops for n in comp), adjacency)
+                accepted_from[v] = {q for q, i in reach if not i}
+            if current.isdisjoint(accepted_from[v]):
+                return LassoWord(u, v)
+    return None
+
+
+def _certify_rejected(a: Automaton, w: LassoWord) -> None:
+    """Raise :class:`CertificationError` unless ``a`` rejects ``w``."""
+    if _lasso_member(a, w):
+        raise CertificationError(
+            f"universality counterexample {format_lasso(w, a.alphabet)} is accepted"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1113,15 @@ def containment_refute(
     Containment is undecidable in both semantics, so only refutation is
     offered: the first lasso (stem and cycle up to ``bound``) in L(b1) but
     not L(b2), certified by exact acceptance probabilities, or None for
-    "unknown".
+    "unknown".  Lassos come stem by stem, each stem's cycles in
+    :func:`all_words` order.  A lasso's chain depends only on its cycle, so
+    each operand solves at most one chain per cycle, from the union of its
+    stems' supports, and scores a lasso as its stem masses times those
+    per-state values: sum_{1<=c<=bound} |Sigma|^c solves per operand
+    instead of one per lasso, for O(|Sigma|^bound * |Q|) stored masses and
+    values.  ``b2``'s chain for a cycle is solved only once ``b1``'s value
+    calls for it.  The witness is re-checked by each operand's per-lasso
+    solve.
     """
     if semantics not in ("positive", "almost-sure"):
         raise AutomatonError("semantics must be positive or almost-sure")
@@ -1059,13 +1134,45 @@ def containment_refute(
     for aut in (b1, b2):
         if not aut.is_probabilistic:
             raise AutomatonError("lasso acceptance needs a probabilistic automaton")
-    for w in _lassos(b1.alphabet, bound, bound):
-        _check_cancel(cancel)
-        p1 = _lasso_value(b1, w)
-        if semantics == "positive":
-            if p1 > 0 and _lasso_value(b2, w) == 0:
-                return w
-        else:
-            if p1 == 1 and _lasso_value(b2, w) < 1:
-                return w
+    autos = (b1, b2)
+
+    def step(masses, sym):
+        return tuple(
+            {q: p for q, p in _step(aut, m, sym).items() if p}
+            for aut, m in zip(autos, masses)
+        )
+
+    stems = _walk_stems(b1.alphabet, bound, ({b1.initial: _ONE}, {b2.initial: _ONE}),
+                        step, cancel)
+    starts = [frozenset().union(*(m[k] for m in stems.values())) for k in (0, 1)]
+    values: tuple[dict, dict] = ({}, {})
+
+    def value(k: int, masses, v: tuple[str, ...]) -> Fraction:
+        per_state = values[k].get(v)
+        if per_state is None:
+            per_state = values[k][v] = _cycle_values(autos[k], starts[k], v)
+        return sum((p * per_state[q] for q, p in masses[k].items()), _ZERO)
+
+    positive = semantics == "positive"
+    cycles = list(all_words(b1.alphabet, 1, bound))
+    for u, masses in stems.items():
+        for v in cycles:
+            _check_cancel(cancel)
+            p1 = value(0, masses, v)
+            if positive:
+                hit = p1 > 0 and value(1, masses, v) == 0
+            else:
+                hit = p1 == 1 and value(1, masses, v) < 1
+            if not hit:
+                continue
+            w = LassoWord(u, v)
+            scanned = (p1, value(1, masses, v))
+            exact = (_lasso_value(b1, w), _lasso_value(b2, w))
+            if scanned != exact:
+                raise CertificationError(
+                    f"containment witness {format_lasso(w, b1.alphabet)} scanned "
+                    f"as {scanned[0]} and {scanned[1]}, but its acceptance "
+                    f"probabilities are {exact[0]} and {exact[1]}"
+                )
+            return w
     return None

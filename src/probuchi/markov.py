@@ -9,6 +9,8 @@ the unknowns at cycle positions 1 to L-1 are eliminated into affine forms in
 the m0 <= |Q| unknowns at position 0, which costs O(L*E*m0 + m0^3) for a
 chain with E edges instead of the O((|Q|*L)^3) of one dense system
 (Baier & Katoen, Principles of Model Checking, section 10.1; Bareiss 1968).
+The chain depends only on the cycle, so a scan over many lassos solves it
+once per cycle and weighs the per-state values by each stem's masses.
 Everything is a pure function over immutable inputs; floating point never
 appears here.
 """
@@ -309,10 +311,20 @@ def build_lasso_chain(aut: Automaton, w: LassoWord) -> LassoChain:
     for a in w.stem:
         dist = dist.step(aut, a)
     aut.check_symbols(w.cycle)
+    return _chain(aut, dist.entries, w.cycle)
 
+
+def _chain(
+    aut: Automaton, masses: Mapping[str, Fraction], cycle: Sequence[str]
+) -> LassoChain:
+    """The chain of ``cycle`` started from ``masses`` at cycle position 0.
+
+    Only the cycle shapes the chain; the masses, which a stem put on the
+    states, become its initial distribution and their support its start.
+    """
     nodes, edges, adjacency = lasso_product(
-        sorted(dist.support(), key=aut.index.__getitem__),
-        w.cycle,
+        sorted(masses, key=aut.index.__getitem__),
+        cycle,
         aut.prob_row,
         aut.index,
     )
@@ -340,12 +352,32 @@ def build_lasso_chain(aut: Automaton, w: LassoWord) -> LassoChain:
     return LassoChain(
         nodes=tuple(nodes),
         edges=edges,
-        initial={(q, 0): p for q, p in dist.entries.items()},
+        initial={(q, 0): p for q, p in masses.items()},
         value_of=value_of,
         bscc_nodes=frozenset(bscc_value),
         accepting_bsccs=sum(accepting),
         rejecting_bsccs=len(accepting) - sum(accepting),
     )
+
+
+def _cycle_values(
+    aut: Automaton, starts: Iterable[str], cycle: Sequence[str]
+) -> dict[str, Fraction]:
+    """Exact acceptance of ``cycle``^omega from each state of ``starts``.
+
+    The value of a node depends only on the chain it reaches, so one chain
+    from all of ``starts`` and one absorption solve give the value of every
+    lasso u ``cycle``^omega whose stem support lies in ``starts``: the sum
+    over q of mass_u(q) times value(q).  The automaton and the symbols must
+    be checked.
+    """
+    chain = _chain(aut, dict.fromkeys(starts, _ONE), cycle)
+    solved = _absorption(chain, len(cycle))
+    values = {}
+    for node in chain.initial:
+        v = chain.value_of[node]
+        values[node[0]] = solved[node] if v is None else v
+    return values
 
 
 def lasso_acceptance(aut: Automaton, w: LassoWord) -> Fraction:

@@ -23,6 +23,7 @@ from probuchi import (
 )
 from probuchi.decide import (
     AsymptoticWitness,
+    CertificationError,
     SearchCancelled,
     SubsetWitness,
     acceptance_lower_bound,
@@ -500,6 +501,31 @@ def test_containment_refute_validates_each_operand_once(monkeypatch):
     m = gen_m_id()
     assert containment_refute(m, m, "positive", 2) is None
     assert len(calls) == 2
+
+
+def test_containment_refute_rechecks_its_witness(monkeypatch):
+    from probuchi import decide
+
+    # Per-cycle values that claim b1 accepts and b2 rejects every lasso:
+    # the scan stops at the first lasso, and the per-lasso re-check must
+    # find that its acceptance probabilities say otherwise.
+    b1, b2 = gen_m_id(), gen_m_id()
+    monkeypatch.setattr(
+        decide, "_cycle_values",
+        lambda aut, starts, cycle: dict.fromkeys(starts, F(int(aut is b1))),
+    )
+    with pytest.raises(CertificationError, match="containment witness ;0"):
+        containment_refute(b1, b2, "positive", 2)
+
+
+def test_nba_universality_rechecks_its_probe(monkeypatch):
+    from probuchi import decide
+
+    # With no state reaching an accepting loop, the probe calls the first
+    # lasso rejected; inf_many_a accepts it, and the re-check must say so.
+    monkeypatch.setattr(decide, "coreachable", lambda targets, adjacency: set())
+    with pytest.raises(CertificationError, match="counterexample ;a is accepted"):
+        nba_universality(inf_many_a())
 
 
 def test_containment_refute_needs_probabilistic_operands():

@@ -9,9 +9,10 @@ quotient with its own searches, the private NBA lasso product, the
 monitor's own accumulation loop, the dense absorption system over every
 mixed node of a lasso chain, the sampler that refines a ``Fraction``
 interval, the monitor universality scan over every monoid element's
-doomed mask and the rank-based complement explored on state names.  They
-are kept here only as oracles; the properties require the kernel to give
-exactly the same answers, in the same order.
+doomed mask, the rank-based complement explored on state names, and the
+containment scan and universality probe that built one chain or product
+per lasso.  They are kept here only as oracles; the properties require the
+kernel to give exactly the same answers, in the same order.
 """
 
 from __future__ import annotations
@@ -33,13 +34,17 @@ from probuchi.core import (
     LassoWord,
     RabinAcceptance,
     ResourceLimitError,
+    all_words,
 )
 from probuchi.decide import (
+    _PROBE_BOUND,
     _doomed_mask,
     _lex_reach_words,
     _profile_monoid,
     _reduce_nba,
     _safe_start_mask,
+    _universality_probe,
+    containment_refute,
     fpm_positive_universal,
     nba_complement,
     nba_lasso_member,
@@ -50,6 +55,8 @@ from probuchi.markov import (
     Distribution,
     _absorption,
     _bscc_accepting,
+    _cycle_values,
+    _lasso_value,
     build_lasso_chain,
     lasso_acceptance,
     solve_linear,
@@ -67,6 +74,7 @@ from probuchi.sim import (
 from probuchi.textio import serialize
 
 from conftest import (
+    all_lassos,
     random_dra,
     random_fpm,
     random_hpba,
@@ -629,6 +637,26 @@ def ref_nba_lasso_member(a, w):
     return bool(accepting_cycles(nodes, edges, final_nodes))
 
 
+def ref_containment_refute(b1, b2, semantics, bound):
+    """The per-lasso scan: one chain and one absorption solve per lasso and operand."""
+    for w in all_lassos(b1.alphabet, bound, bound):
+        p1 = _lasso_value(b1, w)
+        if semantics == "positive":
+            if p1 > 0 and _lasso_value(b2, w) == 0:
+                return w
+        elif p1 == 1 and _lasso_value(b2, w) < 1:
+            return w
+    return None
+
+
+def ref_universality_probe(a):
+    """The per-lasso probe: one support product and one SCC search per lasso."""
+    for w in all_lassos(a.alphabet, _PROBE_BOUND, _PROBE_BOUND):
+        if not ref_nba_lasso_member(a, w):
+            return w
+    return None
+
+
 def ref_monitor_run(m, word):
     """Reject masses after each symbol and the final state masses."""
     state = {m.initial: Fraction(1)}
@@ -820,11 +848,7 @@ def test_reduce_nba_matches_reference_reduction(seed):
     a = random_nba(rng, rng.randint(1, 3), rng.choice([("a", "b"), ("a", "b", "c")]))
     big = random_nba(rng, rng.randint(1, 9), a.alphabet)
     assert serialize(_reduce_nba(big)) == serialize(ref_reduce_nba(big))
-    got = serialize(nba_complement(a))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decide, "_reduce_nba", ref_reduce_nba)
-        want = serialize(nba_complement(a))
-    assert got == want
+    assert serialize(nba_complement(a)) == serialize(ref_nba_complement(a))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1199,3 +1223,84 @@ def test_monitor_denominator_stays_bounded():
         widest = max(widest, session._den.bit_length())
     assert widest < 64
     assert session._state == {"s": half, "t": half}
+
+
+# ---------------------------------------------------------------------------
+# Bounded lasso scans: one chain or product per cycle, not per lasso
+
+SCAN_KINDS = ["pba", "fpm", "pra", "hpba", "two-sink", "ring-pra"]
+
+
+def scan_automaton(rng: random.Random, kind: str) -> Automaton:
+    n = rng.randint(1, 5)
+    return {
+        "pba": lambda: random_pba(rng, n),
+        "fpm": lambda: random_fpm(rng, n + 1),
+        "pra": lambda: random_pra(rng, n, rng.randint(1, 3)),
+        "hpba": lambda: random_hpba(rng, n),
+        "two-sink": lambda: two_sink_pba(rng, n),
+        "ring-pra": lambda: leaky_ring(rng, n, rabin=True),
+    }[kind]()
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.sampled_from(SCAN_KINDS), st.integers(min_value=1, max_value=3))
+def test_cycle_values_match_lasso_values(seed, kind, bound):
+    aut = scan_automaton(random.Random(seed), kind)
+    stems = {}
+    for u in all_words(aut.alphabet, 0, bound):
+        dist = Distribution.dirac(aut.initial)
+        for a in u:
+            dist = dist.step(aut, a)
+        stems[u] = dist.entries
+    starts = frozenset().union(*stems.values())
+    for v in all_words(aut.alphabet, 1, bound):
+        values = _cycle_values(aut, starts, v)
+        assert set(values) == starts
+        for u, masses in stems.items():
+            scored = sum((p * values[q] for q, p in masses.items()), Fraction(0))
+            assert scored == _lasso_value(aut, LassoWord(u, v))
+
+
+def containment_operands(rng: random.Random) -> tuple[Automaton, Automaton]:
+    """Two random PBAs or monitors over a and b, of 1 to 5 states each."""
+
+    def operand():
+        n = rng.randint(1, 4)
+        return random_pba(rng, n) if rng.random() < 0.5 else random_fpm(rng, n + 1)
+
+    return operand(), operand()
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from(["positive", "almost-sure"]), st.integers(min_value=1, max_value=3))
+def test_containment_refute_matches_per_lasso_scan(seed, semantics, bound):
+    b1, b2 = containment_operands(random.Random(seed))
+    got = containment_refute(b1, b2, semantics, bound)
+    assert got == ref_containment_refute(b1, b2, semantics, bound)
+
+
+def probe_nba(rng: random.Random) -> Automaton:
+    return random_nba(rng, rng.randint(1, 7), rng.choice([("a", "b"), ("a", "b", "c")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_universality_probe_matches_per_lasso_probe(seed):
+    a = probe_nba(random.Random(seed))
+    assert _universality_probe(a) == ref_universality_probe(a)
+
+
+def test_scan_cases_refute_and_miss():
+    # Guard against vacuous scan properties: the drawn cases must give
+    # both answers often, under each semantics and in the probe.
+    for semantics in ("positive", "almost-sure"):
+        rng = random.Random(14)
+        refuted = 0
+        for i in range(300):
+            b1, b2 = containment_operands(rng)
+            refuted += containment_refute(b1, b2, semantics, 1 + i % 3) is not None
+        assert refuted >= 30 and 300 - refuted >= 30
+    rng = random.Random(15)
+    hits = sum(_universality_probe(probe_nba(rng)) is not None for _ in range(300))
+    assert hits >= 30 and 300 - hits >= 20
