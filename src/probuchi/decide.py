@@ -7,10 +7,10 @@ membership) before being returned; a failed re-verification raises
 :class:`CertificationError` instead of silently answering.
 
 Long searches accept a cooperative ``cancel`` callback (return True to stop,
-raises :class:`SearchCancelled`) and an optional ``progress`` callback that
-receives short status strings.  All functions are pure; deterministic
-tie-breaking (shortest first, then symbol declaration order) makes outputs
-reproducible.
+raises :class:`SearchCancelled`); the monoid and profile searches also take
+an optional ``progress`` callback that receives short status strings.  All
+functions are pure; deterministic tie-breaking (shortest first, then symbol
+declaration order) makes outputs reproducible.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
 from .markov import (
     _ONE,
     _ZERO,
-    Distribution,
     _bscc_accepting,
     _cycle_values,
     _lasso_value,
@@ -1011,7 +1010,6 @@ def pba_positive_nonempty_bounded(
     max_j: int,
     x: Fraction = Fraction(0),
     cancel: Cancel = None,
-    progress: Progress = None,
 ) -> AsymptoticWitness | None:
     """Bounded search for an asymptotic nonemptiness witness of L_>x(b).
 
@@ -1019,30 +1017,27 @@ def pba_positive_nonempty_bounded(
     words u_j of length up to ``max_len``, with segment thresholds
     1 - 2^-j for j = 1..max_j.  Returns a re-verified witness, or None
     meaning "no witness within these bounds"; emptiness is never asserted
-    (the problem is only semi-answerable in this direction).
+    (the problem is only semi-answerable in this direction).  Each reach
+    word's state masses are one :func:`_step` from its prefix's.
     """
     if not (b.is_probabilistic and b.is_buchi):
         raise AutomatonError("bounded witness search needs a probabilistic Buchi automaton")
     require_valid(b)
     if max_len < 1 or max_j < 1:
         raise AutomatonError("bounds must be at least 1")
-    words = list(all_words(b.alphabet, 1, max_len))
-    dists: list[Distribution] = []
-    fps = []
-    for u in words:
-        d = Distribution.dirac(b.initial)
-        for a in u:
-            d = d.step(b, a)
-        dists.append(d)
-        fps.append(final_passage_matrix(b, u))
+    if x < 0:
+        raise AutomatonError("x must be at least 0")
+    reach = _walk_stems(b.alphabet, max_len, {b.initial: _ONE},
+                        lambda masses, a: _step(b, masses, a), cancel)
+    del reach[()]
+    fps = [final_passage_matrix(b, u) for u in reach]
     state_list = list(b.states)
     for size in range(1, len(state_list) + 1):
         for combo in itertools.combinations(range(len(state_list)), size):
             _check_cancel(cancel)
             c = frozenset(state_list[i] for i in combo)
-            u = next(
-                (w for w, d in zip(words, dists) if d.mass(c) > x), None
-            )
+            u = next((w for w, masses in reach.items()
+                      if sum((p for q, p in masses.items() if q in c), _ZERO) > x), None)
             if u is None:
                 continue
             segments = []
@@ -1052,7 +1047,7 @@ def pba_positive_nonempty_bounded(
                 seg = next(
                     (
                         w
-                        for w, fp in zip(words, fps)
+                        for w, fp in zip(reach, fps)
                         if all(fp.row_sum(q, c) > bound for q in c)
                     ),
                     None,
@@ -1106,7 +1101,6 @@ def containment_refute(
     semantics: str,
     bound: int,
     cancel: Cancel = None,
-    progress: Progress = None,
 ) -> LassoWord | None:
     """Bounded search for a lasso separating two PBAs under one semantics.
 
@@ -1137,10 +1131,7 @@ def containment_refute(
     autos = (b1, b2)
 
     def step(masses, sym):
-        return tuple(
-            {q: p for q, p in _step(aut, m, sym).items() if p}
-            for aut, m in zip(autos, masses)
-        )
+        return tuple(_step(aut, m, sym) for aut, m in zip(autos, masses))
 
     stems = _walk_stems(b1.alphabet, bound, ({b1.initial: _ONE}, {b2.initial: _ONE}),
                         step, cancel)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .core import (
     Automaton,
@@ -142,15 +142,6 @@ class Distribution:
     def dirac(q: str) -> "Distribution":
         return Distribution({q: Fraction(1)})
 
-    def mass(self, states: Iterable[str] | None = None) -> Fraction:
-        if states is None:
-            return sum(self.entries.values(), Fraction(0))
-        keep = set(states)
-        return sum((p for q, p in self.entries.items() if q in keep), Fraction(0))
-
-    def __getitem__(self, q: str) -> Fraction:
-        return self.entries.get(q, Fraction(0))
-
     def support(self) -> frozenset[str]:
         return frozenset(self.entries)
 
@@ -172,16 +163,6 @@ def _step(
     return out
 
 
-def _symbol_matrix(aut: Automaton, a: str) -> RationalMatrix:
-    n = len(aut.states)
-    idx = aut.index
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, q in enumerate(aut.states):
-        for t, p in aut.prob_row(q, a):
-            rows[i][idx[t]] += p
-    return RationalMatrix(aut.states, tuple(tuple(r) for r in rows))
-
-
 def word_matrix(aut: Automaton, u: Iterable[str]) -> RationalMatrix:
     """Product of the per-symbol transition matrices along ``u``.
 
@@ -190,11 +171,9 @@ def word_matrix(aut: Automaton, u: Iterable[str]) -> RationalMatrix:
     if not aut.is_probabilistic:
         raise AutomatonError("word matrices need a probabilistic automaton")
     require_valid(aut)
+    u = tuple(u)
     aut.check_symbols(u)
-    result = RationalMatrix.identity(aut.states)
-    for a in u:
-        result = result @ _symbol_matrix(aut, a)
-    return result
+    return _passage(aut, u, frozenset(aut.states))
 
 
 def final_passage_matrix(aut: Automaton, u: Sequence[str]) -> RationalMatrix:
@@ -212,22 +191,34 @@ def final_passage_matrix(aut: Automaton, u: Sequence[str]) -> RationalMatrix:
         raise AutomatonError("final-passage matrices need a nonempty word")
     require_valid(aut)
     aut.check_symbols(u)
-    finals = aut.acceptance.final
+    return _passage(aut, u, aut.acceptance.final)
+
+
+def _passage(
+    aut: Automaton, u: Sequence[str], marked: Container[str]
+) -> RationalMatrix:
+    """Weights of the ``u``-labelled paths whose states meet ``marked``.
+
+    Entry (q, q') sums the weights of the paths from q to q', endpoints
+    included, that visit a marked state; with every state marked this is
+    the word matrix, and the empty word gives the identity.  One sparse
+    walk per row over (state, seen-marked flag), kept apart from
+    :func:`_step` so the certificates re-check the engines independently.
+    The automaton and the symbols must be checked.
+    """
     n = len(aut.states)
     idx = aut.index
-    # Track (state, seen-final flag); entry q of the outer list is the
-    # flag-split row started from q with the flag preset by q itself.
     rows = []
     for q in aut.states:
-        flagged: dict[tuple[str, bool], Fraction] = {(q, q in finals): Fraction(1)}
+        flagged: dict[tuple[str, bool], Fraction] = {(q, q in marked): _ONE}
         for a in u:
             nxt: dict[tuple[str, bool], Fraction] = {}
             for (s, f), p in flagged.items():
                 for t, w in aut.prob_row(s, a):
-                    key = (t, f or t in finals)
-                    nxt[key] = nxt.get(key, Fraction(0)) + p * w
+                    key = (t, f or t in marked)
+                    nxt[key] = nxt.get(key, _ZERO) + p * w
             flagged = nxt
-        row = [Fraction(0)] * n
+        row = [_ZERO] * n
         for (s, f), p in flagged.items():
             if f:
                 row[idx[s]] += p
@@ -307,11 +298,11 @@ def _bscc_accepting(aut: Automaton, comp: list[tuple[str, int]]) -> bool:
 
 def build_lasso_chain(aut: Automaton, w: LassoWord) -> LassoChain:
     """Reachable product chain of ``aut`` on ``w`` with BSCCs classified."""
-    dist = Distribution.dirac(aut.initial)
+    aut.check_symbols(w.stem + w.cycle)
+    masses = {aut.initial: _ONE}
     for a in w.stem:
-        dist = dist.step(aut, a)
-    aut.check_symbols(w.cycle)
-    return _chain(aut, dist.entries, w.cycle)
+        masses = _step(aut, masses, a)
+    return _chain(aut, masses, w.cycle)
 
 
 def _chain(
@@ -391,12 +382,11 @@ def lasso_acceptance(aut: Automaton, w: LassoWord) -> Fraction:
     if not aut.is_probabilistic:
         raise AutomatonError("lasso acceptance needs a probabilistic automaton")
     require_valid(aut)
-    aut.check_symbols(w.stem)
     return _lasso_value(aut, w)
 
 
 def _lasso_value(aut: Automaton, w: LassoWord) -> Fraction:
-    """:func:`lasso_acceptance` once the automaton and the stem are checked."""
+    """:func:`lasso_acceptance` once the automaton is checked."""
     chain = build_lasso_chain(aut, w)
     solved = _absorption(chain, len(w.cycle))
     total = Fraction(0)

@@ -106,6 +106,12 @@ def test_witness(m_id_file, capsys):
     assert doc["lower_bound"] == "1/2"
 
 
+def test_witness_rejects_negative_x(m_id_file, capsys):
+    code = run(["witness", m_id_file, "--max-len", "1", "--max-j", "1", "--x", "-1"])
+    assert code == 1
+    assert "x must be at least 0" in capsys.readouterr().err
+
+
 def test_witness_unknown_exit_code(tmp_path, capsys):
     dead = (
         "type: pba\nalphabet: a\nstates: p q\ninit: p\nfinal: q\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from probuchi import (
     Automaton,
+    AutomatonError,
     BuchiAcceptance,
     InvalidAutomatonError,
     ResourceLimitError,
@@ -413,6 +414,14 @@ def test_bounded_asymptotic_search():
     s1 = gen_succinct(1)
     w1 = pba_positive_nonempty_bounded(s1, 4, 3)
     assert w1 is not None and verify_asymptotic_witness(s1, w1)
+
+
+def test_bounded_asymptotic_search_rejects_negative_x():
+    # A stem of mass 0 exceeds a negative x, so the search would return a
+    # witness that the lower bound's re-check at x = 0 refuses.
+    with pytest.raises(AutomatonError, match="x must be at least 0"):
+        pba_positive_nonempty_bounded(gen_m_id(), 1, 1, F(-1))
+    assert pba_positive_nonempty_bounded(gen_m_id(), 1, 1, F(0)) is not None
 
 
 def test_acceptance_lower_bound_example():

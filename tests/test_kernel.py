@@ -11,8 +11,10 @@ mixed node of a lasso chain, the sampler that refines a ``Fraction``
 interval, the monitor universality scan over every monoid element's
 doomed mask, the rank-based complement explored on state names, and the
 containment scan and universality probe that built one chain or product
-per lasso.  They are kept here only as oracles; the properties require the
-kernel to give exactly the same answers, in the same order.
+per lasso, the dense per-symbol product behind word matrices, and the
+bounded witness search that walked every reach word from the start.  They
+are kept here only as oracles; the properties require the kernel to give
+exactly the same answers, in the same order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from probuchi.core import (
 )
 from probuchi.decide import (
     _PROBE_BOUND,
+    AsymptoticWitness,
     _doomed_mask,
     _lex_reach_words,
     _profile_monoid,
@@ -48,18 +51,22 @@ from probuchi.decide import (
     fpm_positive_universal,
     nba_complement,
     nba_lasso_member,
+    pba_positive_nonempty_bounded,
     transition_monoid,
 )
 from probuchi.graphs import accepting_cycles, coreachable, tarjan_sccs
 from probuchi.markov import (
     Distribution,
+    RationalMatrix,
     _absorption,
     _bscc_accepting,
     _cycle_values,
     _lasso_value,
     build_lasso_chain,
+    final_passage_matrix,
     lasso_acceptance,
     solve_linear,
+    word_matrix,
 )
 from probuchi.sim import (
     McEstimate,
@@ -1304,3 +1311,94 @@ def test_scan_cases_refute_and_miss():
     rng = random.Random(15)
     hits = sum(_universality_probe(probe_nba(rng)) is not None for _ in range(300))
     assert hits >= 30 and 300 - hits >= 20
+
+
+# ---------------------------------------------------------------------------
+# Exact word walks: word matrices on the final-passage walk, reach masses on
+# the stem walk
+
+
+def ref_word_matrix(aut, u):
+    """The dense product of one per-symbol transition matrix per letter."""
+    n = len(aut.states)
+    result = RationalMatrix.identity(aut.states)
+    for a in u:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, q in enumerate(aut.states):
+            for t, p in aut.prob_row(q, a):
+                rows[i][aut.index[t]] += p
+        result = result @ RationalMatrix(aut.states, tuple(map(tuple, rows)))
+    return result
+
+
+def ref_bounded_witness(b, max_len, max_j, x):
+    """The bounded witness search that walked each reach word from the start."""
+    words = list(all_words(b.alphabet, 1, max_len))
+    dists = []
+    for u in words:
+        d = Distribution.dirac(b.initial)
+        for a in u:
+            d = d.step(b, a)
+        dists.append(d)
+    fps = [final_passage_matrix(b, u) for u in words]
+    for size in range(1, len(b.states) + 1):
+        for combo in itertools.combinations(b.states, size):
+            c = frozenset(combo)
+            u = next((w for w, d in zip(words, dists)
+                      if sum((p for q, p in d.entries.items() if q in c), Fraction(0)) > x),
+                     None)
+            if u is None:
+                continue
+            segments = []
+            for j in range(1, max_j + 1):
+                bound = 1 - Fraction(1, 2**j)
+                seg = next((w for w, fp in zip(words, fps)
+                            if all(fp.row_sum(q, c) > bound for q in c)), None)
+                if seg is None:
+                    break
+                segments.append(seg)
+            else:
+                return AsymptoticWitness(c, u, tuple(segments), 1)
+    return None
+
+
+def walk_automaton(rng: random.Random) -> Automaton:
+    """A random PBA or monitor over a and b, of 1 to 5 states."""
+    n = rng.randint(1, 4)
+    return random_pba(rng, n) if rng.random() < 0.5 else random_fpm(rng, n + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(min_value=0, max_value=4))
+def test_word_matrix_matches_dense_product(seed, length):
+    rng = random.Random(seed)
+    aut = walk_automaton(rng)
+    u = tuple(rng.choice(aut.alphabet) for _ in range(length))
+    assert word_matrix(aut, u) == ref_word_matrix(aut, u)
+
+
+X_VALUES = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.sampled_from(X_VALUES))
+def test_bounded_witness_matches_per_word_walk(seed, max_len, max_j, x):
+    b = walk_automaton(random.Random(seed))
+    got = pba_positive_nonempty_bounded(b, max_len, max_j, x)
+    assert got == ref_bounded_witness(b, max_len, max_j, x)
+
+
+def test_bounded_witness_cases_find_and_miss():
+    # Guard against a vacuous witness property: the drawn cases must give
+    # both answers, at every x.
+    rng = random.Random(16)
+    found = {x: 0 for x in X_VALUES}
+    draws = {x: 0 for x in X_VALUES}
+    for i in range(120):
+        x = X_VALUES[i % 3]
+        b = walk_automaton(rng)
+        draws[x] += 1
+        found[x] += pba_positive_nonempty_bounded(b, 1 + i % 3, 1 + i // 3 % 3, x) is not None
+    for x in X_VALUES:
+        assert 10 <= found[x] <= draws[x] - 10

@@ -11,6 +11,7 @@ from probuchi import (
     AutomatonError,
     BuchiAcceptance,
     RationalMatrix,
+    UnknownSymbolError,
     binary_value_lasso,
     final_passage_matrix,
     gen_m_id,
@@ -75,6 +76,12 @@ def test_final_passage_rejects_rabin_and_empty_word():
         final_passage_matrix(random_pra(random.Random(0), 2, 1), ("a",))
     with pytest.raises(AutomatonError):
         final_passage_matrix(gen_m_id(), ())
+
+
+def test_unknown_cycle_symbol_reported_at_its_word_position():
+    with pytest.raises(UnknownSymbolError) as err:
+        lasso_acceptance(gen_m_id(), lasso("1", "0x"))
+    assert err.value.position == 2
 
 
 def test_lasso_acceptance_examples():

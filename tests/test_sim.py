@@ -12,7 +12,7 @@ from probuchi import (
     lasso,
     lasso_acceptance,
 )
-from probuchi.core import AutomatonError
+from probuchi.core import AutomatonError, UnknownSymbolError
 from probuchi.sim import (
     MonitorError,
     MonitorSession,
@@ -137,6 +137,12 @@ def test_monitor_monotone_and_bounded():
             cur = session.feed(rng.choice(m.alphabet))
             assert last <= cur <= 1
             last = cur
+
+
+def test_mc_reports_unknown_stem_symbol_position():
+    with pytest.raises(UnknownSymbolError) as err:
+        mc_lasso_estimate(gen_m_id(), lasso("1x", "0"), 10, 1)
+    assert err.value.position == 1
 
 
 def test_monitor_unknown_symbol_keeps_state():
