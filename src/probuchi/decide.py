@@ -41,6 +41,7 @@ from .markov import (
     _bscc_accepting,
     _cycle_values,
     _lasso_value,
+    _passage,
     _step,
     final_passage_matrix,
     lasso_acceptance,
@@ -1018,7 +1019,9 @@ def pba_positive_nonempty_bounded(
     1 - 2^-j for j = 1..max_j.  Returns a re-verified witness, or None
     meaning "no witness within these bounds"; emptiness is never asserted
     (the problem is only semi-answerable in this direction).  Each reach
-    word's state masses are one :func:`_step` from its prefix's.
+    word's state masses are one :func:`_step` from its prefix's; its
+    final-passage matrix comes from :func:`_passage` on the automaton
+    validated once here, and the closing re-check uses the public calls.
     """
     if not (b.is_probabilistic and b.is_buchi):
         raise AutomatonError("bounded witness search needs a probabilistic Buchi automaton")
@@ -1030,7 +1033,7 @@ def pba_positive_nonempty_bounded(
     reach = _walk_stems(b.alphabet, max_len, {b.initial: _ONE},
                         lambda masses, a: _step(b, masses, a), cancel)
     del reach[()]
-    fps = [final_passage_matrix(b, u) for u in reach]
+    fps = [_passage(b, u, b.acceptance.final) for u in reach]
     state_list = list(b.states)
     for size in range(1, len(state_list) + 1):
         for combo in itertools.combinations(range(len(state_list)), size):

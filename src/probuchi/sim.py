@@ -13,15 +13,24 @@ floating-point bias and needs no rational arithmetic per decision.
 
 Monitor sessions keep the exact state distribution as integer numerators
 over one running denominator.  Each symbol's rows are compiled once per
-session over the lcm of that symbol's weight denominators; every
-``_REDUCE_PERIOD`` symbols the common gcd is divided out, so the
-denominator stays within a bounded factor of the reduced one.
+session over the lcm of that symbol's weight denominators, and the session
+keeps the running denominator split into its power of two and its odd part.
+The power of two it shares with the numerators is read off their low bits,
+so only the odd part, 1 for a monitor whose weights have power-of-two
+denominators, ever meets a gcd.  Each fed symbol's reject mass is reduced
+that way and built without a second gcd; every ``_REDUCE_PERIOD`` symbols
+the whole state is divided by its content, so the denominator stays within
+a bounded factor of the reduced one.  With power-of-two denominators a
+symbol costs time linear in the width of the numerators, so an N-symbol
+stream costs O(N^2), not the O(N^3) of a gcd per symbol; any other monitor
+pays one gcd per symbol on the odd part, as a plain ``Fraction`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm, sqrt
 from typing import Iterable, Iterator
 
@@ -32,10 +41,21 @@ __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream"
 
 _MASK = (1 << 64) - 1
 # Symbols a monitor session feeds between two divisions of its numerators
-# and denominator by their common gcd.  Reducing on every symbol costs more
-# gcds than it saves; never reducing lets the denominator grow by the
-# symbol's lcm on every step even when the masses do not change.
+# and denominator by their content.  Reducing on every symbol measured
+# slower on the benchmark's streams; never reducing lets the denominator
+# grow by the symbol's lcm on every step even when the masses do not change.
 _REDUCE_PERIOD = 16
+
+# Builds Fraction(n, d) for coprime n and d > 0 without the constructor's
+# gcd, through a private constructor where one exists.
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    _coprime_fraction = partial(Fraction, _normalize=False)  # 3.10 and 3.11
+    try:
+        _coprime_fraction(1, 1)
+    except TypeError:
+        _coprime_fraction = Fraction
 
 
 def _mix64(z: int) -> int:
@@ -178,16 +198,25 @@ class MonitorSession:
         require_valid(m)
         self._m = m
         self._alphabet = frozenset(m.alphabet)
-        self._rows = {a: _integer_rows(m, a) for a in m.alphabet}
+        self._rows = {}
+        for a in m.alphabet:
+            den, rows = _integer_rows(m, a)
+            twos = _twos(den)
+            self._rows[a] = (twos, den >> twos, rows)
         # State masses are self._nums[q] / self._den, in the insertion order
-        # of markov._step.
+        # of markov._step; self._den is self._odd << self._twos, self._odd odd.
         self._nums: dict[str, int] = {m.initial: 1}
-        self._den = 1
+        self._twos = 0
+        self._odd = 1
         self._position = 0
 
     @property
     def position(self) -> int:
         return self._position
+
+    @property
+    def _den(self) -> int:
+        return self._odd << self._twos
 
     @property
     def _state(self) -> dict[str, Fraction]:
@@ -196,26 +225,49 @@ class MonitorSession:
 
     @property
     def reject_probability(self) -> Fraction:
+        # gcd(den, num) is 2**k times gcd(odd part, num): k comes from the
+        # num's low bits below the denominator's power of two, and math.gcd
+        # sees only the odd part, when it is not 1.
         assert self._m.reject is not None
-        return Fraction(self._nums.get(self._m.reject, 0), self._den)
+        num, odd, k = self._nums.get(self._m.reject, 0), self._odd, self._twos
+        low = num & ((1 << k) - 1)
+        if low:
+            k = _twos(low)
+        if odd > 1:
+            g = gcd(odd, num)
+            num, odd = num // g, odd // g
+        return _coprime_fraction(num >> k, odd << (self._twos - k))
 
     def feed(self, symbol: str) -> Fraction:
         if symbol not in self._alphabet:
             raise MonitorError(symbol, self._position)
-        sym_den, rows = self._rows[symbol]
+        sym_twos, sym_odd, rows = self._rows[symbol]
         nums: dict[str, int] = {}
         for q, p in self._nums.items():
             for t, w in rows[q]:
                 nums[t] = nums.get(t, 0) + p * w
-        den = self._den * sym_den
+        self._nums = nums
+        self._twos += sym_twos
+        self._odd *= sym_odd
         self._position += 1
         if self._position % _REDUCE_PERIOD == 0:
-            g = gcd(den, *nums.values())
-            if g > 1:
-                den //= g
-                nums = {q: p // g for q, p in nums.items()}
-        self._nums, self._den = nums, den
+            self._reduce()
         return self.reject_probability
+
+    def _reduce(self) -> None:
+        """Divide the numerators and the denominator by their content,
+        found as in :attr:`reject_probability`."""
+        nums = self._nums.values()
+        k = self._twos
+        for p in nums:
+            low = p & ((1 << k) - 1)
+            if low:
+                k = _twos(low)
+        g = gcd(self._odd, *nums) if self._odd > 1 else 1
+        if k or g > 1:
+            self._nums = {q: (p >> k) // g for q, p in self._nums.items()}
+            self._twos -= k
+            self._odd //= g
 
 
 def _integer_rows(
@@ -230,6 +282,11 @@ def _integer_rows(
         for q in m.states
     }
     return den, rows
+
+
+def _twos(n: int) -> int:
+    """The exponent of 2 in ``n > 0``, read off its low bits."""
+    return (n & -n).bit_length() - 1
 
 
 def monitor_stream(m: Automaton, stream: Iterable[str]) -> Iterator[Fraction]:

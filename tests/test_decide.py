@@ -424,6 +424,18 @@ def test_bounded_asymptotic_search_rejects_negative_x():
     assert pba_positive_nonempty_bounded(gen_m_id(), 1, 1, F(0)) is not None
 
 
+def test_bounded_asymptotic_search_validates_once_per_search(monkeypatch):
+    from probuchi import core
+
+    # One validation for the search itself, whatever the number of reach
+    # words; the rest belong to the closing re-check's public calls.
+    calls = []
+    validate = core.validate
+    monkeypatch.setattr(core, "validate", lambda aut: calls.append(aut) or validate(aut))
+    assert pba_positive_nonempty_bounded(gen_m_id(), 3, 3) is not None
+    assert len(calls) <= 5
+
+
 def test_acceptance_lower_bound_example():
     m = gen_m_id()
     w = pba_positive_nonempty_bounded(m, 1, 3)

@@ -23,7 +23,7 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from math import sqrt
+from math import gcd, prod, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1230,6 +1230,117 @@ def test_monitor_denominator_stays_bounded():
         widest = max(widest, session._den.bit_length())
     assert widest < 64
     assert session._state == {"s": half, "t": half}
+
+
+def test_monitor_denominator_stays_bounded_on_odd_weights():
+    # As above with weights over 6: the masses settle at 1/6 and 5/6, and
+    # the periodic reduction must divide out the odd part of the stored
+    # denominator, not only its power of two.
+    sixth = Fraction(1, 6)
+    row = (("s", sixth), ("t", 5 * sixth))
+    m = Automaton(
+        name="sixths",
+        role="fpm",
+        alphabet=("a",),
+        states=("s", "t", "rej"),
+        initial="s",
+        acceptance=BuchiAcceptance(frozenset({"s", "t"})),
+        transitions={("s", "a"): row, ("t", "a"): row, ("rej", "a"): (("rej", Fraction(1)),)},
+        reject="rej",
+    )
+    session = MonitorSession(m)
+    widest = 0
+    for _ in range(5000):
+        assert session.feed("a") == 0
+        widest = max(widest, session._den.bit_length())
+    assert widest < 64
+    assert session._state == {"s": sixth, "t": 5 * sixth}
+
+
+# A prime far above the rows' other primes, next to products of the small
+# primes 2, 3, 5 and 7, so the odd part of a session's denominator mixes
+# several primes and its gcds meet a large one.
+BIG_PRIME = 1_000_003
+MIXED_DENOMINATORS = [2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15, 21, 35, 49, 105,
+                      BIG_PRIME, 2 * BIG_PRIME, 3 * BIG_PRIME]
+
+
+def mixed_prime_fpm(rng: random.Random):
+    """Monitor whose rows have denominators mixing 2, 3, 5, 7 and
+    :data:`BIG_PRIME`, and a stream for it."""
+    alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+    live = tuple(f"q{i}" for i in range(rng.randint(1, 5)))
+    states = live + ("rej",)
+    dens = rng.sample(MIXED_DENOMINATORS, rng.randint(1, 4))
+    trans = {}
+    for q in live:
+        for a in alphabet:
+            d = rng.choice(dens)
+            k = rng.randint(1, min(len(states), 3, d))
+            cuts = sorted(rng.sample(range(1, d), k - 1))
+            parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [d])]
+            targets = rng.sample(states, k)
+            trans[(q, a)] = tuple((t, Fraction(n, d)) for t, n in zip(targets, parts))
+    for a in alphabet:
+        trans[("rej", a)] = (("rej", Fraction(1)),)
+    m = Automaton(
+        name="mixed_primes",
+        role="fpm",
+        alphabet=alphabet,
+        states=states,
+        initial="q0",
+        acceptance=BuchiAcceptance(frozenset(live)),
+        transitions=trans,
+        reject="rej",
+    )
+    return m, [rng.choice(alphabet) for _ in range(rng.randint(0, 60))]
+
+
+def feed_mixed_prime_case(m, word):
+    """Feed ``word`` and check every reject mass is a canonical Fraction
+    and the session's split of its denominator; returns the masses and
+    whether the running denominator held a power of two next to an odd
+    prime, held :data:`BIG_PRIME`, and had a reject mass reduced by it."""
+    session = MonitorSession(m)
+    got = []
+    mixed = big = big_content = False
+    for a in word:
+        r = session.feed(a)
+        assert gcd(r.numerator, r.denominator) == 1 and r.denominator > 0
+        assert hash(r) == hash(Fraction(r.numerator, r.denominator))
+        got.append(r)
+        # The split is the running denominator's: an odd part and a power of two.
+        assert session._odd % 2 == 1 and session._twos >= 0
+        assert session._odd << session._twos == session._den
+        mixed |= session._twos > 0 and any(session._odd % p == 0 for p in (3, 5, 7))
+        big |= session._odd % BIG_PRIME == 0
+        big_content |= r > 0 and (session._den // r.denominator) % BIG_PRIME == 0
+    return got, session, (mixed, big, big_content)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_monitor_feed_matches_reference_loop_on_mixed_primes(seed):
+    rng = random.Random(seed)
+    m, word = mixed_prime_fpm(rng)
+    got, session, _ = feed_mixed_prime_case(m, word)
+    rejects, state = ref_monitor_run(m, word)
+    assert got == rejects
+    assert [(r.numerator, r.denominator) for r in got] == [
+        (r.numerator, r.denominator) for r in rejects]
+    assert list(session._state.items()) == list(state.items())
+
+
+def test_mixed_prime_cases_exercise_both_factor_kinds():
+    # Guard against a vacuous mixed-prime property: the drawn streams must
+    # often carry a power of two next to an odd prime, often carry the big
+    # prime, and often reduce a reject mass by a power of it.
+    rng = random.Random(31)
+    counts = [0, 0, 0]
+    for _ in range(200):
+        _, _, seen = feed_mixed_prime_case(*mixed_prime_fpm(rng))
+        counts = [c + s for c, s in zip(counts, seen)]
+    assert counts[0] >= 60 and counts[1] >= 40 and counts[2] >= 30, counts
 
 
 # ---------------------------------------------------------------------------

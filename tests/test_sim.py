@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from probuchi.core import AutomatonError, UnknownSymbolError
 from probuchi.sim import (
     MonitorError,
     MonitorSession,
+    _coprime_fraction,
     _cumulative,
     mc_lasso_estimate,
     monitor_stream,
@@ -173,3 +175,59 @@ def test_monitor_converges_to_rejection_probability():
         if abs(session.reject_probability - target) <= F(1, 2**20):
             tested += 1
     assert tested >= 10
+
+
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (1, 1), (5, 8), (1023**40, 1024**40), (2**200 + 1, 3**130),
+    (7, 3 * 1_000_003), (1, 2**61 - 1), (3, 2 * (2**61 - 1)),
+])
+def test_coprime_fraction_matches_public_constructor(n, d):
+    # The reject masses skip the constructor's gcd; they must be the very
+    # Fraction it would build, hash included (2**61 - 1 is the hash modulus).
+    assert gcd(n, d) == 1
+    r, f = _coprime_fraction(n, d), Fraction(n, d)
+    assert type(r) is Fraction
+    assert (r.numerator, r.denominator, hash(r)) == (f.numerator, f.denominator, hash(f))
+    assert r == f
+
+
+def test_coprime_fraction_matches_public_constructor_on_random_pairs():
+    rng = random.Random(2718)
+    for _ in range(300):
+        n, d = rng.getrandbits(rng.randint(1, 300)), rng.getrandbits(rng.randint(1, 300)) + 1
+        g = gcd(n, d)
+        r, f = _coprime_fraction(n // g, d // g), Fraction(n, d)
+        assert (r.numerator, r.denominator, hash(r)) == (f.numerator, f.denominator, hash(f))
+
+
+def test_monitor_long_leak_stream():
+    # 1023/1024 of the live mass survives each a: after n symbols the reject
+    # mass is 1 - (1023/1024)^n, already in lowest terms over 1024^n.
+    from probuchi import Automaton, BuchiAcceptance
+
+    keep = F(1023, 1024)
+    leak = Automaton(
+        name="leak",
+        role="fpm",
+        alphabet=("a", "b"),
+        states=("q0", "ok", "rej"),
+        initial="q0",
+        acceptance=BuchiAcceptance(frozenset({"q0", "ok"})),
+        transitions={
+            ("q0", "a"): (("q0", keep), ("rej", 1 - keep)),
+            ("q0", "b"): (("ok", F(1)),),
+            ("ok", "a"): (("ok", F(1)),),
+            ("ok", "b"): (("ok", F(1)),),
+            ("rej", "a"): (("rej", F(1)),),
+            ("rej", "b"): (("rej", F(1)),),
+        },
+        reject="rej",
+    )
+    session = MonitorSession(leak)
+    sampled = {1, 2, 15, 16, 17, 500, 1024, 2047, 3000}
+    for n in range(1, 3001):
+        r = session.feed("a")
+        if n in sampled:
+            assert r == 1 - keep**n
+            assert (r.numerator, r.denominator) == (1024**n - 1023**n, 1024**n)
+    assert session.position == 3000
