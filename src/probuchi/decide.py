@@ -204,27 +204,27 @@ def _explore(
     ``step(x, a)`` lists the successors of ``x`` on symbol ``a``.  Returns
     every element in discovery order, which is (word length, symbol order),
     mapped to the first word that reached it; a seed keeps the word it came
-    with.  Discovering an element beyond ``cap`` raises
+    with.  More than ``cap`` elements, seeds included, raise
     :class:`ResourceLimitError` naming ``what``.
     """
     found: dict[K, tuple[S, ...]] = {}
     for key, word in seeds:
         found.setdefault(key, word)
     queue = deque(found)
-    while queue:
+    while queue:  # nonempty after every discovery, so each one is counted
         _check_cancel(cancel)
+        if cap is not None and len(found) > cap:
+            raise ResourceLimitError(
+                f"{what} exceeds {cap} elements; raise it via "
+                f"--monoid-cap or {MONOID_CAP_ENV}",
+                cap_name=MONOID_CAP_ENV,
+                cap_value=cap,
+            )
         x = queue.popleft()
         word = found[x]
         for a in alphabet:
             for y in step(x, a):
                 if y not in found:
-                    if cap is not None and len(found) >= cap:
-                        raise ResourceLimitError(
-                            f"{what} exceeds {cap} elements; raise it via "
-                            f"--monoid-cap or {MONOID_CAP_ENV}",
-                            cap_name=MONOID_CAP_ENV,
-                            cap_value=cap,
-                        )
                     found[y] = word + (a,)
                     queue.append(y)
     return found
@@ -233,16 +233,10 @@ def _explore(
 def _symbol_masks(aut: Automaton) -> dict[str, tuple[int, ...]]:
     """Per symbol, each state's successor set as a bitmask by declaration index."""
     idx = aut.index
-    out = {}
-    for a in aut.alphabet:
-        rows = []
-        for q in aut.states:
-            m = 0
-            for t in aut.successors(q, a):
-                m |= 1 << idx[t]
-            rows.append(m)
-        out[a] = tuple(rows)
-    return out
+    return {
+        a: tuple(sum(1 << idx[t] for t in aut.successors(q, a)) for q in aut.states)
+        for a in aut.alphabet
+    }
 
 
 def _image(mask: int, rows: Sequence[int]) -> int:
@@ -253,6 +247,46 @@ def _image(mask: int, rows: Sequence[int]) -> int:
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _table(rows: Sequence[int]) -> list[list[int]]:
+    """Byte tables of :func:`_image` over ``rows`` (Arlazarov et al., 1970).
+
+    Entry b of table k is the union of ``rows[8k + i]`` over the set bits i
+    of b: the "Four Russians" tables, built by doubling at one union each.
+    """
+    tables = []
+    for k in range(0, len(rows), 8):
+        t = [0]
+        for r in rows[k : k + 8]:
+            t += [x | r for x in t]
+        tables.append(t)
+    return tables
+
+
+def _compose(x: Sequence[int], tables: Sequence[list[int]]) -> tuple[int, ...]:
+    """:func:`_image` of every row of ``x``: one lookup per nonzero byte."""
+    out = []
+    for m in x:
+        r = k = 0
+        while m:
+            r |= tables[k][m & 255]
+            m >>= 8
+            k += 1
+        out.append(r)
+    return tuple(out)
+
+
+def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Cancel,
+            what: str) -> dict[tuple[int, ...], tuple[S, ...]]:
+    """The support semigroup of ``gens`` by :func:`_explore`, with words.
+
+    ``gens[a]`` holds the rows of symbol a; multiplying by it on the right
+    takes each row to its :func:`_image` over ``acts[a]``.
+    """
+    tables = {a: _table(acts[a]) for a in alphabet}
+    return _explore(((gens[a], (a,)) for a in alphabet),
+                    lambda x, a: (_compose(x, tables[a]),), alphabet, cap, cancel, what)
 
 
 def _lex_reach_words(
@@ -569,52 +603,32 @@ def _quotient(
 
 # -- transition profiles (Ramsey universality)
 
-# A profile holds two bitmask rows per state, (reach, fin): a path exists,
+# A profile packs one 2n-bit row per state, reach | fin << n: a path exists,
 # and a path exists through a final state, endpoints included.  Row by row
-# fin is a subset of reach.
-_Profile = tuple[tuple[int, ...], tuple[int, ...]]
+# fin is a subset of reach, so right-multiplying by a profile is a support
+# step over its action rows, :func:`_profile_action`.
 
 
-def _profile_compose(p: _Profile, q: _Profile) -> _Profile:
-    q_reach, q_fin = q
-    reach = []
-    fin = []
-    for m, pf in zip(*p):
-        r = f = 0
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            r |= q_reach[j]
-            f |= q_reach[j] if pf & low else q_fin[j]
-        reach.append(r)
-        fin.append(f)
-    return tuple(reach), tuple(fin)
-
-
-def _symbol_profiles(a: Automaton) -> dict[str, _Profile]:
-    finals = a.final_states
-    final_mask = sum(1 << a.index[q] for q in finals)
-    return {
-        sym: (rows, tuple(r if q in finals else r & final_mask
-                          for q, r in zip(a.states, rows)))
-        for sym, rows in _symbol_masks(a).items()
-    }
+def _profile_action(p: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The rows a left factor's reach bits, then its fin bits, read in ``p``."""
+    full = (1 << n) - 1
+    return p + tuple((r & full) << n for r in p)
 
 
 def _profile_monoid(
     a: Automaton, cap: int, cancel: Cancel = None
-) -> dict[_Profile, tuple[str, ...]]:
+) -> dict[tuple[int, ...], tuple[str, ...]]:
     """Profiles of all nonempty words in discovery order, each with its word."""
-    gens = _symbol_profiles(a)
-    return _explore(
-        ((gens[sym], (sym,)) for sym in a.alphabet),
-        lambda p, sym: (_profile_compose(p, gens[sym]),),
-        a.alphabet,
-        cap,
-        cancel,
-        "profile monoid",
-    )
+    n = len(a.states)
+    finals = a.final_states
+    final_mask = sum(1 << a.index[q] for q in finals)
+    gens = {
+        sym: tuple(r | (r if q in finals else r & final_mask) << n
+                   for q, r in zip(a.states, rows))
+        for sym, rows in _symbol_masks(a).items()
+    }
+    acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
+    return _monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid")
 
 
 def nba_universality(
@@ -628,13 +642,15 @@ def nba_universality(
     A bounded lasso search runs first as a fast path: stems and cycles up
     to length 3, at one support product and one SCC search per cycle
     (sum_{1<=c<=3} |Sigma|^c of them) rather than per lasso, and one
-    successor set per stem.  The complete decision
-    enumerates the finite monoid of transition profiles (reachability with
-    and without touching a final state) and checks every linked pair
-    (U, V idempotent, UV = U): the language is universal iff each such pair
-    admits a final-touching loop, and a failing pair yields the rejected
-    lasso word(U) word(V)^omega.  The profile monoid is capped by the shared
-    monoid cap.
+    successor set per stem.  The complete decision enumerates the finite
+    monoid of transition profiles (reachability with and without touching a
+    final state) on :func:`_monoid` and checks every linked pair (U, V
+    idempotent, UV = U): the language is universal iff each such pair admits
+    a final-touching loop, and a failing pair yields the rejected lasso
+    word(U) word(V)^omega.  The loop test reads U only through the states it
+    reaches from the initial one, so it runs once per such row and V, and
+    only the U of failing rows get the UV = U test.  The profile monoid,
+    single letters included, is capped by the shared monoid cap.
     """
     if a.role != "nba":
         raise AutomatonError("universality needs an nba")
@@ -647,24 +663,28 @@ def nba_universality(
     if progress is not None:
         progress(f"profile monoid has {len(elements)} elements")
     n = len(a.states)
+    full = (1 << n) - 1
     idx0 = a.index[a.initial]
-    finals = a.final_states
-    ident = (
-        tuple(1 << i for i in range(n)),
-        tuple((1 << i) if q in finals else 0 for i, q in enumerate(a.states)),
-    )
+    ident = tuple(1 << i | (1 << i + n if q in a.final_states else 0)
+                  for i, q in enumerate(a.states))
+    pairs = [(ident, ()), *elements.items()]
+    # Whether u v^omega is rejected depends on u only through the states u
+    # reaches from the initial one, so the u are grouped by that row.
+    by_row: dict[int, list[int]] = {}
+    for i, (u, _) in enumerate(pairs):
+        by_row.setdefault(u[idx0] & full, []).append(i)
     for v, vw in elements.items():
         _check_cancel(cancel)
-        if _profile_compose(v, v) != v:
+        act = _profile_action(v, n)
+        if not all(_image(r, act) == r for r in v):
             continue
-        v_reach, v_fin = v
         # States with a final-touching v-loop; u v^omega is accepted iff v
         # leads from a state u reaches into one of them.
-        loops = sum(1 << s for s in range(n) if v_fin[s] >> s & 1)
-        for u, uw in itertools.chain([(ident, ())], elements.items()):
-            if _profile_compose(u, v) != u:
-                continue
-            if not _image(u[0][idx0], v_reach) & loops:
+        loops = sum(1 << s for s in range(n) if v[s] >> n + s & 1)
+        rejected = (ids for r, ids in by_row.items() if not _image(r, v) & loops)
+        for i in sorted(itertools.chain.from_iterable(rejected)):
+            u, uw = pairs[i]
+            if all(_image(r, act) == r for r in u):
                 witness = LassoWord(uw, vw)
                 _certify_rejected(a, witness)
                 return witness
@@ -748,34 +768,17 @@ def transition_monoid(
     """Boolean transition monoid, each element with its shortest realizing word.
 
     Elements are the support matrices of nonempty words, generated
-    breadth-first from the single-letter supports, so discovery order is
-    (word length, symbol order) and the stored word is the smallest
-    realizing one.  Exceeding the cap raises :class:`ResourceLimitError`;
-    completeness never silently degrades.
+    breadth-first from the single-letter supports by :func:`_monoid`, so
+    discovery order is (word length, symbol order) and the stored word is
+    the smallest realizing one.  Each product costs one table lookup per
+    nonzero byte of each row.  Exceeding the cap, single-letter supports
+    included, raises :class:`ResourceLimitError`; completeness never
+    silently degrades.
     """
     require_valid(aut)
     gen = _symbol_masks(aut)
-
-    def compose(x: tuple[int, ...], sym: str) -> tuple[int, ...]:
-        g = gen[sym]
-        out = []
-        for m in x:
-            r = 0
-            while m:
-                low = m & -m
-                r |= g[low.bit_length() - 1]
-                m ^= low
-            out.append(r)
-        return tuple(out)
-
-    elements = _explore(
-        ((gen[a], (a,)) for a in aut.alphabet),
-        lambda x, sym: (compose(x, sym),),
-        aut.alphabet,
-        _cap(cap, MONOID_CAP_ENV, 10**6),
-        cancel,
-        "transition monoid",
-    )
+    cap = _cap(cap, MONOID_CAP_ENV, 10**6)
+    elements = _monoid(gen, gen, aut.alphabet, cap, cancel, "transition monoid")
     if progress is not None:
         progress(f"transition monoid has {len(elements)} elements")
     return [(w, BooleanMatrix(aut.states, x)) for x, w in elements.items()]
@@ -813,11 +816,7 @@ def fpm_positive_empty(
     assert m.reject is not None
     idx = m.index
     reach = _lex_reach_words(m, m.initial, at_least_one=True)
-    candidates = [
-        q
-        for q in reach
-        if q != m.reject
-    ]
+    candidates = [q for q in reach if q != m.reject]
     candidates.sort(key=lambda q: (_word_key(m, reach[q]), idx[q]))
     reject_bit = 1 << idx[m.reject]
     for vword, element in monoid:

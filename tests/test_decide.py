@@ -1,5 +1,6 @@
 """Decision procedures and their certificates."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -495,6 +496,39 @@ def test_transition_monoid_cap_and_cancel():
     assert "PROBUCHI_MONOID_CAP" in str(err.value)
     with pytest.raises(SearchCancelled):
         fpm_positive_universal(m, cancel=lambda: True)
+
+
+def test_monoid_cap_counts_one_letter_elements(tmp_path, capsys):
+    from probuchi.cli import run
+    from probuchi.decide import _profile_monoid
+    from probuchi.textio import serialize
+
+    # a is the identity and b sends p to q: two elements of one letter each
+    one = F(1)
+    rows = {"a": ("p", "q", "r"), "b": ("q", "q", "r")}
+    m = Automaton(
+        name="two_letters",
+        role="fpm",
+        alphabet=("a", "b"),
+        states=("p", "q", "r"),
+        initial="p",
+        acceptance=BuchiAcceptance(frozenset({"p", "q"})),
+        transitions={
+            (q, sym): ((t, one),) for sym, ts in rows.items() for q, t in zip("pqr", ts)
+        },
+        reject="r",
+    )
+    assert len(transition_monoid(m)) == 2
+    with pytest.raises(ResourceLimitError) as err:
+        transition_monoid(m, cap=1)
+    assert err.value.cap_name == "PROBUCHI_MONOID_CAP" and err.value.cap_value == 1
+    with pytest.raises(ResourceLimitError):
+        _profile_monoid(hpba_to_nba(gen_m_id()), 1)
+    path = tmp_path / "two_letters.fpm"
+    path.write_text(serialize(m))
+    assert run(["universal", str(path), "--monoid-cap", "1"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["answer"] == "resource-limit" and doc["cap"] == "PROBUCHI_MONOID_CAP"
 
 
 def test_progress_callback_reports():

@@ -3,7 +3,10 @@
 Each ``ref_*`` function below is a verbatim-in-behaviour copy of an older
 implementation: the quadratic ``while changed`` can-reach fixpoint, the
 lasso-chain classification built on it, the macro-step doomed-state mask,
-the ``list.pop(0)`` breadth-first monoid enumerators, the early-exit
+the ``list.pop(0)`` breadth-first monoid enumerators with their
+row-at-a-time products (the profile monoid on (reach, fin) pairs, which
+the kernel packs into one mask per row), the linked-pair universality
+loop over every idempotent and element pair, the early-exit
 cycle-word search, the layered breadth-first reach words, the NBA trim and
 quotient with its own searches, the private NBA lasso product, the
 monitor's own accumulation loop, the dense absorption system over every
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import gcd, prod, sqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from probuchi import decide
 from probuchi.construct import _empty_nba, complement_to_fpm
@@ -41,16 +44,19 @@ from probuchi.core import (
 from probuchi.decide import (
     _PROBE_BOUND,
     AsymptoticWitness,
+    _compose,
     _doomed_mask,
     _lex_reach_words,
     _profile_monoid,
     _reduce_nba,
     _safe_start_mask,
+    _table,
     _universality_probe,
     containment_refute,
     fpm_positive_universal,
     nba_complement,
     nba_lasso_member,
+    nba_universality,
     pba_positive_nonempty_bounded,
     transition_monoid,
 )
@@ -405,6 +411,31 @@ def ref_profile_monoid(a):
                 elements[q] = word + (sym,)
                 queue.append((q, word + (sym,)))
     return list(elements.items())
+
+
+def ref_profile_pair_scan(a):
+    """The linked-pair loop of the universality decision: each idempotent V
+    in discovery order against the identity and then every U, composing
+    (reach, fin) pairs for both the idempotent and the UV = U tests."""
+    elements = ref_profile_monoid(a)
+    n = len(a.states)
+    idx0 = a.index[a.initial]
+    finals = a.final_states
+    ident = (
+        tuple(1 << i for i in range(n)),
+        tuple((1 << i) if q in finals else 0 for i, q in enumerate(a.states)),
+    )
+    for v, vw in elements:
+        if ref_profile_compose(v, v) != v:
+            continue
+        v_reach, v_fin = v
+        loops = sum(1 << s for s in range(n) if v_fin[s] >> s & 1)
+        for u, uw in [(ident, ()), *elements]:
+            if ref_profile_compose(u, v) != u:
+                continue
+            if not ref_image(u[0][idx0], v_reach) & loops:
+                return LassoWord(uw, vw)
+    return None
 
 
 def ref_lex_cycle_word(aut, f):
@@ -806,7 +837,77 @@ def test_profile_monoid_matches_pop0_enumerator(seed):
     rng = random.Random(seed)
     alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
     a = random_nba(rng, rng.randint(1, 5), alphabet)
-    assert list(_profile_monoid(a, 10**6).items()) == ref_profile_monoid(a)
+    n = len(a.states)
+    full = (1 << n) - 1
+    unpacked = [
+        ((tuple(r & full for r in p), tuple(r >> n for r in p)), w)
+        for p, w in _profile_monoid(a, 10**6).items()
+    ]
+    assert unpacked == ref_profile_monoid(a)
+
+
+@st.composite
+def tabled_products(draw, width):
+    """Rows of one bit width and masks over them, the zero mask among them."""
+    n = draw(width)
+    masks = st.integers(min_value=0, max_value=2**n - 1)
+    rows = draw(st.lists(masks, min_size=n, max_size=n))
+    return rows, [0, *draw(st.lists(masks, max_size=6))]
+
+
+@pytest.mark.parametrize(
+    "width",
+    [st.integers(min_value=1, max_value=20), *map(st.just, (8, 9, 16, 17))],
+    ids=["1-20", "8", "9", "16", "17"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tabled_compose_matches_image(width, data):
+    # Widths past 16 reach a third byte table, which no drawn monoid does:
+    # their rows have at most 14 bits (profiles of 7 states).
+    rows, x = data.draw(tabled_products(width))
+    assert _compose(x, _table(rows)) == ref_compose(x, rows)
+
+
+# Profile monoids past this size are skipped: the oracle's pair loop is
+# quadratic in the monoid, and a few draws of 7 states reach 10^5 elements.
+PAIR_SCAN_CAP = 10_000
+
+
+def pair_scan(a: Automaton) -> LassoWord | None:
+    """:func:`nba_universality` with the lasso probe switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_universality_probe", lambda a, cancel=None: None)
+        return nba_universality(a, monoid_cap=PAIR_SCAN_CAP)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_pair_scan_matches_linked_pair_loop(seed):
+    a = probe_nba(random.Random(seed))
+    try:
+        got = pair_scan(a)
+    except ResourceLimitError:
+        assume(False)
+    assert got == ref_profile_pair_scan(a)
+
+
+def test_pair_scan_cases_are_mixed():
+    # Guard against a vacuous pair-scan property: the draws must be
+    # universal, refuted with a nonempty stem, and wider than one byte
+    # table per profile row (2n > 8), each often.
+    rng = random.Random(16)
+    universal = stemmed = wide = 0
+    for _ in range(300):
+        a = probe_nba(rng)
+        try:
+            w = pair_scan(a)
+        except ResourceLimitError:
+            continue
+        universal += w is None
+        stemmed += w is not None and bool(w.stem)
+        wide += 2 * len(a.states) > 8
+    assert universal >= 15 and stemmed >= 100 and wide >= 60
 
 
 @settings(max_examples=200, deadline=None)
