@@ -48,22 +48,23 @@ def _emit(doc: dict, summary: str) -> None:
 
 
 def _emit_automaton(aut: Automaton, summary: str) -> None:
-    sys.stdout.write(textio.serialize(aut))
+    sys.stdout.write(_text(aut))
     print(summary, file=sys.stderr)
 
 
-def _frac(x: Fraction) -> str:
-    """An exact rational as text, of any length.
+def _text(x: Fraction | Automaton) -> str:
+    """An exact rational, or an automaton serialized, as text of any length.
 
     Python caps int-to-str conversion at 4,300 digits by default; the cap is
     lifted for this conversion only, so parsing input keeps it.
     """
+    render = textio.serialize if isinstance(x, Automaton) else str
     if not hasattr(sys, "set_int_max_str_digits"):
-        return str(x)
+        return render(x)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(x)
+        return render(x)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -159,7 +160,7 @@ def _cmd_rank(args) -> int:
 def _cmd_prob(args) -> int:
     aut = _load(args.file)
     w = textio.parse_lasso(args.lasso, aut.alphabet)
-    p = _frac(lasso_acceptance(aut, w))
+    p = _text(lasso_acceptance(aut, w))
     _emit(
         {"command": "prob", "lasso": textio.format_lasso(w, aut.alphabet),
          "probability": p},
@@ -187,99 +188,65 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    aut = _load(args.file)
-    session = sim.MonitorSession(aut)
-    print(Fraction(0))
-    for line in sys.stdin:
-        symbol = line.strip()
-        if not symbol:
-            continue
-        print(_frac(session.feed(symbol)))
-    print(f"monitored {session.position} symbol(s)", file=sys.stderr)
+    symbols = (line.strip() for line in sys.stdin)
+    stream = sim.monitor_stream(_load(args.file), (a for a in symbols if a))
+    for fed, p in enumerate(stream):
+        print(_text(p))
+    print(f"monitored {fed} symbol(s)", file=sys.stderr)
     return EXIT_ANSWERED
 
 
-def _certified_lasso(aut: Automaton, w: LassoWord) -> dict:
-    return {
-        "lasso": textio.format_lasso(w, aut.alphabet),
-        "certificate": {"acceptance": _frac(lasso_acceptance(aut, w))},
-    }
+def _certificate(aut: Automaton, w: LassoWord) -> dict:
+    """Independent check of a lasso: NBA membership, else exact acceptance."""
+    if aut.role == "nba":
+        return {"member": decide.nba_lasso_member(aut, w)}
+    return {"acceptance": _text(lasso_acceptance(aut, w))}
 
 
-def _require_pba_role(aut: Automaton) -> None:
-    if aut.role not in ("pba", "fpm", "hpba"):
-        raise AutomatonError("almost-sure decisions need a Buchi PBA role")
-
-
-def _cmd_empty(args) -> int:
+def _cmd_decide(args) -> int:
+    """``empty`` and ``universal`` under either semantics."""
     aut = _load(args.file)
-    sw = None
+    empty = args.command == "empty"
+    what = "emptiness" if empty else "universality"
+    cap = {"monoid_cap": args.monoid_cap}
     if args.semantics == "almost-sure":
-        _require_pba_role(aut)
-        w = decide.almost_sure_empty(aut, monoid_cap=args.monoid_cap)
+        if aut.role not in ("pba", "fpm", "hpba"):
+            raise AutomatonError("almost-sure decisions need a Buchi PBA role")
+        w = (decide.almost_sure_empty(aut, **cap) if empty
+             else decide.almost_sure_universal(aut, **cap))
     elif aut.role == "nba":
-        w = decide.nba_emptiness(aut)
+        w = (decide.nba_emptiness(aut) if empty
+             else decide.nba_universality(aut, **cap))
     elif aut.role == "fpm":
-        sw = decide.fpm_positive_empty(aut, monoid_cap=args.monoid_cap)
-        w = None if sw is None else sw.lasso()
+        w = (decide.fpm_positive_empty(aut, **cap) if empty
+             else decide.fpm_positive_universal(aut, **cap))
     elif aut.role in ("hpba", "pba"):
         if aut.role == "pba" and infer_hierarchy(aut) is None:
+            hint = "; use the bounded 'witness' search" if empty else ""
             raise AutomatonError(
-                "positive emptiness of a non-hierarchical PBA is undecidable; "
-                "use the bounded 'witness' search"
+                f"positive {what} of a non-hierarchical PBA is undecidable{hint}"
             )
-        w = decide.hpba_probable_empty(aut)
+        w = (decide.hpba_probable_empty(aut) if empty
+             else decide.hpba_probable_universal(aut, **cap))
     else:
-        raise AutomatonError(f"no emptiness procedure for role {aut.role}")
-    doc: dict = {"command": "empty", "semantics": args.semantics}
-    if w is None:
-        _emit(doc | {"answer": "empty"}, "empty")
+        raise AutomatonError(f"no {what} procedure for role {aut.role}")
+    doc = {"command": args.command, "semantics": args.semantics}
+    if w is None:  # the answer is the command's name
+        _emit(doc | {"answer": args.command}, args.command)
         return EXIT_ANSWERED
-    if aut.role == "nba":
-        member = decide.nba_lasso_member(aut, w)
-        witness = {"lasso": textio.format_lasso(w, aut.alphabet),
-                   "certificate": {"member": member}}
-    else:
-        witness = _certified_lasso(aut, w)
-    if sw is not None:
-        witness = {
-            "states": sorted(sw.states),
-            "u": textio.format_word(sw.u, aut.alphabet),
-            "v": textio.format_word(sw.v, aut.alphabet),
-        } | witness
-    _emit(doc | {"answer": "nonempty", "witness": witness},
-          f"nonempty, witness {witness['lasso']}")
-    return EXIT_ANSWERED
-
-
-def _cmd_universal(args) -> int:
-    aut = _load(args.file)
-    if args.semantics == "almost-sure":
-        _require_pba_role(aut)
-        w = decide.almost_sure_universal(aut, monoid_cap=args.monoid_cap)
-    elif aut.role == "nba":
-        w = decide.nba_universality(aut, monoid_cap=args.monoid_cap)
-    elif aut.role == "fpm":
-        w = decide.fpm_positive_universal(aut, monoid_cap=args.monoid_cap)
-    elif aut.role in ("hpba", "pba"):
-        if aut.role == "pba" and infer_hierarchy(aut) is None:
-            raise AutomatonError(
-                "positive universality of a non-hierarchical PBA is undecidable"
-            )
-        w = decide.hpba_probable_universal(aut, monoid_cap=args.monoid_cap)
-    else:
-        raise AutomatonError(f"no universality procedure for role {aut.role}")
-    doc: dict = {"command": "universal", "semantics": args.semantics}
-    if w is None:
-        _emit(doc | {"answer": "universal"}, "universal")
-        return EXIT_ANSWERED
-    if aut.role == "nba":
-        counterexample = {"lasso": textio.format_lasso(w, aut.alphabet),
-                          "certificate": {"member": False}}
-    else:
-        counterexample = _certified_lasso(aut, w)
-    _emit(doc | {"answer": "non-universal", "counterexample": counterexample},
-          f"non-universal, counterexample {counterexample['lasso']}")
+    answer, key = (("nonempty", "witness") if empty
+                   else ("non-universal", "counterexample"))
+    found = {}
+    if isinstance(w, decide.SubsetWitness):
+        found = {
+            "states": sorted(w.states),
+            "u": textio.format_word(w.u, aut.alphabet),
+            "v": textio.format_word(w.v, aut.alphabet),
+        }
+        w = w.lasso()
+    lasso = textio.format_lasso(w, aut.alphabet)
+    found |= {"lasso": lasso, "certificate": _certificate(aut, w)}
+    _emit(doc | {"answer": answer, key: found}, f"{answer}, {key} {lasso}")
     return EXIT_ANSWERED
 
 
@@ -308,14 +275,12 @@ def _cmd_witness(args) -> int:
                 "segments": [textio.format_word(s, aut.alphabet) for s in w.segments],
                 "start_index": w.start_index,
             },
-            "lower_bound": _frac(bound.value),
+            "lower_bound": _text(bound.value),
             "asymptotic": bound.asymptotic,
             "assembled_lasso": textio.format_lasso(bound.lasso, aut.alphabet),
-            "certificate": {
-                "acceptance": _frac(lasso_acceptance(aut, bound.lasso))
-            },
+            "certificate": _certificate(aut, bound.lasso),
         },
-        f"nonempty, lower bound {_frac(bound.value)}",
+        f"nonempty, lower bound {_text(bound.value)}",
     )
     return EXIT_ANSWERED
 
@@ -339,8 +304,8 @@ def _cmd_contain(args) -> int:
             "witness": {
                 "lasso": text,
                 "certificate": {
-                    "left_acceptance": _frac(lasso_acceptance(b1, w)),
-                    "right_acceptance": _frac(lasso_acceptance(b2, w)),
+                    "left_acceptance": _text(lasso_acceptance(b1, w)),
+                    "right_acceptance": _text(lasso_acceptance(b2, w)),
                 },
             },
         },
@@ -359,8 +324,8 @@ def _cmd_decompose(args) -> int:
                 {
                     "I": sorted(index_set),
                     "j": j,
-                    "positive": textio.serialize(pos),
-                    "negative": textio.serialize(neg),
+                    "positive": _text(pos),
+                    "negative": _text(neg),
                 }
                 for (index_set, j), pos, neg in members
             ],
@@ -403,8 +368,8 @@ _QUERIES = {
     "mc": _cmd_mc,
     "monitor": _cmd_monitor,
     "decompose": _cmd_decompose,
-    "empty": _cmd_empty,
-    "universal": _cmd_universal,
+    "empty": _cmd_decide,
+    "universal": _cmd_decide,
     "witness": _cmd_witness,
     "contain": _cmd_contain,
 }
@@ -415,14 +380,11 @@ def run(argv: list[str]) -> int:
     try:
         return _QUERIES.get(args.command, _cmd_construct)(args)
     except ResourceLimitError as exc:
-        print(
-            json.dumps(
-                {"command": args.command, "answer": "resource-limit",
-                 "cap": exc.cap_name, "detail": str(exc)},
-                indent=2,
-            )
+        _emit(
+            {"command": args.command, "answer": "resource-limit",
+             "cap": exc.cap_name, "detail": str(exc)},
+            f"resource limit: {exc}",
         )
-        print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except (AutomatonError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,36 +238,33 @@ def dra_to_hpba(d: Automaton) -> Automaton:
     if k < 1:
         raise ConstructionError("dra_to_hpba needs at least one Rabin pair")
 
-    def copy_state(i: int, q: str) -> str:
-        return f"({i},{q})"
-
-    states = [copy_state(i, q) for i in range(1, k + 1) for q in d.states]
+    states = [pair_state(str(i), q) for i in range(1, k + 1) for q in d.states]
     qs = _fresh(FRESH_INITIAL, states)
     qr = _fresh(FRESH_REJECT, states)
     transitions: dict = {}
     for a in d.alphabet:
         (succ,) = d.successors(d.initial, a)
         transitions[(qs, a)] = tuple(
-            (copy_state(i, succ), Fraction(1, k)) for i in range(1, k + 1)
+            (pair_state(str(i), succ), Fraction(1, k)) for i in range(1, k + 1)
         )
     for i, (b_i, _g_i) in enumerate(pairs, start=1):
         for q in d.states:
             for a in d.alphabet:
                 (succ,) = d.successors(q, a)
                 if q in b_i:
-                    row = ((copy_state(i, succ), HALF), (qr, HALF))
+                    row = ((pair_state(str(i), succ), HALF), (qr, HALF))
                 else:
-                    row = ((copy_state(i, succ), Fraction(1)),)
-                transitions[(copy_state(i, q), a)] = row
+                    row = ((pair_state(str(i), succ), Fraction(1)),)
+                transitions[(pair_state(str(i), q), a)] = row
     for a in d.alphabet:
         transitions[(qr, a)] = ((qr, Fraction(1)),)
     finals = frozenset(
-        copy_state(i, q) for i, (_b, g) in enumerate(pairs, start=1) for q in g
+        pair_state(str(i), q) for i, (_b, g) in enumerate(pairs, start=1) for q in g
     )
     levels = {qs: 0, qr: k + 1}
     for i in range(1, k + 1):
         for q in d.states:
-            levels[copy_state(i, q)] = i
+            levels[pair_state(str(i), q)] = i
     return Automaton(
         name=f"hpba({d.name})",
         role="hpba",
@@ -297,25 +294,22 @@ def hpba_to_nba(h: Automaton) -> Automaton:
             f"input is not hierarchical: two same-component successors at ({q},{a})"
         )
 
-    def cs(q: str, copy: int) -> str:
-        return f"({q},{copy})"
-
-    states = tuple(cs(q, c) for c in (0, 1) for q in h.states)
+    states = tuple(pair_state(q, c) for c in "01" for q in h.states)
     transitions: dict = {}
     for q in h.states:
         for a in h.alphabet:
             row = h.prob_row(q, a)
-            c0 = [cs(t, 0) for t, _ in row] + [cs(t, 1) for t, _ in row]
-            transitions[(cs(q, 0), a)] = tuple(c0)
-            c1 = [cs(t, 1) for t, p in row if p == 1]
-            transitions[(cs(q, 1), a)] = tuple(c1)
-    finals = frozenset(cs(q, 1) for q in h.final_states)
+            c0 = [pair_state(t, c) for c in "01" for t, _ in row]
+            transitions[(pair_state(q, "0"), a)] = tuple(c0)
+            c1 = [pair_state(t, "1") for t, p in row if p == 1]
+            transitions[(pair_state(q, "1"), a)] = tuple(c1)
+    finals = frozenset(pair_state(q, "1") for q in h.final_states)
     return Automaton(
         name=f"nba({h.name})",
         role="nba",
         alphabet=h.alphabet,
         states=states,
-        initial=cs(h.initial, 0),
+        initial=pair_state(h.initial, "0"),
         acceptance=BuchiAcceptance(finals),
         transitions=transitions,
     )
@@ -351,7 +345,7 @@ def safety_closure(h: Automaton) -> Automaton:
     cycles = accepting_cycles(nba.states, adjacency, nba.final_states)
     # States that can reach an accepting cycle.
     live = coreachable([q for comp in cycles for q in comp], adjacency)
-    positive = tuple(q for q in h.states if f"({q},0)" in live)
+    positive = tuple(q for q in h.states if pair_state(q, "0") in live)
 
     if h.initial not in positive:
         return _empty_nba(f"closure({h.name})", h.alphabet, h.initial)

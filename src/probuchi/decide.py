@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +102,9 @@ class SearchCancelled(AutomatonError):
 def _cap(cap: int | None, env: str, default: int) -> int:
     """An explicit cap, else the integer in ``env``, else ``default``.
 
-    A cap below 1 is an input error naming its flag or variable.
+    The variable holds an optional sign and ASCII digits only: ``int`` would
+    also take blanks, underscores and non-ASCII digits.  A cap below 1 is an
+    input error naming its flag or variable.
     """
     source = _CAP_FLAGS[env]
     if cap is None:
@@ -110,7 +113,9 @@ def _cap(cap: int | None, env: str, default: int) -> int:
             return default
         source = env
         try:
-            cap = int(text)
+            if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+                raise ValueError(text)
+            cap = int(text)  # also raises past Python's int-from-str digit limit
         except ValueError:
             raise AutomatonError(f"{env} must be an integer, got {text!r}") from None
     if cap < 1:
@@ -916,14 +921,13 @@ def fpm_positive_universal(
             doomed.add(_doomed_mask(closure, reject_index))
     maximal = [d for d in doomed if not any(d != e and not d & ~e for e in doomed)]
     # reachable supports with shortest realizing stems (empty stem allowed),
-    # in shortlex order of the stems
-    masks = _symbol_masks(m)
-    supports = _explore(
-        [(1 << idx[m.initial], ())],
-        lambda s, a: (_image(s, masks[a]),),
-        m.alphabet,
-        cancel=cancel,
-    )
+    # in shortlex order of the stems: the monoid lists its elements in that
+    # order, each with its smallest word, and an element's initial row is
+    # the support its words reach
+    initial = idx[m.initial]
+    supports = {1 << initial: ()}
+    for word, element in monoid:
+        supports.setdefault(element.rows[initial], word)
     for s, stem in supports.items():
         _check_cancel(cancel)
         if any(not s & ~d for d in maximal):

@@ -52,10 +52,6 @@ if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
     _coprime_fraction = Fraction._from_coprime_ints
 else:
     _coprime_fraction = partial(Fraction, _normalize=False)  # 3.10 and 3.11
-    try:
-        _coprime_fraction(1, 1)
-    except TypeError:
-        _coprime_fraction = Fraction
 
 
 def _mix64(z: int) -> int:

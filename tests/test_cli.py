@@ -358,3 +358,185 @@ def test_complement_resource_limit(tmp_path, capsys, monkeypatch):
         "cap": "state_cap",
         "detail": "complement exploration exceeds 3 states; the limit is fixed",
     }
+
+
+_M_ID_ROWS = (
+    "alphabet: 0 1\nstates: q0 q1 qr\ninit: q0\nfinal: q0 q1\n"
+    "q0 -0-> q0 : 1/2\nq0 -0-> qr : 1/2\nq0 -1-> q0 : 1/2\nq0 -1-> q1 : 1/2\n"
+    "q1 -0-> q1 : 1\nq1 -1-> q1 : 1\nqr -0-> qr : 1\nqr -1-> qr : 1\n"
+)
+# One input per role, plus languages that are empty ("dead") or universal
+# ("top"); "nh.pba" is a PBA with no hierarchy ranking.
+_DECISION_FILES = {
+    "nba": "type: nba\nalphabet: a b\nstates: s t\ninit: s\nfinal: t\n"
+           "s -a-> s\ns -b-> t\nt -b-> t\n",
+    "dead.nba": "type: nba\nalphabet: a\nstates: s t\ninit: s\nfinal: t\n"
+                "s -a-> s\nt -a-> t\n",
+    "top.nba": "type: nba\nalphabet: a b\nstates: s\ninit: s\nfinal: s\n"
+               "s -a-> s\ns -b-> s\n",
+    "fpm": "type: fpm\n" + _M_ID_ROWS.replace("q1\n", "q1\nreject: qr\n", 1),
+    "pba": "type: pba\n" + _M_ID_ROWS,
+    "nh.pba": "type: pba\nalphabet: a\nstates: p q\ninit: p\nfinal: q\n"
+              "p -a-> p : 1/2\np -a-> q : 1/2\nq -a-> p : 1/2\nq -a-> q : 1/2\n",
+    "top.pba": "type: pba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s : 1\n",
+    "dead.pba": "type: pba\nalphabet: a\nstates: s t\ninit: s\nfinal: t\n"
+                "s -a-> s : 1\nt -a-> t : 1\n",
+    "hpba": "type: hpba\n"
+            + _M_ID_ROWS.replace("q0 q1\n", "q1\nranks: q0=0 q1=1 qr=2\n", 1),
+    "dra": "type: dra\nalphabet: a b\nstates: qb qa\ninit: qb\npair: {qb} {qa}\n"
+           "qa -a-> qa\nqa -b-> qb\nqb -a-> qa\nqb -b-> qb\n",
+    "pra": "type: pra\nalphabet: a\nstates: s t\ninit: s\npair: {s} {t}\n"
+           "s -a-> t : 1\nt -a-> t : 1\n",
+}
+
+
+def _answer(answer, lasso=None, certificate=None, **subset):
+    """The answer fields of an ``empty``/``universal`` document."""
+    if lasso is None:
+        return {"answer": answer}
+    key = "witness" if answer == "nonempty" else "counterexample"
+    return {"answer": answer, key: subset | {"lasso": lasso, "certificate": certificate}}
+
+
+_AS = "--semantics almost-sure"
+_AS_ROLE = "error: almost-sure decisions need a Buchi PBA role\n"
+_LIMIT = {
+    "answer": "resource-limit",
+    "cap": "PROBUCHI_MONOID_CAP",
+    "detail": "transition monoid exceeds 1 elements; "
+              "raise it via --monoid-cap or PROBUCHI_MONOID_CAP",
+}
+_DECISION_CASES = [
+    ("empty nba", 0, _answer("nonempty", "b;b", {"member": True}),
+     "nonempty, witness b;b\n"),
+    ("universal nba", 0, _answer("non-universal", ";a", {"member": False}),
+     "non-universal, counterexample ;a\n"),
+    (f"empty nba {_AS}", 1, None, _AS_ROLE),
+    (f"universal nba {_AS}", 1, None, _AS_ROLE),
+    ("empty dead.nba", 0, _answer("empty"), "empty\n"),
+    ("universal dead.nba", 0, _answer("non-universal", ";a", {"member": False}),
+     "non-universal, counterexample ;a\n"),
+    ("empty top.nba", 0, _answer("nonempty", ";a", {"member": True}),
+     "nonempty, witness ;a\n"),
+    ("universal top.nba", 0, _answer("universal"), "universal\n"),
+    ("empty fpm", 0,
+     _answer("nonempty", "1;0", {"acceptance": "1/2"}, states=["q1"], u="1", v="0"),
+     "nonempty, witness 1;0\n"),
+    ("universal fpm", 0, _answer("non-universal", ";0", {"acceptance": "0"}),
+     "non-universal, counterexample ;0\n"),
+    (f"empty fpm {_AS}", 0, _answer("nonempty", ";1", {"acceptance": "1"}),
+     "nonempty, witness ;1\n"),
+    (f"universal fpm {_AS}", 0, _answer("non-universal", ";0", {"acceptance": "0"}),
+     "non-universal, counterexample ;0\n"),
+    ("empty pba", 0, _answer("nonempty", "1;0", {"acceptance": "1/2"}),
+     "nonempty, witness 1;0\n"),
+    ("universal pba", 0, _answer("non-universal", ";0", {"acceptance": "0"}),
+     "non-universal, counterexample ;0\n"),
+    (f"empty pba {_AS}", 0, _answer("nonempty", ";1", {"acceptance": "1"}),
+     "nonempty, witness ;1\n"),
+    (f"universal pba {_AS}", 0, _answer("non-universal", ";0", {"acceptance": "0"}),
+     "non-universal, counterexample ;0\n"),
+    ("empty nh.pba", 1, None,
+     "error: positive emptiness of a non-hierarchical PBA is undecidable; "
+     "use the bounded 'witness' search\n"),
+    ("universal nh.pba", 1, None,
+     "error: positive universality of a non-hierarchical PBA is undecidable\n"),
+    (f"empty nh.pba {_AS}", 0, _answer("nonempty", ";a", {"acceptance": "1"}),
+     "nonempty, witness ;a\n"),
+    (f"universal nh.pba {_AS}", 0, _answer("universal"), "universal\n"),
+    ("empty top.pba", 0, _answer("nonempty", "a;a", {"acceptance": "1"}),
+     "nonempty, witness a;a\n"),
+    ("universal top.pba", 0, _answer("universal"), "universal\n"),
+    (f"empty top.pba {_AS}", 0, _answer("nonempty", ";a", {"acceptance": "1"}),
+     "nonempty, witness ;a\n"),
+    (f"universal top.pba {_AS}", 0, _answer("universal"), "universal\n"),
+    ("empty dead.pba", 0, _answer("empty"), "empty\n"),
+    ("universal dead.pba", 0, _answer("non-universal", ";a", {"acceptance": "0"}),
+     "non-universal, counterexample ;a\n"),
+    (f"empty dead.pba {_AS}", 0, _answer("empty"), "empty\n"),
+    (f"universal dead.pba {_AS}", 0,
+     _answer("non-universal", ";a", {"acceptance": "0"}),
+     "non-universal, counterexample ;a\n"),
+    ("empty hpba", 0, _answer("nonempty", "1;0", {"acceptance": "1/2"}),
+     "nonempty, witness 1;0\n"),
+    ("universal hpba", 0, _answer("non-universal", ";0", {"acceptance": "0"}),
+     "non-universal, counterexample ;0\n"),
+    (f"empty hpba {_AS}", 0, _answer("nonempty", ";1", {"acceptance": "1"}),
+     "nonempty, witness ;1\n"),
+    (f"universal hpba {_AS}", 0, _answer("non-universal", ";0", {"acceptance": "0"}),
+     "non-universal, counterexample ;0\n"),
+    ("empty dra", 1, None, "error: no emptiness procedure for role dra\n"),
+    ("universal dra", 1, None, "error: no universality procedure for role dra\n"),
+    (f"empty dra {_AS}", 1, None, _AS_ROLE),
+    (f"universal dra {_AS}", 1, None, _AS_ROLE),
+    ("empty pra", 1, None, "error: no emptiness procedure for role pra\n"),
+    ("universal pra", 1, None, "error: no universality procedure for role pra\n"),
+    (f"empty pra {_AS}", 1, None, _AS_ROLE),
+    (f"universal pra {_AS}", 1, None, _AS_ROLE),
+]
+_DECISION_CASES += [
+    (f"{command} {args} --monoid-cap 1", 2, _LIMIT,
+     f"resource limit: {_LIMIT['detail']}\n")
+    for command in ("empty", "universal")
+    for args in ("fpm", f"pba {_AS}")
+]
+
+
+@pytest.mark.parametrize("args, code, answer, err", _DECISION_CASES)
+def test_decision_output_is_pinned(tmp_path, capsys, args, code, answer, err):
+    files = {}
+    for name, text in _DECISION_FILES.items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    argv = [files.get(a, a) for a in args.split()]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if answer is None:
+        assert captured.out == ""
+        return
+    doc = {"command": argv[0]}
+    if answer is not _LIMIT:
+        doc["semantics"] = "almost-sure" if "almost-sure" in argv else "positive"
+    assert captured.out == json.dumps(doc | answer, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("env", ["PROBUCHI_MONOID_CAP", "PROBUCHI_COMPLEMENT_CAP"])
+@pytest.mark.parametrize("text", [" 3 ", "1_0", "٣", "3\n", "9" * 5000])
+def test_cap_variables_take_only_ascii_integers(tmp_path, capsys, monkeypatch, env, text):
+    nba = tmp_path / "one.nba"
+    nba.write_text("type: nba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s\n")
+    command = "universal" if env == "PROBUCHI_MONOID_CAP" else "complement"
+    monkeypatch.setenv(env, text)
+    assert run([command, str(nba)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {env} must be an integer, got {text!r}\n"
+    monkeypatch.setenv(env, "+3")
+    assert run([command, str(nba)]) == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_construction_prints_rationals_beyond_the_digit_limit(tmp_path, capsys):
+    # Weights with 2,201-digit denominators multiply to 4,401 digits, past
+    # Python's default 4,300-digit int-to-str limit.
+    from probuchi import fpm_product
+
+    limit = sys.get_int_max_str_digits()
+    den = 10**2200
+    path = tmp_path / "big.fpm"
+    path.write_text(
+        "type: fpm\nalphabet: a\nstates: q r\ninit: q\nfinal: q\nreject: r\n"
+        f"q -a-> q : {den - 1}/{den}\nq -a-> r : 1/{den}\nr -a-> r : 1\n"
+    )
+    assert run(["product", str(path), str(path)]) == 0
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    big = parse(path.read_text())
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse(out) == fpm_product(big, big)
+    finally:
+        sys.set_int_max_str_digits(limit)
