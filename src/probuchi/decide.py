@@ -431,12 +431,16 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     Macro-states are explored breadth-first on integers: a ranking is a
     tuple of (state index, rank) pairs and the obligation set a bitmask,
     stepped through the input's per-symbol successor masks.  Each explored
-    macro-state costs, per symbol, one pass over its ranking's edges and
-    one dictionary probe per rank choice.  The integer successor table
-    then goes to :func:`_quotient`, which trims it and quotients it by
-    forward bisimulation; no intermediate automaton is built.  Inputs
-    larger than the cap, or explorations beyond the fixed state or
-    branching limits, raise :class:`ResourceLimitError` naming the cap.
+    macro-state costs, per symbol, one pass over its ranking's edges for
+    the successors' rank bounds.  Its row of targets depends only on the
+    symbol, those bounds and the owed successors, so the rank choices,
+    one dictionary probe each, are expanded once per distinct key and the
+    row is shared by every later macro-state with that key.  The integer
+    successor table then goes to :func:`_quotient`, which trims it and
+    quotients it by forward bisimulation; no intermediate automaton is
+    built.  Inputs larger than the cap, or explorations beyond the fixed
+    state or branching limits, raise :class:`ResourceLimitError` naming
+    the cap.
     """
     if a.role != "nba":
         raise AutomatonError("complementation needs an nba")
@@ -459,51 +463,58 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     init: StateT = (((a.index[a.initial], r_max),), 0)
     ids: dict[StateT, int] = {init: 0}
     found = [init]
+    # rows by (symbol, successor rank bounds, owed successors); -1 stands
+    # for "no obligation", since -1 & even == even
+    memo: dict[tuple, list[int]] = {}
     table: list[list[list[int]]] = []
     for ranking, owing in found:  # grows while it is read: breadth-first
         rows = []
-        for g, succ in zip(gens, succ_lists):
+        for i, (g, succ) in enumerate(zip(gens, succ_lists)):
             succ_bound: dict[int, int] = {}
             for q, r in ranking:
                 for t in succ[q]:
                     succ_bound[t] = min(succ_bound.get(t, r_max), r)
-            dom = sorted(succ_bound)
-            choices: list[range] = []
-            count = 1
-            for t in dom:
-                allowed = range(0, succ_bound[t] + 1, 2 if final[t] else 1)
-                choices.append(allowed)
-                count *= len(allowed)
-                if count > COMPLEMENT_BRANCH_LIMIT:
-                    raise ResourceLimitError(
-                        f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
-                        f"transition; the limit is fixed (input likely too large "
-                        f"for the rank-based method)",
-                        cap_name="branch_cap",
-                        cap_value=COMPLEMENT_BRANCH_LIMIT,
-                    )
-            owing_succ = _image(owing, g)
-            targets = []
-            for combo in itertools.product(*choices):
-                g2 = tuple(zip(dom, combo))
-                even = 0
-                for t, r in g2:
-                    if not r & 1:
-                        even |= 1 << t
-                nxt: StateT = (g2, owing_succ & even if owing else even)
-                j = ids.get(nxt)
-                if j is None:
-                    if len(ids) >= COMPLEMENT_STATE_LIMIT:
+            bounds = tuple(sorted(succ_bound.items()))
+            owing_succ = _image(owing, g) if owing else -1
+            key = (i, bounds, owing_succ)
+            targets = memo.get(key)
+            if targets is None:
+                dom = [t for t, _ in bounds]
+                choices: list[range] = []
+                count = 1
+                for t, bound in bounds:
+                    allowed = range(0, bound + 1, 2 if final[t] else 1)
+                    choices.append(allowed)
+                    count *= len(allowed)
+                    if count > COMPLEMENT_BRANCH_LIMIT:
                         raise ResourceLimitError(
-                            f"complement exploration exceeds "
-                            f"{COMPLEMENT_STATE_LIMIT} states; the limit is fixed",
-                            cap_name="state_cap",
-                            cap_value=COMPLEMENT_STATE_LIMIT,
+                            f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
+                            f"transition; the limit is fixed (input likely too large "
+                            f"for the rank-based method)",
+                            cap_name="branch_cap",
+                            cap_value=COMPLEMENT_BRANCH_LIMIT,
                         )
-                    j = ids[nxt] = len(found)
-                    found.append(nxt)
-                targets.append(j)
-            targets.sort()
+                targets = memo[key] = []
+                for combo in itertools.product(*choices):
+                    g2 = tuple(zip(dom, combo))
+                    even = 0
+                    for t, r in g2:
+                        if not r & 1:
+                            even |= 1 << t
+                    nxt: StateT = (g2, owing_succ & even)
+                    j = ids.get(nxt)
+                    if j is None:
+                        if len(ids) >= COMPLEMENT_STATE_LIMIT:
+                            raise ResourceLimitError(
+                                f"complement exploration exceeds "
+                                f"{COMPLEMENT_STATE_LIMIT} states; the limit is fixed",
+                                cap_name="state_cap",
+                                cap_value=COMPLEMENT_STATE_LIMIT,
+                            )
+                        j = ids[nxt] = len(found)
+                        found.append(nxt)
+                    targets.append(j)
+                targets.sort()
             rows.append(targets)
         table.append(rows)
     accepting = {i for i, (_, owing) in enumerate(found) if not owing}
@@ -541,58 +552,71 @@ def _quotient(
     The kept states are split, starting from {final, non-final}, by their
     signature: own block plus, per symbol, the bitmask of successor blocks,
     until the block count stops growing.  That is the coarsest partition in
-    which a block's members share finality and successor blocks, so each
-    round costs O(|kept| + |edges|) and at most |kept| rounds run.  Blocks
-    are named ``kv0``, ``kv1``, ... in breadth-first order from the initial
-    block, reading each block's first member's successors in state order.
+    which a block's members share finality and successor blocks.  Equal
+    rows are interned once, and the trim, the rounds and the naming read
+    each distinct row once: a round costs O(|kept|·|alphabet|) plus the
+    total length of the distinct rows, not of every edge, and at most
+    |kept| rounds run.  Blocks are named ``kv0``, ``kv1``, ... in
+    breadth-first order from the initial block, reading each block's
+    first member's successors in state order.
     """
-    adjacency = {
-        q: sorted({t for row in rows for t in row}) for q, rows in enumerate(table)
-    }
+    # Rows repeat across states: each distinct row is interned once and a
+    # state keeps its rows' ids.  The support graph goes through them, state
+    # q to row node ~r for each of its rows r and ~r to r's targets, so the
+    # searches pay per distinct row, not per edge; a cycle through a state
+    # has two or more nodes either way.
+    row_id: dict[tuple[int, ...], int] = {}
+    ids = [[row_id.setdefault(tuple(row), len(row_id)) for row in rows] for rows in table]
+    adjacency: dict[int, Sequence[int]] = {q: [~r for r in rids] for q, rids in enumerate(ids)}
+    adjacency.update((~r, row) for r, row in enumerate(row_id))
     cycles = accepting_cycles(range(len(table)), adjacency, finals)
     live = coreachable([q for comp in cycles for q in comp], adjacency)
     if initial not in live:
         return _empty_nba(name, alphabet, "kv0")
     # live successors; forward reachability within live states closes keep
     # under them, so from a kept state they all stay in keep
-    succ = {q: [[t for t in row if t in live] for row in table[q]] for q in live}
+    succ = [[t for t in row if t in live] for row in row_id]
     symbols = range(len(alphabet))
-    kept = sorted(_explore([(initial, ())], lambda q, i: succ[q][i], symbols))
+    kept = sorted(_explore([(initial, ())], lambda q, i: succ[ids[q][i]], symbols))
+    used = {r for q in kept for r in ids[q]}
     block = {q: int(q in finals) for q in kept}
     count = len(set(block.values()))
     while True:
+        mask = {}
+        for r in used:
+            m = 0
+            for t in succ[r]:
+                m |= 1 << block[t]
+            mask[r] = m
         sigs: dict[tuple[int, ...], int] = {}
         new_block = {}
         for q in kept:
-            sig = [block[q]]
-            for row in succ[q]:
-                mask = 0
-                for t in row:
-                    mask |= 1 << block[t]
-                sig.append(mask)
-            new_block[q] = sigs.setdefault(tuple(sig), len(sigs))
+            new_block[q] = sigs.setdefault((block[q], *[mask[r] for r in ids[q]]), len(sigs))
         block = new_block
         if len(sigs) == count:
             break
         count = len(sigs)
     # at the fixpoint the members of a block share their acceptance and
-    # their successor blocks, so one member gives the block's row
+    # their successor blocks, so one member gives the block's rows; a row's
+    # blocks are listed once each, in the order its targets first reach them
     rep: dict[int, int] = {}
     for q in kept:
         rep.setdefault(block[q], q)
+    blocks = {r: list(dict.fromkeys(block[t] for t in succ[r])) for r in used}
     order = list(_explore(
         [(block[initial], ())],
-        lambda b, i: [block[t] for t in succ[rep[b]][i]],
+        lambda b, i: blocks[ids[rep[b]][i]],
         symbols,
     ))
     number = {b: i for i, b in enumerate(order)}
     names = [f"kv{i}" for i in range(len(order))]
-    transitions: dict[tuple[str, str], tuple[str, ...]] = {}
-    for src, b in zip(names, order):
-        for sym, row in zip(alphabet, succ[rep[b]]):
-            if row:
-                targets = sorted({number[block[t]] for t in row})
-                transitions[(src, sym)] = tuple(names[i] for i in targets)
+    named = {r: tuple(names[i] for i in sorted(number[c] for c in blocks[r])) for r in used}
+    transitions = {
+        (src, sym): named[r]
+        for src, b in zip(names, order)
+        for sym, r in zip(alphabet, ids[rep[b]])
+        if named[r]
+    }
     return Automaton(
         name=name,
         role="nba",

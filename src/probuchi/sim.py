@@ -34,12 +34,16 @@ from functools import partial
 from math import gcd, lcm, sqrt
 from typing import Iterable, Iterator
 
-from .core import Automaton, AutomatonError, LassoWord, require_valid
+from .core import Automaton, AutomatonError, LassoWord, ResourceLimitError, require_valid
 from .markov import build_lasso_chain
 
 __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "MonitorError"]
 
 _MASK = (1 << 64) - 1
+# Chain steps one Monte Carlo sample may take before it enters a bottom SCC.
+# The benchmark's longest sample takes about 2,200; a transient node whose
+# exit has a tiny probability would otherwise hold the sampler for ever.
+MC_STEP_LIMIT = 1_000_000
 # Symbols a monitor session feeds between two divisions of its numerators
 # and denominator by their content.  Reducing on every symbol measured
 # slower on the benchmark's streams; never reducing lets the denominator
@@ -139,7 +143,9 @@ def mc_lasso_estimate(
 
     Each sample walks the stem, then the finite (state, cycle position)
     chain until it enters a bottom SCC, whose acceptance classification
-    decides the sample.  Identical seeds give identical estimates.
+    decides the sample.  Identical seeds give identical estimates.  A sample
+    still outside every bottom SCC after :data:`MC_STEP_LIMIT` steps raises
+    :class:`ResourceLimitError`.
     """
     if n < 1:
         raise AutomatonError("sample count must be at least 1")
@@ -159,7 +165,16 @@ def mc_lasso_estimate(
     for i in range(n):
         bits = _BitSource(sample_seed(seed, i))
         node = init_nodes[_pick(init_den, init_cum, bits)]
+        left = MC_STEP_LIMIT
         while node not in in_bscc:
+            if not left:
+                raise ResourceLimitError(
+                    f"a Monte Carlo sample exceeds {MC_STEP_LIMIT} chain steps "
+                    f"without reaching a bottom SCC; the limit is fixed",
+                    cap_name="step_cap",
+                    cap_value=MC_STEP_LIMIT,
+                )
+            left -= 1
             targets, den, cum = moves[node]
             node = targets[_pick(den, cum, bits)]
         if in_bscc[node] == 1:

@@ -12,6 +12,7 @@ equal to a (names are display-only and excluded from equality).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,18 +61,34 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
+# FORMAT.md's probabilities: ASCII digits, as p/q or an integer.  A leading
+# minus is read so that validate reports the weight as out of range.
+_PROB_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _clip(tok: str, width: int = 40) -> str:
+    """``tok`` quoted, cut to its first ``width`` characters if longer."""
+    return repr(tok) if len(tok) <= width else repr(tok[:width]) + "..."
+
+
 def _parse_prob(tok: str, line_no: int, col: int) -> Fraction:
     if "." in tok:
         raise FormatError(
-            f"float probability {tok!r} is forbidden; use p/q", line_no, col
+            f"float probability {_clip(tok)} is forbidden; use p/q", line_no, col
         )
+    m = _PROB_RE.fullmatch(tok)
+    if m is None:
+        raise FormatError(f"bad probability {_clip(tok)}", line_no, col)
+    num, den = m.groups()
     try:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad probability {tok!r}", line_no, col) from None
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise FormatError(f"bad probability {_clip(tok)}", line_no, col) from None
+    except ValueError:  # on ASCII digits, only Python's int-from-str digit limit
+        raise FormatError(
+            f"probability {_clip(tok)} has an integer longer than Python's "
+            f"{sys.get_int_max_str_digits():,}-digit limit", line_no, col
+        ) from None
 
 
 def parse(text: str, name: str = "automaton") -> Automaton:

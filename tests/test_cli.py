@@ -209,6 +209,22 @@ def test_resource_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert doc["answer"] == "resource-limit"
 
 
+def test_mc_step_limit_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # The only exit has probability 10^-30 per step, so a sample never
+    # reaches a bottom SCC within the lowered step limit.
+    den = 10**30
+    fpm = tmp_path / "slow.fpm"
+    fpm.write_text(
+        "type: fpm\nalphabet: a\nstates: q r\ninit: q\nfinal: q\nreject: r\n"
+        f"q -a-> q : {den - 1}/{den}\nq -a-> r : 1/{den}\nr -a-> r : 1\n"
+    )
+    monkeypatch.setattr("probuchi.sim.MC_STEP_LIMIT", 500)
+    assert run(["mc", str(fpm), ";a", "--samples", "5", "--seed", "3"]) == 2
+    doc = out_doc(capsys)
+    assert doc["answer"] == "resource-limit" and doc["cap"] == "step_cap"
+    assert "500 chain steps" in doc["detail"]
+
+
 def test_bad_cap_variable_is_an_input_error_naming_it(m_id_file, capsys, monkeypatch):
     monkeypatch.setenv("PROBUCHI_MONOID_CAP", "abc")
     assert run(["universal", m_id_file]) == 1

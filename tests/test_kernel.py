@@ -1138,6 +1138,68 @@ def test_complement_cases_are_mostly_built():
     assert plain >= 20 and twinned >= 20
 
 
+def explored_table(a: Automaton) -> list | None:
+    """The macro-state table nba_complement hands to _quotient under the test
+    limit, or None when the exploration runs into a limit."""
+    tables = []
+    real = decide._quotient
+
+    def spy(name, alphabet, table, finals, initial):
+        tables.append(table)
+        return real(name, alphabet, table, finals, initial)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_quotient", spy)
+        mp.setattr(decide, "COMPLEMENT_STATE_LIMIT", TEST_STATE_LIMIT)
+        complement_outcome(nba_complement, a)
+    return tables[0] if tables else None
+
+
+def shares_rows(table: list | None) -> bool:
+    """Is some row of the table the same list object as another?"""
+    rows = [row for rows in table or () for row in rows]
+    return len({id(row) for row in rows}) < len(rows)
+
+
+def test_complement_rows_are_mostly_shared():
+    # Guard against a vacuous memo: in most drawn cases of either kind some
+    # row of the explored table must be served again from the row memo, so
+    # the reference comparisons above run the shared path.
+    rng = random.Random(13)
+    plain = twinned = 0
+    for _ in range(40):
+        a = random_nba(rng, rng.randint(1, 4), rng.choice([("a", "b"), ("a", "b", "c")]))
+        plain += shares_rows(explored_table(a))
+        twinned += shares_rows(explored_table(small_twinned_nba(rng)))
+    assert plain >= 20 and twinned >= 20
+
+
+def test_complement_state_limit_one_below_a_shared_exploration():
+    # The largest shared exploration among the guard's plain draws, with the
+    # state limit one below its size: the memo discovers no state, so the
+    # complement must stop exactly where the reference does.
+    rng = random.Random(13)
+    draws = []
+    for _ in range(40):
+        a = random_nba(rng, rng.randint(1, 4), rng.choice([("a", "b"), ("a", "b", "c")]))
+        small_twinned_nba(rng)
+        table = explored_table(a)
+        if shares_rows(table):
+            draws.append((len(table), a))
+    explored, a = max(draws, key=lambda d: d[0])
+    assert explored > 10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "COMPLEMENT_STATE_LIMIT", explored - 1)
+        got = complement_outcome(nba_complement, a)
+        want = complement_outcome(ref_nba_complement, a)
+    assert got == want == "limit state_cap"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "COMPLEMENT_STATE_LIMIT", explored)
+        got = complement_outcome(nba_complement, a)
+        assert got == complement_outcome(ref_nba_complement, a)
+    assert got.startswith("type: nba")
+
+
 def fpm_case(rng: random.Random, complemented: bool) -> Automaton:
     """A random monitor, or the complementation monitor of a random PBA,
     which is far more often universal."""

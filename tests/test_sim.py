@@ -13,7 +13,8 @@ from probuchi import (
     lasso,
     lasso_acceptance,
 )
-from probuchi.core import AutomatonError, UnknownSymbolError
+from probuchi import sim
+from probuchi.core import AutomatonError, ResourceLimitError, UnknownSymbolError
 from probuchi.sim import (
     MonitorError,
     MonitorSession,
@@ -22,6 +23,8 @@ from probuchi.sim import (
     mc_lasso_estimate,
     monitor_stream,
 )
+
+from probuchi.textio import parse
 
 from conftest import random_fpm, random_lasso
 
@@ -231,3 +234,24 @@ def test_monitor_long_leak_stream():
             assert r == 1 - keep**n
             assert (r.numerator, r.denominator) == (1024**n - 1023**n, 1024**n)
     assert session.position == 3000
+
+
+def slow_exit_monitor(den: int) -> str:
+    """A monitor that leaves its one live state for the reject with
+    probability 1/den per symbol."""
+    return (
+        "type: fpm\nalphabet: a\nstates: q r\ninit: q\nfinal: q\nreject: r\n"
+        f"q -a-> q : {den - 1}/{den}\nq -a-> r : 1/{den}\nr -a-> r : 1\n"
+    )
+
+
+def test_mc_sample_past_the_step_limit_raises(monkeypatch):
+    monkeypatch.setattr(sim, "MC_STEP_LIMIT", 500)
+    # an exit of 1/2 per step: every sample is absorbed well within the limit
+    est = mc_lasso_estimate(parse(slow_exit_monitor(2)), lasso("", "a"), 200, seed=3)
+    assert est.mean == 0.0
+    # an exit of 10^-30 per step: the first sample runs into the limit
+    with pytest.raises(ResourceLimitError) as err:
+        mc_lasso_estimate(parse(slow_exit_monitor(10**30)), lasso("", "a"), 5, seed=3)
+    assert err.value.cap_name == "step_cap" and err.value.cap_value == 500
+    assert "500 chain steps" in str(err.value) and "fixed" in str(err.value)

@@ -1,6 +1,7 @@
 """Text format: round trips, grammar errors, lasso syntax."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from probuchi import (
     complement_to_fpm,
     lasso,
 )
-from probuchi.core import LassoWord
+from probuchi.core import LassoWord, validate
 from probuchi.textio import FormatError, format_lasso, parse, parse_lasso, serialize
 
 from conftest import random_dra, random_fpm, random_nba, random_pba, random_pra
@@ -182,3 +183,32 @@ def _alphabet_and_lasso(draw):
 def test_format_lasso_round_trips_over_mixed_width_alphabets(case):
     alphabet, w = case
     assert parse_lasso(format_lasso(w, alphabet), alphabet) == w
+
+
+PROB_LINE = "type: pba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s : {}\n"
+
+
+@pytest.mark.parametrize("tok", ["1_0/20", "٣/4", "+1/2", "1/+2", "1/-2", "1e0", "1/0"])
+def test_probability_needs_ascii_digits(tok):
+    with pytest.raises(FormatError) as err:
+        parse(PROB_LINE.format(tok))
+    assert f"bad probability {tok!r}" in str(err.value)
+    assert (err.value.line, err.value.column) == (6, 12)
+
+
+def test_negative_numerator_parses_for_validate():
+    a = parse(PROB_LINE.format("-1/2"))
+    assert a.prob_row("s", "a") == (("s", F(-1, 2)),)
+    assert any("out of range" in v for v in validate(a).violations)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-from-str digit limit"
+)
+@pytest.mark.parametrize("tok", ["9" * 4400 + "/" + "9" * 4400, "1/" + "1" * 4301])
+def test_probability_past_the_digit_limit_names_it(tok):
+    with pytest.raises(FormatError) as err:
+        parse(PROB_LINE.format(tok))
+    message = str(err.value)
+    assert "4,300-digit limit" in message
+    assert tok[:40] in message and len(message) < 200
