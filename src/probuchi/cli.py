@@ -4,7 +4,7 @@ Query subcommands print a single JSON document on stdout; construction
 subcommands print the serialized result automaton so they can be piped back
 in (``-`` means stdin for any FILE argument); ``monitor`` streams one exact
 rational per line.  Human summaries go to stderr.  Exit status: 0 answered,
-2 unknown or resource limit, 1 input error.
+2 unknown or resource limit, 1 input error, a malformed command line included.
 """
 
 from __future__ import annotations
@@ -69,8 +69,15 @@ def _text(x: Fraction | Automaton) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error (exit 1)."""
+
+    def error(self, message: str):
+        raise AutomatonError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="probuchi",
         description="Probabilistic omega-automata toolkit (exact arithmetic)",
     )
@@ -91,11 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("lasso", metavar="LASSO")
     sp = add("mc", help="Monte Carlo estimate of lasso acceptance")
     sp.add_argument("lasso", metavar="LASSO")
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=textio.integer, default=10_000)
+    sp.add_argument("--seed", type=textio.integer, default=0)
     add("monitor", help="stream exact rejection probabilities (symbols on stdin)")
     sp = add("complement", help="complement an NBA (rank-based)")
-    sp.add_argument("--complement-cap", type=int, default=None)
+    sp.add_argument("--complement-cap", type=textio.integer, default=None)
     add("product", files=2, help="monitor product (acceptance multiplies)")
     add("union", files=2, help="almost-sure union of two PBAs")
     add("intersect", files=2, help="almost-sure intersection of two PBAs")
@@ -103,22 +110,22 @@ def _build_parser() -> argparse.ArgumentParser:
     add("hpba2nba", help="hierarchical PBA to NBA (positive semantics)")
     add("closure", help="safety closure of a hierarchical PBA's positive language")
     sp = add("decompose", help="Rabin decomposition into PBA pairs")
-    sp.add_argument("--cap", type=int, default=6)
+    sp.add_argument("--cap", type=textio.integer, default=6)
     for name, what in (("empty", "emptiness"), ("universal", "universality")):
         sp = add(name, help=f"decide {what} under a semantics")
         sp.add_argument(
             "--semantics", choices=["positive", "almost-sure"], default="positive"
         )
-        sp.add_argument("--monoid-cap", type=int, default=None)
+        sp.add_argument("--monoid-cap", type=textio.integer, default=None)
     sp = add("witness", help="bounded strongly-asymptotic witness search")
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--max-j", type=int, required=True)
-    sp.add_argument("--x", type=str, default="0")
+    sp.add_argument("--max-len", type=textio.integer, required=True)
+    sp.add_argument("--max-j", type=textio.integer, required=True)
+    sp.add_argument("--x", type=textio.rational, default="0")
     sp = add("contain", files=2, help="bounded containment refutation")
     sp.add_argument(
         "--semantics", choices=["positive", "almost-sure"], required=True
     )
-    sp.add_argument("--bound", type=int, required=True)
+    sp.add_argument("--bound", type=textio.integer, required=True)
     sp = sub.add_parser("gen", help="generate a named example automaton")
     sp.add_argument("name_", metavar="NAME")
     sp.add_argument("params", nargs="*", metavar="PARAMS")
@@ -252,11 +259,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_witness(args) -> int:
     aut = _load(args.file)
-    try:
-        x = Fraction(args.x)
-    except ZeroDivisionError:
-        raise AutomatonError(f"--x {args.x!r} has a zero denominator") from None
-    w = decide.pba_positive_nonempty_bounded(aut, args.max_len, args.max_j, x)
+    w = decide.pba_positive_nonempty_bounded(aut, args.max_len, args.max_j, args.x)
     if w is None:
         _emit(
             {"command": "witness", "answer": "unknown",
@@ -376,8 +379,8 @@ _QUERIES = {
 
 
 def run(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _QUERIES.get(args.command, _cmd_construct)(args)
     except ResourceLimitError as exc:
         _emit(

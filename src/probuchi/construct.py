@@ -25,6 +25,7 @@ from .core import (
     require_valid,
 )
 from .graphs import accepting_cycles, coreachable
+from .textio import integer, rational
 
 __all__ = [
     "complement_to_fpm",
@@ -600,14 +601,14 @@ def generate_example(name: str, *params: str) -> Automaton:
         raise AutomatonError(f"generator {name} takes {arity} parameter(s)")
     if name == "succinct":
         try:
-            n = int(params[0])
+            n = integer(params[0])
         except ValueError:
             raise AutomatonError("succinct parameter must be an integer") from None
         return fn(n)
     if name == "p3":
         try:
-            lam = Fraction(params[0])
-        except (ValueError, ZeroDivisionError):
+            lam = rational(params[0])
+        except ValueError:
             raise AutomatonError("p3 parameter must be a rational like 1/4") from None
         return fn(lam)
     return fn()

@@ -212,8 +212,9 @@ class Automaton:
     ``(target, probability)`` pairs for probabilistic roles and to a tuple of
     target states for nondeterministic roles.  Rows are normalized at
     construction: entries sorted by target declaration order, exact zeros
-    dropped, duplicates rejected.  ``name`` is carried for display only and
-    never takes part in equality.
+    dropped, a probabilistic row's duplicate targets rejected and a
+    nondeterministic row's merged.  ``name`` is carried for display only
+    and never takes part in equality.
 
     Semantically defective automata (bad row sums, missing reject state and
     so on) are representable; :func:`validate` reports their violations.

@@ -16,8 +16,8 @@ declaration order) makes outputs reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import os
-import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +48,7 @@ from .markov import (
     lasso_acceptance,
     word_matrix,
 )
-from .textio import format_lasso
+from .textio import format_lasso, integer
 
 __all__ = [
     "SubsetWitness",
@@ -102,9 +102,8 @@ class SearchCancelled(AutomatonError):
 def _cap(cap: int | None, env: str, default: int) -> int:
     """An explicit cap, else the integer in ``env``, else ``default``.
 
-    The variable holds an optional sign and ASCII digits only: ``int`` would
-    also take blanks, underscores and non-ASCII digits.  A cap below 1 is an
-    input error naming its flag or variable.
+    The variable is read by :func:`probuchi.textio.integer`.  A cap below 1
+    is an input error naming its flag or variable.
     """
     source = _CAP_FLAGS[env]
     if cap is None:
@@ -113,9 +112,7 @@ def _cap(cap: int | None, env: str, default: int) -> int:
             return default
         source = env
         try:
-            if re.fullmatch(r"[+-]?[0-9]+", text) is None:
-                raise ValueError(text)
-            cap = int(text)  # also raises past Python's int-from-str digit limit
+            cap = integer(text)
         except ValueError:
             raise AutomatonError(f"{env} must be an integer, got {text!r}") from None
     if cap < 1:
@@ -1013,23 +1010,32 @@ def almost_sure_universal(b: Automaton, **kw) -> LassoWord | None:
 # Bounded asymptotic witness search
 
 
+def _witness_factors(b: Automaton, w: AsymptoticWitness,
+                     x: Fraction) -> list[Fraction] | None:
+    """The reach mass z = delta_u(qs, C), then each segment's worst-case
+    final-passage return min over C; None at the first that fails z > x or
+    return > 1 - 2^-j, before any later matrix is built or symbol met."""
+    if not w.states or not w.u or not w.segments:
+        return None
+    z = word_matrix(b, w.u).row_sum(b.initial, w.states)
+    if z <= x:
+        return None
+    factors = [z]
+    for j, seg in enumerate(w.segments, w.start_index):
+        if not seg:
+            return None
+        fp = final_passage_matrix(b, seg)
+        factors.append(min(fp.row_sum(q, w.states) for q in w.states))
+        if factors[-1] <= 1 - Fraction(1, 2**j):
+            return None
+    return factors
+
+
 def verify_asymptotic_witness(
     b: Automaton, w: AsymptoticWitness, x: Fraction = Fraction(0)
 ) -> bool:
     """Exact re-check of every matrix inequality behind the witness."""
-    if not w.states or not w.u or not w.segments:
-        return False
-    if word_matrix(b, w.u).row_sum(b.initial, w.states) <= x:
-        return False
-    for off, seg in enumerate(w.segments):
-        j = w.start_index + off
-        if not seg:
-            return False
-        fp = final_passage_matrix(b, seg)
-        bound = 1 - Fraction(1, 2**j)
-        if any(fp.row_sum(q, w.states) <= bound for q in w.states):
-            return False
-    return True
+    return _witness_factors(b, w, x) is not None
 
 
 def pba_positive_nonempty_bounded(
@@ -1107,18 +1113,13 @@ def acceptance_lower_bound(b: Automaton, w: AsymptoticWitness) -> LassoLowerBoun
     finite-prefix event and the result is tagged non-asymptotic.
     """
     require_valid(b)
-    if not verify_asymptotic_witness(b, w):
+    factors = _witness_factors(b, w, Fraction(0))
+    if factors is None:
         raise AutomatonError("invalid asymptotic witness")
-    z = word_matrix(b, w.u).row_sum(b.initial, w.states)
-    value = z
-    last_min = Fraction(1)
-    for seg in w.segments:
-        fp = final_passage_matrix(b, seg)
-        last_min = min(fp.row_sum(q, w.states) for q in w.states)
-        value *= last_min
     stem = w.u + tuple(itertools.chain.from_iterable(w.segments[:-1]))
     assembled = LassoWord(stem, w.segments[-1])
-    return LassoLowerBound(value=value, asymptotic=last_min == 1, lasso=assembled)
+    return LassoLowerBound(value=math.prod(factors), asymptotic=factors[-1] == 1,
+                           lasso=assembled)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ Probabilities are written as ``p/q`` or integers; floats are rejected.
 Serialization is deterministic: declaration order everywhere and reduced
 fractions with positive denominators, so parse(serialize(a)) is structurally
 equal to a (names are display-only and excluded from equality).
+
+:func:`integer` and :func:`rational` read every number that comes from
+outside, in files, flags, variables and generator parameters alike.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import re
 import sys
 from fractions import Fraction
 from typing import Sequence
-
-_TOKEN_RE = re.compile(r"\S+")
 
 from .core import (
     Automaton,
@@ -32,7 +33,12 @@ from .core import (
 )
 
 __all__ = ["FormatError", "parse", "serialize", "parse_lasso", "format_word",
-           "format_lasso"]
+           "format_lasso", "integer", "rational"]
+
+_TOKEN_RE = re.compile(r"\S+")
+# A '#' at the start of a line or after a blank opens a comment.
+_COMMENT_RE = re.compile(r"(?<![^ \t])#")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 class FormatError(AutomatonError):
@@ -44,26 +50,36 @@ class FormatError(AutomatonError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _strip_comment(line: str) -> str:
-    if line.startswith("#"):
-        return ""
-    out = []
-    prev = " "
-    for i, ch in enumerate(line):
-        if ch == "#" and prev in (" ", "\t"):
-            break
-        out.append(ch)
-        prev = ch
-    return "".join(out)
+def integer(text: str, signed: bool = True) -> int:
+    """FORMAT.md's integer: ASCII digits, after an optional sign if ``signed``.
+
+    Raises ValueError on any other text and past Python's int-from-str limit.
+    """
+    if re.fullmatch(r"[+-]?[0-9]+" if signed else r"[0-9]+", text) is None:
+        raise ValueError(f"bad integer {_clip(text)}")
+    return int(text)
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+def rational(text: str, what: str = "rational") -> Fraction:
+    """FORMAT.md's rational: ``p/q`` or an integer in ASCII digits, with an
+    optional ``-`` on the numerator (so that validate reports a negative
+    weight) and a nonzero denominator.
 
-
-# FORMAT.md's probabilities: ASCII digits, as p/q or an integer.  A leading
-# minus is read so that validate reports the weight as out of range.
-_PROB_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+    Raises ValueError on any other text and past Python's int-from-str
+    limit, with a message that calls the value ``what``.
+    """
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None and "." in text:
+        raise ValueError(f"float {what} {_clip(text)} is forbidden; use p/q")
+    if m is None:
+        raise ValueError(f"bad {what} {_clip(text)}")
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except ValueError:  # on ASCII digits, only Python's int-from-str digit limit
+        raise ValueError(
+            f"{what} {_clip(text)} has an integer longer than Python's "
+            f"{sys.get_int_max_str_digits():,}-digit limit"
+        ) from None
 
 
 def _clip(tok: str, width: int = 40) -> str:
@@ -71,177 +87,36 @@ def _clip(tok: str, width: int = 40) -> str:
     return repr(tok) if len(tok) <= width else repr(tok[:width]) + "..."
 
 
-def _parse_prob(tok: str, line_no: int, col: int) -> Fraction:
-    if "." in tok:
-        raise FormatError(
-            f"float probability {_clip(tok)} is forbidden; use p/q", line_no, col
-        )
-    m = _PROB_RE.fullmatch(tok)
-    if m is None:
-        raise FormatError(f"bad probability {_clip(tok)}", line_no, col)
-    num, den = m.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise FormatError(f"bad probability {_clip(tok)}", line_no, col) from None
-    except ValueError:  # on ASCII digits, only Python's int-from-str digit limit
-        raise FormatError(
-            f"probability {_clip(tok)} has an integer longer than Python's "
-            f"{sys.get_int_max_str_digits():,}-digit limit", line_no, col
-        ) from None
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """The tokens of ``line`` before any comment, with their 1-based columns."""
+    line = _COMMENT_RE.split(line, 1)[0]
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def parse(text: str, name: str = "automaton") -> Automaton:
-    """Parse the text format; syntax errors carry line/column.
-
-    Semantic problems (row sums, absorption, rankings) are deferred to
-    :func:`probuchi.core.validate`; only grammar-level rules are enforced
-    here, including the role-required header lines.
-    """
-    role: str | None = None
-    alphabet: tuple[str, ...] | None = None
-    states: tuple[str, ...] | None = None
-    initial: str | None = None
-    final: tuple[str, ...] | None = None
-    reject: str | None = None
-    pairs: list[tuple[frozenset[str], frozenset[str]]] = []
-    ranks: dict[str, int] | None = None
-    transitions: dict = {}
-    seen_keys: set[str] = set()
-    seen_edges: set[tuple[str, str, str]] = set()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        toks = _tokens(line)
-        if not toks:
-            continue
-        head, head_col = toks[0]
-        if head.endswith(":"):
-            key = head[:-1]
-            rest = toks[1:]
-            if role is None and key != "type":
-                raise FormatError("first line must be 'type: <role>'", line_no, head_col)
-            if key in seen_keys and key != "pair":
-                raise FormatError(f"duplicate key {key!r}", line_no, head_col)
-            seen_keys.add(key)
-            if key == "type":
-                if len(rest) != 1 or rest[0][0] not in ROLES:
-                    raise FormatError(
-                        "type must be one of pba|fpm|hpba|nba|dra|pra",
-                        line_no,
-                        head_col,
-                    )
-                role = rest[0][0]
-            elif key == "alphabet":
-                if not rest:
-                    raise FormatError("alphabet must not be empty", line_no, head_col)
-                alphabet = tuple(t for t, _ in rest)
-            elif key == "states":
-                if not rest:
-                    raise FormatError("states must not be empty", line_no, head_col)
-                states = tuple(t for t, _ in rest)
-            elif key == "init":
-                if len(rest) != 1:
-                    raise FormatError("init takes one state", line_no, head_col)
-                initial = rest[0][0]
-            elif key == "final":
-                final = tuple(t for t, _ in rest)
-            elif key == "reject":
-                if len(rest) != 1:
-                    raise FormatError("reject takes one state", line_no, head_col)
-                reject = rest[0][0]
-            elif key == "pair":
-                pairs.append(_parse_pair(rest, line_no))
-            elif key == "ranks":
-                ranks = {}
-                for tok, col in rest:
-                    if "=" not in tok:
-                        raise FormatError(f"rank entry {tok!r} needs q=level", line_no, col)
-                    q, _, lv = tok.partition("=")
-                    try:
-                        ranks[q] = int(lv)
-                    except ValueError:
-                        raise FormatError(f"bad level in {tok!r}", line_no, col) from None
-            else:
-                raise FormatError(f"unknown key {key!r}", line_no, head_col)
-            continue
-        # transition line
-        if role is None:
-            raise FormatError("first line must be 'type: <role>'", line_no, head_col)
-        if len(toks) not in (3, 5):
-            raise FormatError(
-                "transition must be \"q -sym-> q'\" or \"q -sym-> q' : p\"",
-                line_no,
-                head_col,
-            )
-        src = toks[0][0]
-        arrow, arrow_col = toks[1]
-        dst = toks[2][0]
-        if not (arrow.startswith("-") and arrow.endswith("->") and len(arrow) > 3):
-            raise FormatError(f"bad transition arrow {arrow!r}", line_no, arrow_col)
-        sym = arrow[1:-2]
-        probabilistic_role = role in PROBABILISTIC_ROLES
-        if (src, sym, dst) in seen_edges:
-            raise FormatError(f"duplicate transition {src} -{sym}-> {dst}", line_no, head_col)
-        seen_edges.add((src, sym, dst))
-        if len(toks) == 5:
-            colon, colon_col = toks[3]
-            if colon != ":":
-                raise FormatError("expected ':' before probability", line_no, colon_col)
-            if not probabilistic_role:
-                raise FormatError(
-                    f"role {role} takes unweighted transitions", line_no, colon_col
-                )
-            p = _parse_prob(toks[4][0], line_no, toks[4][1])
-            transitions.setdefault((src, sym), []).append((dst, p))
-        else:
-            if probabilistic_role:
-                raise FormatError(
-                    f"role {role} needs ': p' on every transition", line_no, head_col
-                )
-            transitions.setdefault((src, sym), []).append(dst)
-
-    if role is None:
-        raise FormatError("empty input; first line must be 'type: <role>'", 1)
-    for key, value in (("alphabet", alphabet), ("states", states), ("init", initial)):
-        if value is None:
-            raise FormatError(f"missing {key!r} line", 1)
-    if role in BUCHI_ROLES and final is None:
-        raise FormatError("missing 'final:' line for a Buchi role", 1)
-    if role == "fpm" and reject is None:
-        raise FormatError("missing 'reject:' line for an fpm", 1)
-    if reject is not None and role != "fpm":
-        raise FormatError("'reject:' is only valid for fpm", 1)
-    if ranks is not None and role != "hpba":
-        raise FormatError("'ranks:' is only valid for hpba", 1)
-    if pairs and role in BUCHI_ROLES:
-        raise FormatError("'pair:' is only valid for Rabin roles", 1)
-    if final is not None and role not in BUCHI_ROLES:
-        raise FormatError("'final:' is only valid for Buchi roles", 1)
-
-    acceptance: BuchiAcceptance | RabinAcceptance
-    if role in BUCHI_ROLES:
-        acceptance = BuchiAcceptance(frozenset(final or ()))
-    else:
-        acceptance = RabinAcceptance(tuple(pairs))
-    rk = None
-    if ranks is not None:
-        rk = RankFunction(ranks, max(ranks.values(), default=0))
-    rows = {k: tuple(v) for k, v in transitions.items()}
-    return Automaton(
-        name=name,
-        role=role,
-        alphabet=alphabet,  # type: ignore[arg-type]
-        states=states,  # type: ignore[arg-type]
-        initial=initial,  # type: ignore[arg-type]
-        acceptance=acceptance,
-        transitions=rows,
-        reject=reject,
-        ranks=rk,
-    )
+def _role(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> str:
+    if len(rest) != 1 or rest[0][0] not in ROLES:
+        raise FormatError("type must be one of pba|fpm|hpba|nba|dra|pra", line_no, col)
+    return rest[0][0]
 
 
-def _parse_pair(rest: list[tuple[str, int]], line_no: int) -> tuple[frozenset[str], frozenset[str]]:
+def _one_state(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> str:
+    if len(rest) != 1:
+        raise FormatError(f"{key} takes one state", line_no, col)
+    return rest[0][0]
+
+
+def _names(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
+    return tuple(t for t, _ in rest)
+
+
+def _some_names(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
+    if not rest:
+        raise FormatError(f"{key} must not be empty", line_no, col)
+    return _names(key, rest, line_no, col)
+
+
+def _pair(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
+    """One Rabin pair, as a 1-tuple so that repeated ``pair:`` lines add up."""
     text = " ".join(t for t, _ in rest)
     col = rest[0][1] if rest else 1
     groups = []
@@ -264,7 +139,124 @@ def _parse_pair(rest: list[tuple[str, int]], line_no: int) -> tuple[frozenset[st
             raise FormatError("pair must be '{b1 b2 ...} {g1 g2 ...}'", line_no, col)
     if depth or len(groups) != 2:
         raise FormatError("pair must be '{b1 b2 ...} {g1 g2 ...}'", line_no, col)
-    return groups[0], groups[1]
+    return ((groups[0], groups[1]),)
+
+
+def _ranks(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> dict:
+    ranks = {}
+    for tok, col in rest:
+        if "=" not in tok:
+            raise FormatError(f"rank entry {tok!r} needs q=level", line_no, col)
+        q, _, level = tok.partition("=")
+        try:
+            ranks[q] = integer(level, signed=False)
+        except ValueError:
+            raise FormatError(f"bad level in {tok!r}", line_no, col) from None
+    return ranks
+
+
+_RABIN_ROLES = ROLES - BUCHI_ROLES
+
+# Every header key: the reader of its tokens (given the key, the tokens, the
+# line and the key's column), the roles that need the line and the error when
+# it is missing, the roles that allow it and the error when it is not.  After
+# the last line, missing lines are reported in table order, then lines not
+# allowed in reverse order.
+_HEADER_KEYS = {
+    "type": (_role, (), "", ROLES, ""),
+    "alphabet": (_some_names, ROLES, "missing 'alphabet' line", ROLES, ""),
+    "states": (_some_names, ROLES, "missing 'states' line", ROLES, ""),
+    "init": (_one_state, ROLES, "missing 'init' line", ROLES, ""),
+    "final": (_names, BUCHI_ROLES, "missing 'final:' line for a Buchi role",
+              BUCHI_ROLES, "'final:' is only valid for Buchi roles"),
+    "pair": (_pair, (), "", _RABIN_ROLES, "'pair:' is only valid for Rabin roles"),
+    "ranks": (_ranks, (), "", {"hpba"}, "'ranks:' is only valid for hpba"),
+    "reject": (_one_state, {"fpm"}, "missing 'reject:' line for an fpm",
+               {"fpm"}, "'reject:' is only valid for fpm"),
+}
+
+
+def parse(text: str, name: str = "automaton") -> Automaton:
+    """Parse the text format; syntax errors carry line/column.
+
+    Semantic problems (row sums, absorption, rankings) are deferred to
+    :func:`probuchi.core.validate`; only grammar-level rules are enforced
+    here, including the role-required header lines.
+    """
+    header: dict = {}  # the keys of _HEADER_KEYS read so far, to their values
+    transitions: dict = {}
+    seen_edges: set[tuple[str, str, str]] = set()
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        toks = _tokens(raw)
+        if not toks:
+            continue
+        head, head_col = toks[0]
+        role = header.get("type")
+        if role is None and head != "type:":
+            raise FormatError("first line must be 'type: <role>'", line_no, head_col)
+        if head.endswith(":"):
+            key = head[:-1]
+            if key in header and key != "pair":  # the one key that repeats
+                raise FormatError(f"duplicate key {key!r}", line_no, head_col)
+            if key not in _HEADER_KEYS:
+                raise FormatError(f"unknown key {key!r}", line_no, head_col)
+            value = _HEADER_KEYS[key][0](key, toks[1:], line_no, head_col)
+            header[key] = header.get(key, ()) + value if key == "pair" else value
+            continue
+        # transition line
+        if len(toks) not in (3, 5):
+            raise FormatError("transition must be \"q -sym-> q'\" or \"q -sym-> q' : p\"",
+                              line_no, head_col)
+        src = toks[0][0]
+        arrow, arrow_col = toks[1]
+        dst = toks[2][0]
+        if not (arrow.startswith("-") and arrow.endswith("->") and len(arrow) > 3):
+            raise FormatError(f"bad transition arrow {arrow!r}", line_no, arrow_col)
+        sym = arrow[1:-2]
+        probabilistic_role = role in PROBABILISTIC_ROLES
+        if (src, sym, dst) in seen_edges:
+            raise FormatError(f"duplicate transition {src} -{sym}-> {dst}", line_no, head_col)
+        seen_edges.add((src, sym, dst))
+        if len(toks) == 5:
+            colon, colon_col = toks[3]
+            if colon != ":":
+                raise FormatError("expected ':' before probability", line_no, colon_col)
+            if not probabilistic_role:
+                raise FormatError(
+                    f"role {role} takes unweighted transitions", line_no, colon_col
+                )
+            try:
+                p = rational(toks[4][0], "probability")
+            except ValueError as exc:
+                raise FormatError(str(exc), line_no, toks[4][1]) from None
+            transitions.setdefault((src, sym), []).append((dst, p))
+        else:
+            if probabilistic_role:
+                raise FormatError(
+                    f"role {role} needs ': p' on every transition", line_no, head_col
+                )
+            transitions.setdefault((src, sym), []).append(dst)
+
+    role = header.get("type")
+    if role is None:
+        raise FormatError("empty input; first line must be 'type: <role>'", 1)
+    for key, (_, needed_by, missing, _, _) in _HEADER_KEYS.items():
+        if role in needed_by and key not in header:
+            raise FormatError(missing, 1)
+    for key, (_, _, _, allowed_in, misplaced) in reversed(_HEADER_KEYS.items()):
+        if role not in allowed_in and key in header:
+            raise FormatError(misplaced, 1)
+
+    acceptance = (BuchiAcceptance(frozenset(header["final"])) if role in BUCHI_ROLES
+                  else RabinAcceptance(header.get("pair", ())))
+    ranks = header.get("ranks")
+    rk = None if ranks is None else RankFunction(ranks, max(ranks.values(), default=0))
+    rows = {k: tuple(v) for k, v in transitions.items()}
+    return Automaton(name=name, role=role, alphabet=header["alphabet"],
+                     states=header["states"], initial=header["init"],
+                     acceptance=acceptance, transitions=rows,
+                     reject=header.get("reject"), ranks=rk)
 
 
 def serialize(aut: Automaton) -> str:

@@ -556,3 +556,103 @@ def test_construction_prints_rationals_beyond_the_digit_limit(tmp_path, capsys):
         assert parse(out) == fpm_product(big, big)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_usage_errors_are_input_errors_naming_the_argument(m_id_file, capsys):
+    cases = [
+        (["prob", m_id_file], "LASSO"),
+        (["nosuch"], "'nosuch'"),
+        (["witness", m_id_file, "--max-len", "abc", "--max-j", "1"], "--max-len"),
+        (["contain", m_id_file, m_id_file, "--bound", "2"], "--semantics"),
+        (["validate", m_id_file, "--nosuch"], "--nosuch"),
+        ([], "command"),
+    ]
+    for argv, name in cases:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and name in captured.err, argv
+        assert captured.err.count("\n") == 1, argv
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["witness", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: probuchi")
+
+
+# Every number that comes from outside: entry -> (argv, with V for the value
+# and capitals for the files below; the variable that carries the value, if
+# any; what the error names; an accepted value).
+_NUMBER_ENTRIES = {
+    "--samples": ("mc M ;1 --samples V", None, "--samples", "3"),
+    "--seed": ("mc M ;1 --samples 3 --seed V", None, "--seed", "3"),
+    "--complement-cap": ("complement N --complement-cap V", None, "--complement-cap", "3"),
+    "--cap": ("decompose R --cap V", None, "--cap", "6"),
+    "--monoid-cap": ("universal N --monoid-cap V", None, "--monoid-cap", "99"),
+    "--max-len": ("witness M --max-len V --max-j 1", None, "--max-len", "1"),
+    "--max-j": ("witness M --max-len 1 --max-j V", None, "--max-j", "1"),
+    "--bound": ("contain M M --semantics positive --bound V", None, "--bound", "1"),
+    "--x": ("witness M --max-len 1 --max-j 1 --x V", None, "--x", "1/4"),
+    "gen succinct": ("gen succinct V", None, "succinct parameter", "2"),
+    "gen p3": ("gen p3 V", None, "p3 parameter", "1/4"),
+    "PROBUCHI_MONOID_CAP": ("universal N", "PROBUCHI_MONOID_CAP", "PROBUCHI_MONOID_CAP", "3"),
+    "PROBUCHI_COMPLEMENT_CAP": (
+        "complement N", "PROBUCHI_COMPLEMENT_CAP", "PROBUCHI_COMPLEMENT_CAP", "3"
+    ),
+    "ranks:": ("validate H", None, "bad level in 'q0=", "1"),
+    "probability": ("validate P", None, "probability '", "1"),
+}
+_NUMBER_FILES = {
+    "M": serialize(gen_m_id()),
+    "N": "type: nba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s\n",
+    "R": "type: pra\nalphabet: a\nstates: s t\ninit: s\npair: {s} {t}\n"
+         "s -a-> t : 1\nt -a-> t : 1\n",
+    "H": "type: hpba\nalphabet: a\nstates: q0\ninit: q0\nfinal: q0\n"
+         "ranks: q0=V\nq0 -a-> q0 : 1\n",
+    "P": "type: pba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s : V\n",
+}
+
+
+def _run_number_entry(entry, value, tmp_path, monkeypatch):
+    argv, env, _, _ = _NUMBER_ENTRIES[entry]
+    for name, text in _NUMBER_FILES.items():
+        (tmp_path / name).write_text(text.replace("V", value))
+    if env is not None:
+        monkeypatch.setenv(env, value)
+    return run([str(tmp_path / a) if a in _NUMBER_FILES else value if a == "V" else a
+                for a in argv.split()])
+
+
+@pytest.mark.parametrize("entry", list(_NUMBER_ENTRIES))
+def test_number_entry_takes_an_ascii_value(entry, tmp_path, capsys, monkeypatch):
+    code = _run_number_entry(entry, _NUMBER_ENTRIES[entry][3], tmp_path, monkeypatch)
+    captured = capsys.readouterr()
+    assert code in (0, 2) and captured.out, captured.err
+
+
+# A blank inside a file separates tokens, so " 3" is no probability case.
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in _NUMBER_ENTRIES for value in ["٣", "1_0", " 3", "0.5", "1e3"]
+    if (entry, value) != ("probability", " 3")
+])
+def test_number_entry_rejects_other_forms_naming_itself(
+    entry, value, tmp_path, capsys, monkeypatch
+):
+    assert _run_number_entry(entry, value, tmp_path, monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and _NUMBER_ENTRIES[entry][2] in captured.err
+
+
+def test_huge_exponent_is_rejected_at_once(m_id_file, capsys):
+    import time
+
+    start = time.perf_counter()
+    argv = ["witness", m_id_file, "--max-len", "1", "--max-j", "1", "--x", "1e100000000"]
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--x" in captured.err

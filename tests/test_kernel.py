@@ -1676,3 +1676,114 @@ def test_bounded_witness_cases_find_and_miss():
         found[x] += pba_positive_nonempty_bounded(b, 1 + i % 3, 1 + i // 3 % 3, x) is not None
     for x in X_VALUES:
         assert 10 <= found[x] <= draws[x] - 10
+
+
+# The witness re-check and lower bound before they shared one loop: the bound
+# re-ran the check and then rebuilt every matrix.
+
+import sys
+
+
+def ref_verify_asymptotic_witness(b, w, x=Fraction(0)):
+    if not w.states or not w.u or not w.segments:
+        return False
+    if word_matrix(b, w.u).row_sum(b.initial, w.states) <= x:
+        return False
+    for off, seg in enumerate(w.segments):
+        j = w.start_index + off
+        if not seg:
+            return False
+        fp = final_passage_matrix(b, seg)
+        bound = 1 - Fraction(1, 2**j)
+        if any(fp.row_sum(q, w.states) <= bound for q in w.states):
+            return False
+    return True
+
+
+def ref_acceptance_lower_bound(b, w):
+    from probuchi.core import require_valid
+    from probuchi.decide import LassoLowerBound
+
+    require_valid(b)
+    if not ref_verify_asymptotic_witness(b, w):
+        raise decide.AutomatonError("invalid asymptotic witness")
+    z = word_matrix(b, w.u).row_sum(b.initial, w.states)
+    value = z
+    last_min = Fraction(1)
+    for seg in w.segments:
+        fp = final_passage_matrix(b, seg)
+        last_min = min(fp.row_sum(q, w.states) for q in w.states)
+        value *= last_min
+    stem = w.u + tuple(itertools.chain.from_iterable(w.segments[:-1]))
+    assembled = LassoWord(stem, w.segments[-1])
+    return LassoLowerBound(value=value, asymptotic=last_min == 1, lasso=assembled)
+
+
+def _witness_draws(rng):
+    """Witnesses the search finds, then ones with a part swapped for a random
+    (possibly empty) word, a state set with a stranger, an unknown symbol in
+    some part or another start index."""
+    while True:
+        b = walk_automaton(rng)
+        found = pba_positive_nonempty_bounded(b, rng.randint(1, 2), rng.randint(1, 3))
+        if found is not None:
+            yield b, found
+        base = found or AsymptoticWitness(frozenset(b.states[:1]), ("a",), (("a",),))
+        parts = [base.u, *base.segments]
+
+        def word():
+            return tuple(rng.choice("aab" if rng.random() < 0.8 else "abz")
+                         for _ in range(rng.randint(0, 3)))
+
+        for _ in range(rng.randint(1, 2)):
+            parts[rng.randrange(len(parts))] = word()
+        if rng.random() < 0.3:
+            parts.append(word())
+        states = frozenset(q for q in b.states if rng.random() < 0.6)
+        if rng.random() < 0.1:
+            states |= {"stranger"}
+        yield b, AsymptoticWitness(rng.choice([base.states, states]), parts[0],
+                                   tuple(parts[1:]), rng.choice([1, 1, 2, 3]))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the type is part of the outcome
+        return ("error", type(exc), str(exc))
+
+
+def test_witness_check_and_bound_match_the_reference(monkeypatch):
+    builds = {}
+    for module in (decide, sys.modules[__name__]):
+        for name in ("word_matrix", "final_passage_matrix"):
+            def spy(*args, _fn=getattr(module, name), _key=(module, name)):
+                builds[_key] = builds.get(_key, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+
+    def counted(module, fn, *args):
+        builds.clear()
+        out = _outcome(fn, *args)
+        return out, [builds.get((module, n), 0) for n in ("word_matrix", "final_passage_matrix")]
+
+    rng = random.Random(1717)
+    draws = _witness_draws(rng)
+    verdicts = {True: 0, False: 0, "error": 0}
+    bounds = 0
+    for _ in range(600):
+        b, w = next(draws)
+        x = rng.choice(X_VALUES)
+        ref, ref_builds = counted(sys.modules[__name__], ref_verify_asymptotic_witness, b, w, x)
+        got, got_builds = counted(decide, decide.verify_asymptotic_witness, b, w, x)
+        assert got == ref and got_builds == ref_builds, (w, x, ref, got)
+        verdicts[ref[1] if ref[0] == "ok" else "error"] += 1
+        ref, _ = counted(sys.modules[__name__], ref_acceptance_lower_bound, b, w)
+        got, got_builds = counted(decide, decide.acceptance_lower_bound, b, w)
+        assert got == ref, (w, ref, got)
+        if got[0] == "ok":
+            bounds += 1
+            assert got_builds == [1, len(w.segments)]  # one pass over the witness
+    # Vacuity guard: witnesses that hold, fail and raise, and bounds built.
+    assert verdicts[True] >= 100 and verdicts[False] >= 100 and verdicts["error"] >= 20, verdicts
+    assert bounds >= 100, bounds
