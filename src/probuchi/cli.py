@@ -69,6 +69,22 @@ def _text(x: Fraction | Automaton) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def _number(read):
+    """``read`` as an argparse type: its error message, which quotes at most
+    a bad value's first 40 characters, replaces argparse's whole-value one."""
+
+    def parse(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_INTEGER, _RATIONAL = _number(textio.integer), _number(textio.rational)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as an input error (exit 1)."""
 
@@ -98,11 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("lasso", metavar="LASSO")
     sp = add("mc", help="Monte Carlo estimate of lasso acceptance")
     sp.add_argument("lasso", metavar="LASSO")
-    sp.add_argument("--samples", type=textio.integer, default=10_000)
-    sp.add_argument("--seed", type=textio.integer, default=0)
+    sp.add_argument("--samples", type=_INTEGER, default=10_000)
+    sp.add_argument("--seed", type=_INTEGER, default=0)
     add("monitor", help="stream exact rejection probabilities (symbols on stdin)")
     sp = add("complement", help="complement an NBA (rank-based)")
-    sp.add_argument("--complement-cap", type=textio.integer, default=None)
+    sp.add_argument("--complement-cap", type=_INTEGER, default=None)
     add("product", files=2, help="monitor product (acceptance multiplies)")
     add("union", files=2, help="almost-sure union of two PBAs")
     add("intersect", files=2, help="almost-sure intersection of two PBAs")
@@ -110,22 +126,22 @@ def _build_parser() -> argparse.ArgumentParser:
     add("hpba2nba", help="hierarchical PBA to NBA (positive semantics)")
     add("closure", help="safety closure of a hierarchical PBA's positive language")
     sp = add("decompose", help="Rabin decomposition into PBA pairs")
-    sp.add_argument("--cap", type=textio.integer, default=6)
+    sp.add_argument("--cap", type=_INTEGER, default=6)
     for name, what in (("empty", "emptiness"), ("universal", "universality")):
         sp = add(name, help=f"decide {what} under a semantics")
         sp.add_argument(
             "--semantics", choices=["positive", "almost-sure"], default="positive"
         )
-        sp.add_argument("--monoid-cap", type=textio.integer, default=None)
+        sp.add_argument("--monoid-cap", type=_INTEGER, default=None)
     sp = add("witness", help="bounded strongly-asymptotic witness search")
-    sp.add_argument("--max-len", type=textio.integer, required=True)
-    sp.add_argument("--max-j", type=textio.integer, required=True)
-    sp.add_argument("--x", type=textio.rational, default="0")
+    sp.add_argument("--max-len", type=_INTEGER, required=True)
+    sp.add_argument("--max-j", type=_INTEGER, required=True)
+    sp.add_argument("--x", type=_RATIONAL, default="0")
     sp = add("contain", files=2, help="bounded containment refutation")
     sp.add_argument(
         "--semantics", choices=["positive", "almost-sure"], required=True
     )
-    sp.add_argument("--bound", type=textio.integer, required=True)
+    sp.add_argument("--bound", type=_INTEGER, required=True)
     sp = sub.add_parser("gen", help="generate a named example automaton")
     sp.add_argument("name_", metavar="NAME")
     sp.add_argument("params", nargs="*", metavar="PARAMS")

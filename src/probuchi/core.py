@@ -15,6 +15,7 @@ freely across concurrent tasks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -273,6 +274,19 @@ class Automaton:
     def index(self) -> dict[str, int]:
         """State name to declaration position."""
         return {q: i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def weights(self) -> dict[str, tuple[int, dict[str, tuple[tuple[str, int], ...]]]]:
+        """Per symbol, ``(den, rows)``: every state's row as (target, integer
+        weight) pairs over ``den``, the lcm of that symbol's weight
+        denominators.  Probabilistic roles only."""
+        table = {}
+        for a in self.alphabet:
+            rows = {q: self.prob_row(q, a) for q in self.states}
+            den = math.lcm(*(w.denominator for row in rows.values() for _, w in row))
+            table[a] = den, {q: tuple((t, w.numerator * (den // w.denominator)) for t, w in row)
+                             for q, row in rows.items()}
+        return table
 
     @property
     def final_states(self) -> frozenset[str]:

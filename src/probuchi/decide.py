@@ -21,6 +21,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Container, Hashable, Iterable, Sequence, TypeVar
 
 from .core import (
@@ -37,18 +38,17 @@ from .core import (
 from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
 from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
 from .markov import (
-    _ONE,
     _ZERO,
     _bscc_accepting,
     _cycle_values,
     _lasso_value,
     _passage,
-    _step,
+    _walk,
     final_passage_matrix,
     lasso_acceptance,
     word_matrix,
 )
-from .textio import format_lasso, integer
+from .textio import _clip, format_lasso, integer
 
 __all__ = [
     "SubsetWitness",
@@ -114,7 +114,7 @@ def _cap(cap: int | None, env: str, default: int) -> int:
         try:
             cap = integer(text)
         except ValueError:
-            raise AutomatonError(f"{env} must be an integer, got {text!r}") from None
+            raise AutomatonError(f"{env} must be an integer, got {_clip(text)}") from None
     if cap < 1:
         raise AutomatonError(f"{source} must be at least 1, got {cap}")
     return cap
@@ -1052,7 +1052,7 @@ def pba_positive_nonempty_bounded(
     1 - 2^-j for j = 1..max_j.  Returns a re-verified witness, or None
     meaning "no witness within these bounds"; emptiness is never asserted
     (the problem is only semi-answerable in this direction).  Each reach
-    word's state masses are one :func:`_step` from its prefix's; its
+    word's state masses are one integer :func:`_walk` from its prefix's; its
     final-passage matrix comes from :func:`_passage` on the automaton
     validated once here, and the closing re-check uses the public calls.
     """
@@ -1063,8 +1063,7 @@ def pba_positive_nonempty_bounded(
         raise AutomatonError("bounds must be at least 1")
     if x < 0:
         raise AutomatonError("x must be at least 0")
-    reach = _walk_stems(b.alphabet, max_len, {b.initial: _ONE},
-                        lambda masses, a: _step(b, masses, a), cancel)
+    reach = _walk_stems(b.alphabet, max_len, ({b.initial: 1}, 1), partial(_walk, b), cancel)
     del reach[()]
     fps = [_passage(b, u, b.acceptance.final) for u in reach]
     state_list = list(b.states)
@@ -1072,27 +1071,19 @@ def pba_positive_nonempty_bounded(
         for combo in itertools.combinations(range(len(state_list)), size):
             _check_cancel(cancel)
             c = frozenset(state_list[i] for i in combo)
-            u = next((w for w, masses in reach.items()
-                      if sum((p for q, p in masses.items() if q in c), _ZERO) > x), None)
+            u = next((w for w, (nums, den) in reach.items()
+                      if sum(p for q, p in nums.items() if q in c) > x * den), None)
             if u is None:
                 continue
             segments = []
-            ok = True
             for j in range(1, max_j + 1):
                 bound = 1 - Fraction(1, 2**j)
-                seg = next(
-                    (
-                        w
-                        for w, fp in zip(reach, fps)
-                        if all(fp.row_sum(q, c) > bound for q in c)
-                    ),
-                    None,
-                )
+                seg = next((w for w, fp in zip(reach, fps)
+                            if all(fp.row_sum(q, c) > bound for q in c)), None)
                 if seg is None:
-                    ok = False
                     break
                 segments.append(seg)
-            if not ok:
+            if len(segments) < max_j:
                 continue
             witness = AsymptoticWitness(c, u, tuple(segments), 1)
             if not verify_asymptotic_witness(b, witness, x):
@@ -1161,19 +1152,20 @@ def containment_refute(
             raise AutomatonError("lasso acceptance needs a probabilistic automaton")
     autos = (b1, b2)
 
-    def step(masses, sym):
-        return tuple(_step(aut, m, sym) for aut, m in zip(autos, masses))
+    def step(walks, sym):
+        return tuple(_walk(aut, walk, sym) for aut, walk in zip(autos, walks))
 
-    stems = _walk_stems(b1.alphabet, bound, ({b1.initial: _ONE}, {b2.initial: _ONE}),
+    stems = _walk_stems(b1.alphabet, bound, (({b1.initial: 1}, 1), ({b2.initial: 1}, 1)),
                         step, cancel)
-    starts = [frozenset().union(*(m[k] for m in stems.values())) for k in (0, 1)]
+    starts = [frozenset().union(*(m[k][0] for m in stems.values())) for k in (0, 1)]
     values: tuple[dict, dict] = ({}, {})
 
-    def value(k: int, masses, v: tuple[str, ...]) -> Fraction:
+    def value(k: int, walks, v: tuple[str, ...]) -> Fraction:
         per_state = values[k].get(v)
         if per_state is None:
             per_state = values[k][v] = _cycle_values(autos[k], starts[k], v)
-        return sum((p * per_state[q] for q, p in masses[k].items()), _ZERO)
+        nums, den = walks[k]
+        return sum((p * per_state[q] for q, p in nums.items()), _ZERO) / den
 
     positive = semantics == "positive"
     cycles = list(all_words(b1.alphabet, 1, bound))

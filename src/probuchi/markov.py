@@ -11,6 +11,8 @@ chain with E edges instead of the O((|Q|*L)^3) of one dense system
 (Baier & Katoen, Principles of Model Checking, section 10.1; Bareiss 1968).
 The chain depends only on the cycle, so a scan over many lassos solves it
 once per cycle and weighs the per-state values by each stem's masses.
+Stems and monitor sessions walk integer numerators through the rows
+``Automaton.weights`` compiles once per automaton, with no gcd per step.
 Everything is a pure function over immutable inputs; floating point never
 appears here.
 """
@@ -146,21 +148,31 @@ class Distribution:
         return frozenset(self.entries)
 
     def step(self, aut: Automaton, symbol: str) -> "Distribution":
-        """One transition step of a probabilistic automaton."""
+        """One transition step, by the ``Fraction`` loop that checks :func:`_walk`."""
         if symbol not in set(aut.alphabet):
             raise UnknownSymbolError(symbol)
-        return Distribution(_step(aut, self.entries, symbol))
+        out: dict[str, Fraction] = {}
+        for q, p in self.entries.items():
+            for t, w in aut.prob_row(q, symbol):
+                out[t] = out.get(t, _ZERO) + p * w
+        return Distribution(out)
 
 
-def _step(
-    aut: Automaton, entries: Mapping[str, Fraction], symbol: str
-) -> dict[str, Fraction]:
-    """State masses after one ``symbol``, exactly; the caller checks the symbol."""
-    out: dict[str, Fraction] = {}
-    for q, p in entries.items():
-        for t, w in aut.prob_row(q, symbol):
-            out[t] = out.get(t, _ZERO) + p * w
-    return out
+Walk = tuple[dict[str, int], int]
+
+
+def _walk(aut: Automaton, walk: Walk, symbol: str) -> Walk:
+    """``walk``, state masses as (numerators, denominator), moved by one
+    ``symbol``: the denominator is multiplied by ``aut.weights[symbol][0]``
+    and no gcd is taken.  Masses keep the insertion order of
+    :meth:`Distribution.step`.  The caller checks the symbol."""
+    nums, den = walk
+    sym_den, rows = aut.weights[symbol]
+    out: dict[str, int] = {}
+    for q, p in nums.items():
+        for t, w in rows[q]:
+            out[t] = out.get(t, 0) + p * w
+    return out, den * sym_den
 
 
 def word_matrix(aut: Automaton, u: Iterable[str]) -> RationalMatrix:
@@ -203,7 +215,7 @@ def _passage(
     included, that visit a marked state; with every state marked this is
     the word matrix, and the empty word gives the identity.  One sparse
     walk per row over (state, seen-marked flag), kept apart from
-    :func:`_step` so the certificates re-check the engines independently.
+    :func:`_walk` so the certificates re-check the engines independently.
     The automaton and the symbols must be checked.
     """
     n = len(aut.states)
@@ -299,10 +311,10 @@ def _bscc_accepting(aut: Automaton, comp: list[tuple[str, int]]) -> bool:
 def build_lasso_chain(aut: Automaton, w: LassoWord) -> LassoChain:
     """Reachable product chain of ``aut`` on ``w`` with BSCCs classified."""
     aut.check_symbols(w.stem + w.cycle)
-    masses = {aut.initial: _ONE}
+    nums, den = {aut.initial: 1}, 1
     for a in w.stem:
-        masses = _step(aut, masses, a)
-    return _chain(aut, masses, w.cycle)
+        nums, den = _walk(aut, (nums, den), a)
+    return _chain(aut, {q: Fraction(p, den) for q, p in nums.items()}, w.cycle)
 
 
 def _chain(

@@ -12,9 +12,9 @@ compared against them by cross-multiplication, so the estimator carries no
 floating-point bias and needs no rational arithmetic per decision.
 
 Monitor sessions keep the exact state distribution as integer numerators
-over one running denominator.  Each symbol's rows are compiled once per
-session over the lcm of that symbol's weight denominators, and the session
-keeps the running denominator split into its power of two and its odd part.
+over one running denominator, stepped by ``markov._walk`` over the rows
+``Automaton.weights`` compiles once per automaton, and keep the running
+denominator split into its power of two and its odd part.
 The power of two it shares with the numerators is read off their low bits,
 so only the odd part, 1 for a monitor whose weights have power-of-two
 denominators, ever meets a gcd.  Each fed symbol's reject mass is reduced
@@ -35,7 +35,7 @@ from math import gcd, lcm, sqrt
 from typing import Iterable, Iterator
 
 from .core import Automaton, AutomatonError, LassoWord, ResourceLimitError, require_valid
-from .markov import build_lasso_chain
+from .markov import _walk, build_lasso_chain
 
 __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "MonitorError"]
 
@@ -208,14 +208,10 @@ class MonitorSession:
             raise AutomatonError("monitoring needs an fpm")
         require_valid(m)
         self._m = m
-        self._alphabet = frozenset(m.alphabet)
-        self._rows = {}
-        for a in m.alphabet:
-            den, rows = _integer_rows(m, a)
-            twos = _twos(den)
-            self._rows[a] = (twos, den >> twos, rows)
+        # Each symbol's weight denominator as (power of two, odd part).
+        self._split = {a: (_twos(d), d >> _twos(d)) for a, (d, _) in m.weights.items()}
         # State masses are self._nums[q] / self._den, in the insertion order
-        # of markov._step; self._den is self._odd << self._twos, self._odd odd.
+        # of Distribution.step; self._den is self._odd << self._twos, self._odd odd.
         self._nums: dict[str, int] = {m.initial: 1}
         self._twos = 0
         self._odd = 1
@@ -250,14 +246,10 @@ class MonitorSession:
         return _coprime_fraction(num >> k, odd << (self._twos - k))
 
     def feed(self, symbol: str) -> Fraction:
-        if symbol not in self._alphabet:
+        if symbol not in self._split:
             raise MonitorError(symbol, self._position)
-        sym_twos, sym_odd, rows = self._rows[symbol]
-        nums: dict[str, int] = {}
-        for q, p in self._nums.items():
-            for t, w in rows[q]:
-                nums[t] = nums.get(t, 0) + p * w
-        self._nums = nums
+        sym_twos, sym_odd = self._split[symbol]
+        self._nums = _walk(self._m, (self._nums, 1), symbol)[0]
         self._twos += sym_twos
         self._odd *= sym_odd
         self._position += 1
@@ -279,20 +271,6 @@ class MonitorSession:
             self._nums = {q: (p >> k) // g for q, p in self._nums.items()}
             self._twos -= k
             self._odd //= g
-
-
-def _integer_rows(
-    m: Automaton, symbol: str
-) -> tuple[int, dict[str, tuple[tuple[str, int], ...]]]:
-    """``(den, rows)``: every state's row under ``symbol`` as (target,
-    integer weight) pairs over ``den``, the lcm of the denominators of all
-    of those rows' weights."""
-    den = lcm(*(w.denominator for q in m.states for _, w in m.prob_row(q, symbol)))
-    rows = {
-        q: tuple((t, w.numerator * (den // w.denominator)) for t, w in m.prob_row(q, symbol))
-        for q in m.states
-    }
-    return den, rows
 
 
 def _twos(n: int) -> int:

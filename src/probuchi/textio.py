@@ -26,6 +26,7 @@ from .core import (
     BuchiAcceptance,
     LassoWord,
     PROBABILISTIC_ROLES,
+    RABIN_ROLES,
     RabinAcceptance,
     RankFunction,
     ROLES,
@@ -57,7 +58,7 @@ def integer(text: str, signed: bool = True) -> int:
     """
     if re.fullmatch(r"[+-]?[0-9]+" if signed else r"[0-9]+", text) is None:
         raise ValueError(f"bad integer {_clip(text)}")
-    return int(text)
+    return _int(text, text, "integer")
 
 
 def rational(text: str, what: str = "rational") -> Fraction:
@@ -73,9 +74,15 @@ def rational(text: str, what: str = "rational") -> Fraction:
         raise ValueError(f"float {what} {_clip(text)} is forbidden; use p/q")
     if m is None:
         raise ValueError(f"bad {what} {_clip(text)}")
+    return Fraction(_int(m[1], text, what), _int(m[2] or "1", text, what))
+
+
+def _int(digits: str, text: str, what: str) -> int:
+    """``int(digits)`` of ASCII ``digits`` read from the ``what`` ``text``,
+    whose only failure is Python's int-from-str digit limit."""
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
-    except ValueError:  # on ASCII digits, only Python's int-from-str digit limit
+        return int(digits)
+    except ValueError:
         raise ValueError(
             f"{what} {_clip(text)} has an integer longer than Python's "
             f"{sys.get_int_max_str_digits():,}-digit limit"
@@ -155,8 +162,6 @@ def _ranks(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> dic
     return ranks
 
 
-_RABIN_ROLES = ROLES - BUCHI_ROLES
-
 # Every header key: the reader of its tokens (given the key, the tokens, the
 # line and the key's column), the roles that need the line and the error when
 # it is missing, the roles that allow it and the error when it is not.  After
@@ -169,7 +174,7 @@ _HEADER_KEYS = {
     "init": (_one_state, ROLES, "missing 'init' line", ROLES, ""),
     "final": (_names, BUCHI_ROLES, "missing 'final:' line for a Buchi role",
               BUCHI_ROLES, "'final:' is only valid for Buchi roles"),
-    "pair": (_pair, (), "", _RABIN_ROLES, "'pair:' is only valid for Rabin roles"),
+    "pair": (_pair, (), "", RABIN_ROLES, "'pair:' is only valid for Rabin roles"),
     "ranks": (_ranks, (), "", {"hpba"}, "'ranks:' is only valid for hpba"),
     "reject": (_one_state, {"fpm"}, "missing 'reject:' line for an fpm",
                {"fpm"}, "'reject:' is only valid for fpm"),

@@ -527,9 +527,52 @@ def test_cap_variables_take_only_ascii_integers(tmp_path, capsys, monkeypatch, e
     assert run([command, str(nba)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {env} must be an integer, got {text!r}\n"
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    assert captured.err == f"error: {env} must be an integer, got {shown}\n"
     monkeypatch.setenv(env, "+3")
     assert run([command, str(nba)]) == 0
+
+
+# Every number that comes from the command line or a cap variable, as
+# (argv with VALUE for the number, variable or None).
+_NUMBER_ENTRIES = [
+    ("mc PBA ;1 --samples VALUE", None),
+    ("mc PBA ;1 --seed VALUE", None),
+    ("complement NBA --complement-cap VALUE", None),
+    ("decompose DRA --cap VALUE", None),
+    ("universal NBA --monoid-cap VALUE", None),
+    ("witness PBA --max-len VALUE --max-j 1", None),
+    ("witness PBA --max-len 1 --max-j VALUE", None),
+    ("witness PBA --max-len 1 --max-j 1 --x VALUE", None),
+    ("contain PBA PBA --semantics positive --bound VALUE", None),
+    ("universal NBA", "PROBUCHI_MONOID_CAP"),
+    ("complement NBA", "PROBUCHI_COMPLEMENT_CAP"),
+]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-from-str digit limit"
+)
+@pytest.mark.parametrize("args, env", _NUMBER_ENTRIES)
+def test_bad_numbers_are_quoted_clipped(tmp_path, capsys, monkeypatch, args, env):
+    files = {
+        "PBA": serialize(gen_m_id()),
+        "NBA": "type: nba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s\n",
+        "DRA": "type: dra\nalphabet: a\nstates: s\ninit: s\npair: {} {s}\ns -a-> s\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    value = "9" * 5000
+    if env is not None:
+        monkeypatch.setenv(env, value)
+    argv = [str(tmp_path / a) if a in files else value if a == "VALUE" else a
+            for a in args.split()]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    name = env or argv[argv.index(value) - 1]
+    assert name in captured.err and "9" * 41 not in captured.err
 
 
 @pytest.mark.skipif(

@@ -68,6 +68,7 @@ from probuchi.markov import (
     _bscc_accepting,
     _cycle_values,
     _lasso_value,
+    _walk,
     build_lasso_chain,
     final_passage_matrix,
     lasso_acceptance,
@@ -1504,6 +1505,57 @@ def test_mixed_prime_cases_exercise_both_factor_kinds():
         _, _, seen = feed_mixed_prime_case(*mixed_prime_fpm(rng))
         counts = [c + s for c, s in zip(counts, seen)]
     assert counts[0] >= 60 and counts[1] >= 40 and counts[2] >= 30, counts
+
+
+# ---------------------------------------------------------------------------
+# One integer walk for stems and monitor streams, against Distribution.step
+
+WALK_KINDS = ["pba", "fpm", "mixed-prime"]
+
+
+def walk_case(rng: random.Random, kind: str):
+    """An automaton of ``kind`` and a word of up to 40 of its symbols."""
+    if kind == "mixed-prime":
+        aut, _ = mixed_prime_fpm(rng)
+    else:
+        alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+        aut = (random_pba if kind == "pba" else random_fpm)(rng, rng.randint(2, 6), alphabet)
+    return aut, [rng.choice(aut.alphabet) for _ in range(rng.randint(0, 40))]
+
+
+def walk_against_reference(aut, word):
+    """Check the integer walk, read as fractions, against Distribution.step
+    after every symbol; returns whether some mass had a denominator with
+    an odd factor and whether some mass had a denominator past 2^64."""
+    walk, dist = ({aut.initial: 1}, 1), Distribution.dirac(aut.initial)
+    odd = wide = False
+    for a in word:
+        walk, dist = _walk(aut, walk, a), dist.step(aut, a)
+        nums, den = walk
+        got = [(q, Fraction(p, den)) for q, p in nums.items()]
+        assert got == list(dist.entries.items())
+        odd |= any(p.denominator & (p.denominator - 1) for _, p in got)
+        wide |= any(p.denominator >= 2**64 for _, p in got)
+    return odd, wide
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from(WALK_KINDS))
+def test_integer_walk_matches_distribution_step(seed, kind):
+    walk_against_reference(*walk_case(random.Random(seed), kind))
+
+
+def test_walk_cases_have_odd_and_wide_denominators():
+    # Guard against a vacuous walk property: the drawn cases must often
+    # carry masses whose denominators have an odd factor, and often masses
+    # whose denominators pass 2^64.
+    rng = random.Random(41)
+    odd = wide = 0
+    for i in range(300):
+        o, w = walk_against_reference(*walk_case(rng, WALK_KINDS[i % len(WALK_KINDS)]))
+        odd += o
+        wide += w
+    assert odd >= 50 and wide >= 40, (odd, wide)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,19 @@ def test_lasso_acceptance_examples():
     assert lasso_acceptance(gen_m_id_squared(), lasso("", "10")) == F(4, 9)
 
 
+def test_long_stem_on_a_leak_monitor_is_exact():
+    # Keeps 1023/1024 of the mass on each 'a' and parks on 'b', so a^3000;b
+    # is accepted with probability exactly (1023/1024)^3000.
+    leak = Automaton(
+        name="leak", role="fpm", alphabet=("a", "b"), states=("q", "r"), initial="q",
+        acceptance=BuchiAcceptance(frozenset({"q"})), reject="r",
+        transitions={("q", "a"): (("q", F(1023, 1024)), ("r", F(1, 1024))),
+                     ("q", "b"): (("q", F(1)),),
+                     ("r", "a"): (("r", F(1)),), ("r", "b"): (("r", F(1)),)},
+    )
+    assert lasso_acceptance(leak, LassoWord(("a",) * 3000, ("b",))) == F(1023, 1024) ** 3000
+
+
 def test_binary_value_examples():
     assert binary_value_lasso(lasso("", "10")) == F(2, 3)
     assert binary_value_lasso(lasso("", "1")) == 1
