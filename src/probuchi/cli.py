@@ -99,50 +99,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, *, files: int = 1, help: str = "") -> argparse.ArgumentParser:
+    def add(name: str, handler, *, files: int = 1, help: str = "",
+            build=None) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, build=build)
         if files == 1:
             sp.add_argument("file", metavar="FILE")
-        else:
+        elif files == 2:
             sp.add_argument("file1", metavar="FILE1")
             sp.add_argument("file2", metavar="FILE2")
         return sp
 
-    add("validate", help="report every violated invariant")
-    add("rank", help="infer a hierarchy ranking")
-    sp = add("prob", help="exact lasso acceptance probability")
+    add("validate", _cmd_validate, help="report every violated invariant")
+    add("rank", _cmd_rank, help="infer a hierarchy ranking")
+    sp = add("prob", _cmd_prob, help="exact lasso acceptance probability")
     sp.add_argument("lasso", metavar="LASSO")
-    sp = add("mc", help="Monte Carlo estimate of lasso acceptance")
+    sp = add("mc", _cmd_mc, help="Monte Carlo estimate of lasso acceptance")
     sp.add_argument("lasso", metavar="LASSO")
     sp.add_argument("--samples", type=_INTEGER, default=10_000)
     sp.add_argument("--seed", type=_INTEGER, default=0)
-    add("monitor", help="stream exact rejection probabilities (symbols on stdin)")
-    sp = add("complement", help="complement an NBA (rank-based)")
+    add("monitor", _cmd_monitor,
+        help="stream exact rejection probabilities (symbols on stdin)")
+    sp = add("complement", _cmd_construct, help="complement an NBA (rank-based)",
+             build=decide.nba_complement)
     sp.add_argument("--complement-cap", type=_INTEGER, default=None)
-    add("product", files=2, help="monitor product (acceptance multiplies)")
-    add("union", files=2, help="almost-sure union of two PBAs")
-    add("intersect", files=2, help="almost-sure intersection of two PBAs")
-    add("dra2hpba", help="deterministic Rabin to hierarchical PBA")
-    add("hpba2nba", help="hierarchical PBA to NBA (positive semantics)")
-    add("closure", help="safety closure of a hierarchical PBA's positive language")
-    sp = add("decompose", help="Rabin decomposition into PBA pairs")
+    add("product", _cmd_construct, files=2,
+        help="monitor product (acceptance multiplies)", build=construct.fpm_product)
+    add("union", _cmd_construct, files=2, help="almost-sure union of two PBAs",
+        build=construct.almost_sure_union)
+    add("intersect", _cmd_construct, files=2, help="almost-sure intersection of two PBAs",
+        build=construct.almost_sure_intersection)
+    add("dra2hpba", _cmd_construct, help="deterministic Rabin to hierarchical PBA",
+        build=construct.dra_to_hpba)
+    add("hpba2nba", _cmd_construct, help="hierarchical PBA to NBA (positive semantics)",
+        build=construct.hpba_to_nba)
+    add("closure", _cmd_construct,
+        help="safety closure of a hierarchical PBA's positive language",
+        build=construct.safety_closure)
+    sp = add("decompose", _cmd_decompose, help="Rabin decomposition into PBA pairs")
     sp.add_argument("--cap", type=_INTEGER, default=6)
     for name, what in (("empty", "emptiness"), ("universal", "universality")):
-        sp = add(name, help=f"decide {what} under a semantics")
+        sp = add(name, _cmd_decide, help=f"decide {what} under a semantics")
         sp.add_argument(
             "--semantics", choices=["positive", "almost-sure"], default="positive"
         )
         sp.add_argument("--monoid-cap", type=_INTEGER, default=None)
-    sp = add("witness", help="bounded strongly-asymptotic witness search")
+    sp = add("witness", _cmd_witness, help="bounded strongly-asymptotic witness search")
     sp.add_argument("--max-len", type=_INTEGER, required=True)
     sp.add_argument("--max-j", type=_INTEGER, required=True)
     sp.add_argument("--x", type=_RATIONAL, default="0")
-    sp = add("contain", files=2, help="bounded containment refutation")
+    sp = add("contain", _cmd_contain, files=2, help="bounded containment refutation")
     sp.add_argument(
         "--semantics", choices=["positive", "almost-sure"], required=True
     )
     sp.add_argument("--bound", type=_INTEGER, required=True)
-    sp = sub.add_parser("gen", help="generate a named example automaton")
+    sp = add("gen", _cmd_gen, files=0, help="generate a named example automaton")
     sp.add_argument("name_", metavar="NAME")
     sp.add_argument("params", nargs="*", metavar="PARAMS")
     return p
@@ -354,50 +365,29 @@ def _cmd_decompose(args) -> int:
     return EXIT_ANSWERED
 
 
-def _cmd_construct(args) -> int:
-    """Construction subcommands: print the serialized result automaton."""
-    if args.command == "gen":
-        out = construct.generate_example(args.name_, *args.params)
-        _emit_automaton(out, f"generated {out.name}")
-        return EXIT_ANSWERED
-    unary = {
-        "dra2hpba": construct.dra_to_hpba,
-        "hpba2nba": construct.hpba_to_nba,
-        "closure": construct.safety_closure,
-    }
-    binary = {
-        "product": construct.fpm_product,
-        "union": construct.almost_sure_union,
-        "intersect": construct.almost_sure_intersection,
-    }
-    if args.command == "complement":
-        out = decide.nba_complement(_load(args.file), cap=args.complement_cap)
-    elif args.command in binary:
-        out = binary[args.command](_load(args.file1), _load(args.file2))
-    else:
-        out = unary[args.command](_load(args.file))
-    _emit_automaton(out, f"{len(out.states)} state(s)")
+def _cmd_gen(args) -> int:
+    out = construct.generate_example(args.name_, *args.params)
+    _emit_automaton(out, f"generated {out.name}")
     return EXIT_ANSWERED
 
 
-_QUERIES = {
-    "validate": _cmd_validate,
-    "rank": _cmd_rank,
-    "prob": _cmd_prob,
-    "mc": _cmd_mc,
-    "monitor": _cmd_monitor,
-    "decompose": _cmd_decompose,
-    "empty": _cmd_decide,
-    "universal": _cmd_decide,
-    "witness": _cmd_witness,
-    "contain": _cmd_contain,
-}
+def _cmd_construct(args) -> int:
+    """Construction subcommands: print the automaton that ``args.build``
+    makes of the FILE arguments."""
+    if "file" in args:
+        inputs = [_load(args.file)]
+    else:
+        inputs = [_load(args.file1), _load(args.file2)]
+    kw = {"cap": args.complement_cap} if "complement_cap" in args else {}
+    out = args.build(*inputs, **kw)
+    _emit_automaton(out, f"{len(out.states)} state(s)")
+    return EXIT_ANSWERED
 
 
 def run(argv: list[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _QUERIES.get(args.command, _cmd_construct)(args)
+        return args.handler(args)
     except ResourceLimitError as exc:
         _emit(
             {"command": args.command, "answer": "resource-limit",

@@ -277,12 +277,22 @@ class Automaton:
 
     @cached_property
     def weights(self) -> dict[str, tuple[int, dict[str, tuple[tuple[str, int], ...]]]]:
-        """Per symbol, ``(den, rows)``: every state's row as (target, integer
-        weight) pairs over ``den``, the lcm of that symbol's weight
-        denominators.  Probabilistic roles only."""
+        """Per symbol, ``(den, rows)``: the row of every state a run from
+        the initial state can reach, as (target, integer weight) pairs over
+        ``den``, the lcm of those rows' weight denominators.  Every integer
+        walk starts at the initial state, so an unreachable row never
+        widens ``den``.  Probabilistic roles only."""
+        reach, todo = {self.initial}, [self.initial]
+        while todo:
+            q = todo.pop()
+            for a in self.alphabet:
+                for t, _ in self.prob_row(q, a):
+                    if t not in reach:
+                        reach.add(t)
+                        todo.append(t)
         table = {}
         for a in self.alphabet:
-            rows = {q: self.prob_row(q, a) for q in self.states}
+            rows = {q: self.prob_row(q, a) for q in self.states if q in reach}
             den = math.lcm(*(w.denominator for row in rows.values() for _, w in row))
             table[a] = den, {q: tuple((t, w.numerator * (den // w.denominator)) for t, w in row)
                              for q, row in rows.items()}

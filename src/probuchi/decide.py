@@ -8,7 +8,9 @@ membership) before being returned; a failed re-verification raises
 
 Long searches accept a cooperative ``cancel`` callback (return True to stop,
 raises :class:`SearchCancelled`); the monoid and profile searches also take
-an optional ``progress`` callback that receives short status strings.  All
+an optional ``progress`` callback that receives short status strings.  Both
+monoids come from one kernel, :func:`_monoid`, as one map from an element's
+rows to its shortest word; :func:`transition_monoid` returns that map.  All
 functions are pure; deterministic tie-breaking (shortest first, then symbol
 declaration order) makes outputs reproducible.
 """
@@ -53,7 +55,6 @@ from .textio import _clip, format_lasso, integer
 __all__ = [
     "SubsetWitness",
     "AsymptoticWitness",
-    "BooleanMatrix",
     "LassoLowerBound",
     "CertificationError",
     "SearchCancelled",
@@ -155,14 +156,6 @@ class AsymptoticWitness:
     u: tuple[str, ...]
     segments: tuple[tuple[str, ...], ...]
     start_index: int = 1
-
-
-@dataclass(frozen=True)
-class BooleanMatrix:
-    """Support relation over Q x Q; element of the finite transition monoid."""
-
-    states: tuple[str, ...]
-    rows: tuple[int, ...]  # bitmask of successors per state, by declaration index
 
 
 @dataclass(frozen=True)
@@ -790,16 +783,17 @@ def transition_monoid(
     cap: int | None = None,
     cancel: Cancel = None,
     progress: Progress = None,
-) -> list[tuple[tuple[str, ...], BooleanMatrix]]:
-    """Boolean transition monoid, each element with its shortest realizing word.
+) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """Boolean transition monoid: each element's rows to its shortest word.
 
-    Elements are the support matrices of nonempty words, generated
-    breadth-first from the single-letter supports by :func:`_monoid`, so
-    discovery order is (word length, symbol order) and the stored word is
-    the smallest realizing one.  Each product costs one table lookup per
-    nonzero byte of each row.  Exceeding the cap, single-letter supports
-    included, raises :class:`ResourceLimitError`; completeness never
-    silently degrades.
+    An element is the support matrix of a nonempty word, one successor
+    bitmask per state by declaration index.  This is the map of
+    :func:`_monoid`, the shape the profile monoid also has: elements come
+    breadth-first from the single-letter supports, so discovery order is
+    (word length, symbol order) and the stored word is the smallest
+    realizing one.  Each product costs one table lookup per nonzero byte of
+    each row.  Exceeding the cap, single-letter supports included, raises
+    :class:`ResourceLimitError`; completeness never silently degrades.
     """
     require_valid(aut)
     gen = _symbol_masks(aut)
@@ -807,7 +801,7 @@ def transition_monoid(
     elements = _monoid(gen, gen, aut.alphabet, cap, cancel, "transition monoid")
     if progress is not None:
         progress(f"transition monoid has {len(elements)} elements")
-    return [(w, BooleanMatrix(aut.states, x)) for x, w in elements.items()]
+    return elements
 
 
 def verify_subset_witness(m: Automaton, w: SubsetWitness) -> bool:
@@ -845,9 +839,8 @@ def fpm_positive_empty(
     candidates = [q for q in reach if q != m.reject]
     candidates.sort(key=lambda q: (_word_key(m, reach[q]), idx[q]))
     reject_bit = 1 << idx[m.reject]
-    for vword, element in monoid:
+    for rows, vword in monoid.items():
         _check_cancel(cancel)
-        rows = element.rows
         for q in candidates:
             closure = frontier = 1 << idx[q]
             while frontier:
@@ -934,32 +927,26 @@ def fpm_positive_universal(
     assert m.reject is not None
     idx = m.index
     reject_index = idx[m.reject]
-    doomed = set()
-    for _, element in monoid:
-        rows = element.rows
-        if all(_image(r, rows) == r for r in rows):  # idempotent, so transitive
-            closure = [r | 1 << i for i, r in enumerate(rows)]
-            doomed.add(_doomed_mask(closure, reject_index))
-    maximal = [d for d in doomed if not any(d != e and not d & ~e for e in doomed)]
+    initial = idx[m.initial]
     # reachable supports with shortest realizing stems (empty stem allowed),
     # in shortlex order of the stems: the monoid lists its elements in that
     # order, each with its smallest word, and an element's initial row is
     # the support its words reach
-    initial = idx[m.initial]
     supports = {1 << initial: ()}
-    for word, element in monoid:
-        supports.setdefault(element.rows[initial], word)
+    doomed = set()
+    for rows, word in monoid.items():
+        supports.setdefault(rows[initial], word)
+        if all(_image(r, rows) == r for r in rows):  # idempotent, so transitive
+            doomed.add(_doomed_mask([r | 1 << i for i, r in enumerate(rows)], reject_index))
+    maximal = [d for d in doomed if not any(d != e and not d & ~e for e in doomed)]
     for s, stem in supports.items():
         _check_cancel(cancel)
         if any(not s & ~d for d in maximal):
             break
     else:
         return None
-    cycle = next(
-        vword
-        for vword, element in monoid
-        if not s & ~_safe_start_mask(element.rows, reject_index)
-    )
+    cycle = next(vword for rows, vword in monoid.items()
+                 if not s & ~_safe_start_mask(rows, reject_index))
     w = LassoWord(stem, cycle).normalized()
     if lasso_acceptance(m, w) != 0:
         raise CertificationError(

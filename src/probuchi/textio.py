@@ -153,12 +153,12 @@ def _ranks(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> dic
     ranks = {}
     for tok, col in rest:
         if "=" not in tok:
-            raise FormatError(f"rank entry {tok!r} needs q=level", line_no, col)
+            raise FormatError(f"rank entry {_clip(tok)} needs q=level", line_no, col)
         q, _, level = tok.partition("=")
         try:
             ranks[q] = integer(level, signed=False)
         except ValueError:
-            raise FormatError(f"bad level in {tok!r}", line_no, col) from None
+            raise FormatError(f"bad level in {_clip(tok)}", line_no, col) from None
     return ranks
 
 

@@ -76,6 +76,17 @@ def test_rank(m_id_file, capsys):
     assert doc["levels"] == {"q0": 0, "q1": 1, "qr": 2}
 
 
+def test_rank_of_a_non_hierarchical_pba(tmp_path, capsys):
+    # Both states stay in one SCC on 'a' with two successors there.
+    path = tmp_path / "mixing.pba"
+    path.write_text("type: pba\nalphabet: a\nstates: s t\ninit: s\nfinal: t\n"
+                    "s -a-> s : 1/2\ns -a-> t : 1/2\nt -a-> s : 1/2\nt -a-> t : 1/2\n")
+    assert run(["rank", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"command": "rank", "hierarchical": False}
+    assert captured.err == "not hierarchical\n"
+
+
 def test_mc(m_id_file, capsys):
     assert run(["mc", m_id_file, ";10", "--samples", "2000", "--seed", "5"]) == 0
     doc = out_doc(capsys)

@@ -285,6 +285,18 @@ def test_fpm_positive_empty_examples():
     assert sw2 is not None and verify_subset_witness(leak_free, sw2)
 
 
+@pytest.mark.parametrize("states, u, v, ok", [
+    ({"q1"}, ("1",), ("1",), True),
+    (set(), ("1",), ("1",), False),  # no states
+    ({"q1"}, (), ("1",), False),  # no stem
+    ({"q1"}, ("1",), (), False),  # no cycle
+    ({"q1"}, ("0",), ("1",), False),  # the stem puts no mass on the set
+    ({"q0"}, ("1",), ("0",), False),  # the cycle leaks out of the set
+])
+def test_verify_subset_witness_checks_each_invariant(states, u, v, ok):
+    assert verify_subset_witness(gen_m_id(), SubsetWitness(frozenset(states), u, v)) is ok
+
+
 def test_fpm_positive_universal_examples():
     m = complement_to_fpm(gen_m_id())
     ce = fpm_positive_universal(m)

@@ -828,7 +828,7 @@ def test_transition_monoid_matches_pop0_enumerator(seed, monitor):
         aut = random_fpm(rng, rng.randint(2, 6), alphabet)
     else:
         aut = random_nba(rng, rng.randint(1, 5), alphabet)
-    got = [(w, e.rows) for w, e in transition_monoid(aut)]
+    got = [(w, x) for x, w in transition_monoid(aut).items()]
     assert got == ref_transition_monoid(aut)
 
 

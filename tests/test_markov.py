@@ -105,6 +105,23 @@ def test_long_stem_on_a_leak_monitor_is_exact():
     assert lasso_acceptance(leak, LassoWord(("a",) * 3000, ("b",))) == F(1023, 1024) ** 3000
 
 
+def test_unreachable_rows_do_not_widen_integer_walks():
+    # The leak monitor plus a state no run reaches, whose 'a' row has a
+    # 300-digit denominator: the integer walks leave that row out.
+    d = 10**299 + 1
+    leak = Automaton(
+        name="leak", role="fpm", alphabet=("a", "b"), states=("q", "r", "u"), initial="q",
+        acceptance=BuchiAcceptance(frozenset({"q", "u"})), reject="r",
+        transitions={("q", "a"): (("q", F(1023, 1024)), ("r", F(1, 1024))),
+                     ("q", "b"): (("q", F(1)),),
+                     ("r", "a"): (("r", F(1)),), ("r", "b"): (("r", F(1)),),
+                     ("u", "a"): (("u", F(d - 1, d)), ("r", F(1, d))),
+                     ("u", "b"): (("u", F(1)),)},
+    )
+    assert leak.weights["a"][0] == 1024
+    assert lasso_acceptance(leak, LassoWord(("a",) * 1000, ("b",))) == F(1023, 1024) ** 1000
+
+
 def test_binary_value_examples():
     assert binary_value_lasso(lasso("", "10")) == F(2, 3)
     assert binary_value_lasso(lasso("", "1")) == 1
@@ -225,3 +242,47 @@ def test_solver_roundtrip():
     xs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
     rhs = [sum(mat[i][j] * xs[j] for j in range(n)) for i in range(n)]
     assert solve_linear(mat, rhs) == xs
+
+
+def ref_solve(matrix, rhs):
+    """Gauss-Jordan elimination in ``Fraction``s, pivoting on the first
+    nonzero entry at or below the diagonal; StopIteration when singular."""
+    n = len(rhs)
+    rows = [[F(x) for x in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def test_solve_linear_swaps_rows_like_fraction_elimination():
+    # A zero in the top-left corner forces a row swap in the first column;
+    # sparse draws force more swaps and some singular systems.
+    rng = random.Random(17)
+    solved = singular = 0
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        mat = [[F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.7 else F(0)
+                for _ in range(n)] for _ in range(n)]
+        mat[0][0] = F(0)
+        rhs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        try:
+            expected = ref_solve(mat, rhs)
+        except StopIteration:
+            singular += 1
+            with pytest.raises(ArithmeticError, match="^singular linear system$"):
+                solve_linear(mat, rhs)
+            continue
+        solved += 1
+        assert solve_linear(mat, rhs) == expected
+    assert solved >= 200 and singular >= 50
+
+
+def test_solve_linear_rejects_a_singular_system():
+    with pytest.raises(ArithmeticError) as err:
+        solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
+    assert str(err.value) == "singular linear system"

@@ -214,6 +214,21 @@ def test_probability_past_the_digit_limit_names_it(tok):
     assert tok[:40] in message and len(message) < 200
 
 
+RANKS_LINE = "type: hpba\nalphabet: a\nstates: s\ninit: s\nfinal: s\nranks: {}\ns -a-> s : 1\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("s=" + "x" * 38, "bad level in " + repr("s=" + "x" * 38)),
+    ("s=" + "x" * 5000, "bad level in " + repr("s=" + "x" * 38) + "..."),
+    ("s" * 40, "rank entry " + repr("s" * 40) + " needs q=level"),
+    ("s" * 5000, "rank entry " + repr("s" * 40) + "... needs q=level"),
+], ids=["level-40", "level-5002", "entry-40", "entry-5000"])
+def test_bad_rank_entry_quotes_at_most_40_characters(entry, message):
+    with pytest.raises(FormatError) as err:
+        parse(RANKS_LINE.format(entry))
+    assert str(err.value) == f"line 6, column 8: {message}"
+
+
 # ---------------------------------------------------------------------------
 # The parser before its header keys moved into one table, kept as an oracle.
 # It differs from parse only on rank levels: it read them with int(), so it
