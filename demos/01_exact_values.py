@@ -18,7 +18,7 @@ from probuchi import (
 
 m = gen_m_id()
 print("states:", m.states, "reject:", m.reject)
-print("ranks:", infer_hierarchy(m).levels)
+print("ranks:", dict(infer_hierarchy(m).levels))
 
 for stem, cycle in [("", "1"), ("", "0"), ("", "10"), ("1", "0"), ("011", "01")]:
     w = lasso(stem, cycle)

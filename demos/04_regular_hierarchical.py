@@ -37,7 +37,7 @@ dra = Automaton(
 )
 h = dra_to_hpba(dra)
 print("hierarchical PBA states:", h.states)
-print("declared ranking:", h.ranks.levels)
+print("declared ranking:", dict(h.ranks.levels))
 for cycle in ("ab", "b", "a"):
     w = lasso("", cycle)
     print(f"(;{cycle}): mu =", lasso_acceptance(h, w))

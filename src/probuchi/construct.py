@@ -21,7 +21,8 @@ from .core import (
     RabinAcceptance,
     RankFunction,
     ResourceLimitError,
-    _hierarchy_check,
+    _scc_ranking,
+    ranking_violations,
     require_valid,
 )
 from .graphs import accepting_cycles, coreachable
@@ -140,6 +141,11 @@ def fpm_product(m1: Automaton, m2: Automaton) -> Automaton:
     live1 = [q for q in m1.states if q != m1.reject]
     live2 = [q for q in m2.states if q != m2.reject]
     states = tuple(pair_state(p, q) for p in live1 for q in live2)
+    seen: set[str] = set()
+    for name in states:
+        if name in seen:
+            raise ConstructionError(f"two state pairs render to the same name {name!r}")
+        seen.add(name)
     qr = _fresh(FRESH_REJECT, states)
     transitions: dict = {}
     for p in live1:
@@ -288,9 +294,9 @@ def hpba_to_nba(h: Automaton) -> Automaton:
     (state, symbol) pair otherwise.
     """
     _require_buchi_probabilistic(h, "hpba_to_nba")
-    violation = _hierarchy_check(h)[1]
-    if violation is not None:
-        q, a = violation
+    violations = ranking_violations(h, _scc_ranking(h))
+    if violations:
+        q, a = violations[0]
         raise ConstructionError(
             f"input is not hierarchical: two same-component successors at ({q},{a})"
         )

@@ -7,9 +7,11 @@ Rabin automata (``pra``), nondeterministic Buchi automata (``nba``) and
 deterministic Rabin automata (``dra``).  Probabilities are exact
 :class:`~fractions.Fraction` values of unbounded precision.
 
-All values are immutable after construction and every operation in this
-package is a pure function of its inputs, so anything here may be shared
-freely across concurrent tasks.
+All values are immutable after construction: an automaton's
+``transitions`` and a ranking's ``levels`` are read-only mappings
+(:class:`types.MappingProxyType`), and every operation in this package is a
+pure function of its inputs, so anything here may be shared freely across
+concurrent tasks.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .graphs import sccs_topological
@@ -123,17 +126,22 @@ class RabinAcceptance:
 class RankFunction:
     """Level assignment certifying the hierarchical structure of a PBA.
 
-    ``levels`` maps every state to a natural number in ``{0..k}``.  The
-    function is compatible when, for every state q and symbol a, all
-    positive-probability successors sit at level >= level(q) and at most one
-    of them sits exactly at level(q).
+    ``levels`` maps every state to a natural number in ``{0..k}``, through
+    a read-only mapping.  The function is compatible when, for every state
+    q and symbol a, all positive-probability successors sit at level >=
+    level(q) and at most one of them sits exactly at level(q);
+    :func:`ranking_violations` checks this.
     """
 
     levels: Mapping[str, int]
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", dict(self.levels))
+        object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor; a mappingproxy cannot be pickled."""
+        return type(self), (dict(self.levels), self.k)
 
 
 def word_separator(symbols: Iterable[str]) -> str:
@@ -214,8 +222,10 @@ class Automaton:
     target states for nondeterministic roles.  Rows are normalized at
     construction: entries sorted by target declaration order, exact zeros
     dropped, a probabilistic row's duplicate targets rejected and a
-    nondeterministic row's merged.  ``name`` is carried for display only
-    and never takes part in equality.
+    nondeterministic row's merged.  ``transitions`` is then a read-only
+    mapping; derive a variant from ``dict(aut.transitions)`` and
+    :func:`dataclasses.replace`.  ``name`` is carried for display only and
+    never takes part in equality.
 
     Semantically defective automata (bad row sums, missing reject state and
     so on) are representable; :func:`validate` reports their violations.
@@ -227,7 +237,7 @@ class Automaton:
     states: tuple[str, ...]
     initial: str
     acceptance: BuchiAcceptance | RabinAcceptance
-    transitions: dict[tuple[str, str], ProbRow | NondetRow]
+    transitions: Mapping[tuple[str, str], ProbRow | NondetRow]
     reject: str | None = None
     ranks: RankFunction | None = None
 
@@ -236,7 +246,7 @@ class Automaton:
             raise ValueError(f"unknown role {self.role!r}")
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "states", tuple(self.states))
-        order = {q: i for i, q in enumerate(self.states)}
+        order = self.index
         norm: dict[tuple[str, str], ProbRow | NondetRow] = {}
         for key, row in self.transitions.items():
             if self.is_probabilistic:
@@ -260,7 +270,12 @@ class Automaton:
                 )
                 if targets:
                     norm[key] = tuple(targets)
-        object.__setattr__(self, "transitions", norm)
+        object.__setattr__(self, "transitions", MappingProxyType(norm))
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor; a mappingproxy cannot be pickled."""
+        return type(self), (self.name, self.role, self.alphabet, self.states, self.initial,
+                           self.acceptance, dict(self.transitions), self.reject, self.ranks)
 
     @property
     def is_probabilistic(self) -> bool:
@@ -498,54 +513,38 @@ def ranking_violations(
     return bad
 
 
-def _hierarchy_check(
-    aut: Automaton,
-) -> tuple[dict[str, int] | None, tuple[str, str] | None]:
-    """SCC-based levels, or the first (q, a) showing that none exist.
+def _scc_ranking(aut: Automaton) -> RankFunction:
+    """The canonical ranking: each state's level is its SCC's position.
 
-    A compatible ranking is constant on SCCs of the positive-support graph
-    (levels cannot decrease along edges and every cycle returns), so one
-    exists iff every (q, a) has at most one successor inside q's own SCC.
-    Numbering the SCCs in topological order then satisfies both rules: a
-    cross-SCC edge strictly increases the level, so the only candidate for a
-    same-level successor is the single in-SCC one.  Exactly one of the
-    two results is None.
+    The SCCs of the positive-support graph are numbered in topological
+    order, ties broken by smallest member state index.  Levels never
+    decrease along an edge, so the only rule this ranking can break is "at
+    most one same-level successor".  Every compatible ranking is constant
+    on SCCs, since every cycle returns, so one exists iff this one is.
     """
-    adjacency = aut.support_adjacency()
-    components = sccs_topological(aut.states, adjacency, aut.index)
-    comp_of: dict[str, int] = {}
-    for i, comp in enumerate(components):
-        for q in comp:
-            comp_of[q] = i
-    for q in aut.states:
-        for a in aut.alphabet:
-            same = sum(1 for t in aut.successors(q, a) if comp_of[t] == comp_of[q])
-            if same > 1:
-                return None, (q, a)
-    return {q: comp_of[q] for q in aut.states}, None
+    components = sccs_topological(aut.states, aut.support_adjacency(), aut.index)
+    level = {q: i for i, comp in enumerate(components) for q in comp}
+    return RankFunction({q: level[q] for q in aut.states}, max(len(components) - 1, 0))
 
 
-def _hierarchy_levels(aut: Automaton) -> dict[str, int] | None:
+def _hierarchy_levels(aut: Automaton) -> Mapping[str, int] | None:
     """SCC-based level assignment, or None when no compatible ranking exists."""
-    return _hierarchy_check(aut)[0]
+    ranks = _scc_ranking(aut)
+    return None if ranking_violations(aut, ranks) else ranks.levels
 
 
 def infer_hierarchy(aut: Automaton) -> RankFunction | None:
     """Infer a compatible ranking function, or None when none exists.
 
-    The automaton must be a valid probabilistic automaton.  Levels are
-    assigned per SCC of the positive-support graph, numbered in topological
-    order with ties broken by smallest member state index, which reproduces
-    the canonical ranking of the three-state binary-value monitor
-    (q0 -> 0, q1 -> 1, reject -> 2).
+    The automaton must be a valid probabilistic automaton.  The result is
+    :func:`_scc_ranking`, which reproduces the canonical ranking of the
+    three-state binary-value monitor (q0 -> 0, q1 -> 1, reject -> 2).
     """
     if not aut.is_probabilistic:
         raise AutomatonError("hierarchy inference needs a probabilistic automaton")
     require_valid(aut)
-    levels = _hierarchy_levels(aut)
-    if levels is None:
-        return None
-    return RankFunction(levels, max(levels.values()) if levels else 0)
+    ranks = _scc_ranking(aut)
+    return None if ranking_violations(aut, ranks) else ranks
 
 
 def post(aut: Automaton, q: str, u: Iterable[str]) -> frozenset[str]:

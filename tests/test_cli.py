@@ -710,3 +710,14 @@ def test_huge_exponent_is_rejected_at_once(m_id_file, capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and "--x" in captured.err
+
+
+def test_hpba2nba_on_non_hierarchical_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "mix.pba"
+    path.write_text("type: pba\nalphabet: a\nstates: q0 q1\ninit: q0\nfinal: q0\n"
+                    "q0 -a-> q0 : 1/2\nq0 -a-> q1 : 1/2\nq1 -a-> q0 : 1/2\nq1 -a-> q1 : 1/2\n")
+    assert run(["hpba2nba", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: input is not hierarchical: two same-component successors at (q0,a)\n")

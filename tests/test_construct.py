@@ -404,3 +404,32 @@ def test_every_construction_output_validates():
     ]
     for out in outputs:
         assert validate(out).ok, (out.name, validate(out).violations)
+
+
+def test_hpba_to_nba_names_the_first_same_component_pair():
+    mix = Automaton(
+        name="mix", role="pba", alphabet=("a",), states=("q0", "q1"), initial="q0",
+        acceptance=BuchiAcceptance(frozenset({"q0"})),
+        transitions={("q0", "a"): (("q0", F(1, 2)), ("q1", F(1, 2))),
+                     ("q1", "a"): (("q0", F(1, 2)), ("q1", F(1, 2)))},
+    )
+    with pytest.raises(ConstructionError) as err:
+        hpba_to_nba(mix)
+    assert str(err.value) == "input is not hierarchical: two same-component successors at (q0,a)"
+
+
+def test_fpm_product_refuses_pairs_that_render_to_one_name():
+    def monitor(states, rows):
+        return Automaton(
+            name="m", role="fpm", alphabet=("x",), states=states, initial=states[0],
+            acceptance=BuchiAcceptance(frozenset(states[:2])), reject="r",
+            transitions={(q, "x"): row for q, row in rows.items()},
+        )
+    one = F(1)
+    m1 = monitor(("a,b", "a", "r"), {"a,b": (("a,b", F(1, 2)), ("r", F(1, 2))),
+                                     "a": (("a", one),), "r": (("r", one),)})
+    m2 = monitor(("c", "b,c", "r"), {"c": (("b,c", F(1, 2)), ("r", F(1, 2))),
+                                     "b,c": (("b,c", one),), "r": (("r", one),)})
+    assert validate(m1).ok and validate(m2).ok
+    with pytest.raises(ConstructionError, match=r"same name '\(a,b,c\)'"):
+        fpm_product(m1, m2)

@@ -1,8 +1,11 @@
 """Data model, validation, hierarchy inference, and post supports."""
 
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -10,10 +13,13 @@ from probuchi import (
     Automaton,
     BuchiAcceptance,
     LassoWord,
+    RabinAcceptance,
     UnknownSymbolError,
+    dra_to_hpba,
     gen_m_id,
     infer_hierarchy,
     lasso,
+    lasso_acceptance,
     post,
     validate,
 )
@@ -150,3 +156,37 @@ def test_lasso_helpers():
     assert lasso("", "0101").normalized() == lasso("", "01")
     assert str(lasso("", "10")) == ";10"
     assert lasso("", "10").prefix(5) == ("1", "0", "1", "0", "1")
+
+
+def test_transitions_and_levels_are_read_only():
+    m = gen_m_id()
+    assert lasso_acceptance(m, lasso("11", "0")) == F(3, 4)
+    with pytest.raises(TypeError):
+        m.transitions[("q0", "1")] = (("q0", F(1, 4)), ("q1", F(3, 4)))
+    rk = infer_hierarchy(m)
+    with pytest.raises(TypeError):
+        rk.levels["q0"] = 5
+    assert lasso_acceptance(m, lasso("11", "0")) == F(3, 4)
+    # a variant is derived from a copy of the rows, never by mutation
+    trans = dict(m.transitions)
+    trans[("q0", "1")] = (("q0", F(1, 4)), ("q1", F(3, 4)))
+    assert lasso_acceptance(replace(m, transitions=trans), lasso("11", "0")) == F(15, 16)
+
+
+@pytest.mark.parametrize("copy_of", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy])
+def test_pickle_and_deepcopy_round_trip(copy_of):
+    m = gen_m_id()
+    assert lasso_acceptance(m, lasso("11", "0")) == F(3, 4)
+    assert "weights" in vars(m)
+    h = dra_to_hpba(Automaton(
+        name="inf_a", role="dra", alphabet=("a", "b"), states=("p", "q"), initial="p",
+        acceptance=RabinAcceptance(((frozenset(), frozenset({"q"})),)),
+        transitions={("p", "a"): ("q",), ("p", "b"): ("p",),
+                     ("q", "a"): ("q",), ("q", "b"): ("p",)},
+    ))
+    assert h.ranks is not None
+    for aut, w in ((m, lasso("11", "0")), (h, lasso("b", "ab"))):
+        twin = copy_of(aut)
+        assert twin == aut and twin.ranks == aut.ranks
+        assert isinstance(twin.transitions, MappingProxyType)
+        assert lasso_acceptance(twin, w) == lasso_acceptance(aut, w)
