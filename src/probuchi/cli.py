@@ -42,14 +42,18 @@ def _load(path: str) -> Automaton:
     return textio.parse(_read_file(path), name=name)
 
 
-def _emit(doc: dict, summary: str) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(args, doc: dict, summary: str) -> int:
+    """Print a JSON answer, its ``command`` first, and the summary; the exit
+    code follows from the answer: 2 if it is unknown or a resource limit."""
+    print(json.dumps({"command": args.command} | doc, indent=2))
     print(summary, file=sys.stderr)
+    return EXIT_UNKNOWN if doc.get("answer") in ("unknown", "resource-limit") else EXIT_ANSWERED
 
 
-def _emit_automaton(aut: Automaton, summary: str) -> None:
+def _emit_automaton(aut: Automaton, summary: str) -> int:
     sys.stdout.write(_text(aut))
     print(summary, file=sys.stderr)
+    return EXIT_ANSWERED
 
 
 def _text(x: Fraction | Automaton) -> str:
@@ -162,54 +166,47 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_validate(args) -> int:
     aut = _load(args.file)
     report = validate(aut)
-    _emit(
-        {
-            "command": "validate",
-            "valid": report.ok,
-            "violations": list(report.violations),
-        },
+    return _emit(
+        args,
+        {"valid": report.ok, "violations": list(report.violations)},
         "valid" if report.ok else f"{len(report.violations)} violation(s)",
     )
-    return EXIT_ANSWERED
 
 
 def _cmd_rank(args) -> int:
     aut = _load(args.file)
     rk = infer_hierarchy(aut)
     if rk is None:
-        _emit({"command": "rank", "hierarchical": False}, "not hierarchical")
-    else:
-        _emit(
-            {
-                "command": "rank",
-                "hierarchical": True,
-                "levels": {q: rk.levels[q] for q in aut.states},
-                "k": rk.k,
-            },
-            f"hierarchical with {rk.k + 1} level(s)",
-        )
-    return EXIT_ANSWERED
+        return _emit(args, {"hierarchical": False}, "not hierarchical")
+    return _emit(
+        args,
+        {
+            "hierarchical": True,
+            "levels": {q: rk.levels[q] for q in aut.states},
+            "k": rk.k,
+        },
+        f"hierarchical with {rk.k + 1} level(s)",
+    )
 
 
 def _cmd_prob(args) -> int:
     aut = _load(args.file)
     w = textio.parse_lasso(args.lasso, aut.alphabet)
     p = _text(lasso_acceptance(aut, w))
-    _emit(
-        {"command": "prob", "lasso": textio.format_lasso(w, aut.alphabet),
-         "probability": p},
+    return _emit(
+        args,
+        {"lasso": textio.format_lasso(w, aut.alphabet), "probability": p},
         f"acceptance probability {p}",
     )
-    return EXIT_ANSWERED
 
 
 def _cmd_mc(args) -> int:
     aut = _load(args.file)
     w = textio.parse_lasso(args.lasso, aut.alphabet)
     est = sim.mc_lasso_estimate(aut, w, args.samples, args.seed)
-    _emit(
+    return _emit(
+        args,
         {
-            "command": "mc",
             "lasso": textio.format_lasso(w, aut.alphabet),
             "mean": est.mean,
             "stderr": est.stderr,
@@ -218,7 +215,6 @@ def _cmd_mc(args) -> int:
         },
         f"mean {est.mean:.6f} (stderr {est.stderr:.6f})",
     )
-    return EXIT_ANSWERED
 
 
 def _cmd_monitor(args) -> int:
@@ -264,10 +260,9 @@ def _cmd_decide(args) -> int:
              else decide.hpba_probable_universal(aut, **cap))
     else:
         raise AutomatonError(f"no {what} procedure for role {aut.role}")
-    doc = {"command": args.command, "semantics": args.semantics}
+    doc = {"semantics": args.semantics}
     if w is None:  # the answer is the command's name
-        _emit(doc | {"answer": args.command}, args.command)
-        return EXIT_ANSWERED
+        return _emit(args, doc | {"answer": args.command}, args.command)
     answer, key = (("nonempty", "witness") if empty
                    else ("non-universal", "counterexample"))
     found = {}
@@ -280,24 +275,22 @@ def _cmd_decide(args) -> int:
         w = w.lasso()
     lasso = textio.format_lasso(w, aut.alphabet)
     found |= {"lasso": lasso, "certificate": _certificate(aut, w)}
-    _emit(doc | {"answer": answer, key: found}, f"{answer}, {key} {lasso}")
-    return EXIT_ANSWERED
+    return _emit(args, doc | {"answer": answer, key: found}, f"{answer}, {key} {lasso}")
 
 
 def _cmd_witness(args) -> int:
     aut = _load(args.file)
     w = decide.pba_positive_nonempty_bounded(aut, args.max_len, args.max_j, args.x)
     if w is None:
-        _emit(
-            {"command": "witness", "answer": "unknown",
-             "max_len": args.max_len, "max_j": args.max_j},
+        return _emit(
+            args,
+            {"answer": "unknown", "max_len": args.max_len, "max_j": args.max_j},
             "unknown (no witness within bounds)",
         )
-        return EXIT_UNKNOWN
     bound = decide.acceptance_lower_bound(aut, w)
-    _emit(
+    return _emit(
+        args,
         {
-            "command": "witness",
             "answer": "nonempty",
             "witness": {
                 "states": sorted(w.states),
@@ -312,23 +305,21 @@ def _cmd_witness(args) -> int:
         },
         f"nonempty, lower bound {_text(bound.value)}",
     )
-    return EXIT_ANSWERED
 
 
 def _cmd_contain(args) -> int:
     b1, b2 = _load(args.file1), _load(args.file2)
     w = decide.containment_refute(b1, b2, args.semantics, args.bound)
     if w is None:
-        _emit(
-            {"command": "contain", "semantics": args.semantics,
-             "answer": "unknown", "bound": args.bound},
+        return _emit(
+            args,
+            {"semantics": args.semantics, "answer": "unknown", "bound": args.bound},
             "unknown (no refutation within bound)",
         )
-        return EXIT_UNKNOWN
     text = textio.format_lasso(w, b1.alphabet)
-    _emit(
+    return _emit(
+        args,
         {
-            "command": "contain",
             "semantics": args.semantics,
             "answer": "refuted",
             "witness": {
@@ -341,15 +332,14 @@ def _cmd_contain(args) -> int:
         },
         f"refuted by {text}",
     )
-    return EXIT_ANSWERED
 
 
 def _cmd_decompose(args) -> int:
     aut = _load(args.file)
     members = construct.rabin_decomposition(aut, cap=args.cap)
-    _emit(
+    return _emit(
+        args,
         {
-            "command": "decompose",
             "members": [
                 {
                     "I": sorted(index_set),
@@ -362,13 +352,11 @@ def _cmd_decompose(args) -> int:
         },
         f"{len(members)} member(s)",
     )
-    return EXIT_ANSWERED
 
 
 def _cmd_gen(args) -> int:
     out = construct.generate_example(args.name_, *args.params)
-    _emit_automaton(out, f"generated {out.name}")
-    return EXIT_ANSWERED
+    return _emit_automaton(out, f"generated {out.name}")
 
 
 def _cmd_construct(args) -> int:
@@ -380,8 +368,7 @@ def _cmd_construct(args) -> int:
         inputs = [_load(args.file1), _load(args.file2)]
     kw = {"cap": args.complement_cap} if "complement_cap" in args else {}
     out = args.build(*inputs, **kw)
-    _emit_automaton(out, f"{len(out.states)} state(s)")
-    return EXIT_ANSWERED
+    return _emit_automaton(out, f"{len(out.states)} state(s)")
 
 
 def run(argv: list[str]) -> int:
@@ -389,12 +376,11 @@ def run(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
     except ResourceLimitError as exc:
-        _emit(
-            {"command": args.command, "answer": "resource-limit",
-             "cap": exc.cap_name, "detail": str(exc)},
+        return _emit(
+            args,
+            {"answer": "resource-limit", "cap": exc.cap_name, "detail": str(exc)},
             f"resource limit: {exc}",
         )
-        return EXIT_UNKNOWN
     except (AutomatonError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -8,10 +8,10 @@ deterministic Rabin automata (``dra``).  Probabilities are exact
 :class:`~fractions.Fraction` values of unbounded precision.
 
 All values are immutable after construction: an automaton's
-``transitions`` and a ranking's ``levels`` are read-only mappings
-(:class:`types.MappingProxyType`), and every operation in this package is a
-pure function of its inputs, so anything here may be shared freely across
-concurrent tasks.
+``transitions``, its cached ``index`` and ``weights`` and a ranking's
+``levels`` are read-only mappings (:class:`types.MappingProxyType`), and
+every operation in this package is a pure function of its inputs, so
+anything here may be shared freely across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -286,17 +286,18 @@ class Automaton:
         return isinstance(self.acceptance, BuchiAcceptance)
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        """State name to declaration position."""
-        return {q: i for i, q in enumerate(self.states)}
+    def index(self) -> Mapping[str, int]:
+        """State name to declaration position, read-only."""
+        return MappingProxyType({q: i for i, q in enumerate(self.states)})
 
     @cached_property
-    def weights(self) -> dict[str, tuple[int, dict[str, tuple[tuple[str, int], ...]]]]:
+    def weights(self) -> Mapping[str, tuple[int, Mapping[str, tuple[tuple[str, int], ...]]]]:
         """Per symbol, ``(den, rows)``: the row of every state a run from
         the initial state can reach, as (target, integer weight) pairs over
         ``den``, the lcm of those rows' weight denominators.  Every integer
         walk starts at the initial state, so an unreachable row never
-        widens ``den``.  Probabilistic roles only."""
+        widens ``den``.  Read-only, each symbol's rows too.  Probabilistic
+        roles only."""
         reach, todo = {self.initial}, [self.initial]
         while todo:
             q = todo.pop()
@@ -309,9 +310,10 @@ class Automaton:
         for a in self.alphabet:
             rows = {q: self.prob_row(q, a) for q in self.states if q in reach}
             den = math.lcm(*(w.denominator for row in rows.values() for _, w in row))
-            table[a] = den, {q: tuple((t, w.numerator * (den // w.denominator)) for t, w in row)
-                             for q, row in rows.items()}
-        return table
+            table[a] = den, MappingProxyType({
+                q: tuple((t, w.numerator * (den // w.denominator)) for t, w in row)
+                for q, row in rows.items()})
+        return MappingProxyType(table)
 
     @property
     def final_states(self) -> frozenset[str]:

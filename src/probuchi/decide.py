@@ -805,8 +805,12 @@ def transition_monoid(
 
 
 def verify_subset_witness(m: Automaton, w: SubsetWitness) -> bool:
-    """Exact re-check of the subset witness invariants."""
-    if not w.states or not w.u or not w.v:
+    """Exact re-check of the subset witness invariants.  A set holding the
+    reject state fails: the reject is absorbing, so it stays inside the set
+    while the run's acceptance is 0."""
+    if m.role != "fpm":
+        raise AutomatonError("verify_subset_witness needs an fpm")
+    if not w.states or not w.u or not w.v or m.reject in w.states:
         return False
     mat = word_matrix(m, w.u)
     if mat.row_sum(m.initial, w.states) <= 0:
@@ -1001,8 +1005,9 @@ def _witness_factors(b: Automaton, w: AsymptoticWitness,
                      x: Fraction) -> list[Fraction] | None:
     """The reach mass z = delta_u(qs, C), then each segment's worst-case
     final-passage return min over C; None at the first that fails z > x or
-    return > 1 - 2^-j, before any later matrix is built or symbol met."""
-    if not w.states or not w.u or not w.segments:
+    return > 1 - 2^-j, before any later matrix is built or symbol met, and
+    for a start index below 1, whose threshold 1 - 2^-j is not positive."""
+    if not w.states or not w.u or not w.segments or w.start_index < 1:
         return None
     z = word_matrix(b, w.u).row_sum(b.initial, w.states)
     if z <= x:

@@ -34,6 +34,7 @@ from probuchi.construct import FRESH_INITIAL, FRESH_REJECT
 from probuchi.core import ranking_violations
 from probuchi.decide import (
     AsymptoticWitness,
+    SubsetWitness,
     acceptance_lower_bound,
     containment_refute,
     fpm_positive_empty,
@@ -43,6 +44,7 @@ from probuchi.decide import (
     nba_lasso_member,
     nba_universality,
     pba_positive_nonempty_bounded,
+    verify_subset_witness,
 )
 from probuchi.sim import MonitorSession, mc_lasso_estimate
 
@@ -253,6 +255,9 @@ ENTRY_POINT_ERRORS = {
                            "fpm_positive_empty needs an fpm"),
     "fpm_positive_universal": (lambda: fpm_positive_universal(NBA),
                                "fpm_positive_universal needs an fpm"),
+    "verify_subset_witness": (
+        lambda: verify_subset_witness(PBA, SubsetWitness(frozenset({"s"}), ("a",), ("a",))),
+        "verify_subset_witness needs an fpm"),
     "bounded-witness-role": (lambda: pba_positive_nonempty_bounded(NBA, 1, 1),
                              "bounded witness search needs a probabilistic Buchi automaton"),
     "bounded-witness-bounds": (lambda: pba_positive_nonempty_bounded(PBA, 0, 1),

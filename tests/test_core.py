@@ -174,6 +174,27 @@ def test_transitions_and_levels_are_read_only():
 
 
 @pytest.mark.parametrize("copy_of", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy])
+def test_cached_index_and_weights_are_read_only(copy_of):
+    m = gen_m_id()
+    assert lasso_acceptance(m, lasso("11", "0")) == F(3, 4)
+    den, rows = m.weights["1"]
+    with pytest.raises(TypeError):
+        rows["q0"] = (("q1", den),)
+    with pytest.raises(TypeError):
+        m.weights["1"] = (den, {"q0": (("q1", den),)})
+    with pytest.raises(TypeError):
+        m.index["q1"] = 0
+    assert lasso_acceptance(m, lasso("11", "0")) == F(3, 4)
+    # both caches filled, the automaton still copies through its constructor
+    assert "index" in vars(m) and "weights" in vars(m)
+    twin = copy_of(m)
+    assert twin == m and lasso_acceptance(twin, lasso("11", "0")) == F(3, 4)
+    assert isinstance(twin.index, MappingProxyType) and twin.index == m.index
+    assert isinstance(twin.weights, MappingProxyType)
+    assert all(isinstance(r, MappingProxyType) for _, r in twin.weights.values())
+
+
+@pytest.mark.parametrize("copy_of", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy])
 def test_pickle_and_deepcopy_round_trip(copy_of):
     m = gen_m_id()
     assert lasso_acceptance(m, lasso("11", "0")) == F(3, 4)

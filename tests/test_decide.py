@@ -292,6 +292,7 @@ def test_fpm_positive_empty_examples():
     ({"q1"}, ("1",), (), False),  # no cycle
     ({"q1"}, ("0",), ("1",), False),  # the stem puts no mass on the set
     ({"q0"}, ("1",), ("0",), False),  # the cycle leaks out of the set
+    ({"qr"}, ("0",), ("0",), False),  # the set holds the absorbing reject
 ])
 def test_verify_subset_witness_checks_each_invariant(states, u, v, ok):
     assert verify_subset_witness(gen_m_id(), SubsetWitness(frozenset(states), u, v)) is ok
@@ -480,6 +481,17 @@ def test_acceptance_lower_bound_rejects_bad_witness():
     m = gen_m_id()
     bad = AsymptoticWitness(frozenset({"qr"}), ("1",), (("1",),), 1)
     with pytest.raises(AutomatonError):
+        acceptance_lower_bound(m, bad)
+
+
+@pytest.mark.parametrize("start_index", [-1, 0])
+def test_asymptotic_witness_needs_a_start_index_of_at_least_one(start_index):
+    m = gen_m_id()
+    w = AsymptoticWitness(frozenset({"q1"}), ("1",), (("0",),), start_index=1)
+    assert verify_asymptotic_witness(m, w)
+    bad = replace(w, start_index=start_index)
+    assert not verify_asymptotic_witness(m, bad)
+    with pytest.raises(AutomatonError, match="^invalid asymptotic witness$"):
         acceptance_lower_bound(m, bad)
 
 
