@@ -21,6 +21,7 @@ from .core import (
     RabinAcceptance,
     RankFunction,
     ResourceLimitError,
+    _clip,
     _scc_ranking,
     ranking_violations,
     require_valid,
@@ -64,7 +65,7 @@ def _require_buchi_probabilistic(aut: Automaton, op: str) -> None:
 
 def _fresh(name: str, taken: Sequence[str]) -> str:
     if name in taken:
-        raise ConstructionError(f"fresh state name {name!r} collides with input")
+        raise ConstructionError(f"fresh state name {_clip(name)} collides with input")
     return name
 
 
@@ -144,7 +145,7 @@ def fpm_product(m1: Automaton, m2: Automaton) -> Automaton:
     seen: set[str] = set()
     for name in states:
         if name in seen:
-            raise ConstructionError(f"two state pairs render to the same name {name!r}")
+            raise ConstructionError(f"two state pairs render to the same name {_clip(name)}")
         seen.add(name)
     qr = _fresh(FRESH_REJECT, states)
     transitions: dict = {}
@@ -433,7 +434,10 @@ def rename_states(aut: Automaton, mapping: Mapping[str, str] | None = None, suff
     """Copy of the automaton with states renamed (mapping or uniform suffix)."""
     if mapping is None:
         mapping = {q: q + suffix for q in aut.states}
-    if len(set(mapping.values())) != len(aut.states):
+    missing = next((q for q in aut.states if q not in mapping), None)
+    if missing is not None:
+        raise ConstructionError(f"state renaming misses state {_clip(missing)}")
+    if len({mapping[q] for q in aut.states}) != len(aut.states):
         raise ConstructionError("state renaming is not injective")
 
     def m(q: str) -> str:
@@ -600,7 +604,7 @@ def generate_example(name: str, *params: str) -> Automaton:
     """Dispatch to a named generator; parameters arrive as strings."""
     if name not in GENERATORS:
         raise AutomatonError(
-            f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}"
+            f"unknown generator {_clip(name)}; known: {', '.join(sorted(GENERATORS))}"
         )
     fn, arity = GENERATORS[name]
     if len(params) != arity:

@@ -62,6 +62,15 @@ class AutomatonError(Exception):
     """Base class for errors raised by the toolkit."""
 
 
+_CLIP_WIDTH = 40
+
+
+def _clip(tok: object) -> str:
+    """``tok``'s repr for an error message, a string cut to :data:`_CLIP_WIDTH` characters."""
+    long = isinstance(tok, str) and len(tok) > _CLIP_WIDTH
+    return repr(tok[:_CLIP_WIDTH]) + "..." if long else repr(tok)
+
+
 class UnknownSymbolError(AutomatonError):
     """A word contains a symbol outside the automaton's alphabet."""
 
@@ -69,7 +78,7 @@ class UnknownSymbolError(AutomatonError):
         self.symbol = symbol
         self.position = position
         where = "" if position is None else f" at position {position}"
-        super().__init__(f"unknown symbol {symbol!r}{where}")
+        super().__init__(f"unknown symbol {_clip(symbol)}{where}")
 
 
 class InvalidAutomatonError(AutomatonError):
@@ -168,6 +177,8 @@ class LassoWord:
 
     def prefix(self, n: int) -> tuple[str, ...]:
         """First ``n`` symbols of the infinite word."""
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
         out = list(self.stem[:n])
         i = 0
         while len(out) < n:
@@ -556,7 +567,7 @@ def post(aut: Automaton, q: str, u: Iterable[str]) -> frozenset[str]:
     empty word yields {q} (identity step).
     """
     if q not in aut.index:
-        raise AutomatonError(f"unknown state {q!r}")
+        raise AutomatonError(f"unknown state {_clip(q)}")
     u = tuple(u)
     aut.check_symbols(u)
     current = {q}

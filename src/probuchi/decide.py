@@ -4,7 +4,8 @@ subset/monoid procedures, almost-sure decisions, bounded witness search.
 Every nonempty or non-universal answer ships a certificate that is
 re-verified by an independent engine (exact lasso acceptance or NBA lasso
 membership) before being returned; a failed re-verification raises
-:class:`CertificationError` instead of silently answering.
+:class:`CertificationError` through :func:`_certify`, naming the witness
+as a lasso over the alphabet, instead of silently answering.
 
 Long searches accept a cooperative ``cancel`` callback (return True to stop,
 raises :class:`SearchCancelled`); the monoid and profile searches also take
@@ -33,6 +34,7 @@ from .core import (
     LassoWord,
     NONDET_ROLES,
     ResourceLimitError,
+    _clip,
     all_words,
     post,
     require_valid,
@@ -50,7 +52,7 @@ from .markov import (
     lasso_acceptance,
     word_matrix,
 )
-from .textio import _clip, format_lasso, integer
+from .textio import format_lasso, integer
 
 __all__ = [
     "SubsetWitness",
@@ -91,6 +93,8 @@ COMPLEMENT_BRANCH_LIMIT = 50_000
 # universality decision.
 _PROBE_BOUND = 3
 
+_ACCEPTED = "universality counterexample {} is accepted"
+
 
 class CertificationError(AutomatonError):
     """A witness failed its independent re-verification (internal error)."""
@@ -119,6 +123,14 @@ def _cap(cap: int | None, env: str, default: int) -> int:
     if cap < 1:
         raise AutomatonError(f"{source} must be at least 1, got {cap}")
     return cap
+
+
+def _certify(holds: bool, aut: Automaton, w: LassoWord, claim: str, *details) -> None:
+    """Raise :class:`CertificationError` unless the re-check of witness ``w``
+    ``holds``.  The message is ``claim`` with its ``{}`` fields filled by
+    ``w`` written over ``aut``'s alphabet, then by ``details``."""
+    if not holds:
+        raise CertificationError(claim.format(format_lasso(w, aut.alphabet), *details))
 
 
 def _check_cancel(cancel: Cancel) -> None:
@@ -156,6 +168,11 @@ class AsymptoticWitness:
     u: tuple[str, ...]
     segments: tuple[tuple[str, ...], ...]
     start_index: int = 1
+
+    def lasso(self) -> LassoWord:
+        """u u_1 ... u_{J-1} (u_J)^omega, the word the segments assemble."""
+        stem = self.u + tuple(itertools.chain.from_iterable(self.segments[:-1]))
+        return LassoWord(stem, self.segments[-1])
 
 
 @dataclass(frozen=True)
@@ -400,12 +417,8 @@ def nba_emptiness(a: Automaton) -> LassoWord | None:
         if best is None or key < best:
             best = key
             best_w = LassoWord(u, cyc)
-    if best_w is None:
-        return None
-    if not nba_lasso_member(a, best_w):
-        raise CertificationError(
-            f"emptiness witness {format_lasso(best_w, a.alphabet)} failed membership"
-        )
+    if best_w is not None:
+        _certify(nba_lasso_member(a, best_w), a, best_w, "emptiness witness {} failed membership")
     return best_w
 
 
@@ -676,7 +689,7 @@ def nba_universality(
     require_valid(a)
     probed = _universality_probe(a, cancel)
     if probed is not None:
-        _certify_rejected(a, probed)
+        _certify(not _lasso_member(a, probed), a, probed, _ACCEPTED)
         return probed
     elements = _profile_monoid(a, _cap(monoid_cap, MONOID_CAP_ENV, 10**6), cancel)
     if progress is not None:
@@ -705,7 +718,7 @@ def nba_universality(
             u, uw = pairs[i]
             if all(_image(r, act) == r for r in u):
                 witness = LassoWord(uw, vw)
-                _certify_rejected(a, witness)
+                _certify(not _lasso_member(a, witness), a, witness, _ACCEPTED)
                 return witness
     return None
 
@@ -742,14 +755,6 @@ def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None
     return None
 
 
-def _certify_rejected(a: Automaton, w: LassoWord) -> None:
-    """Raise :class:`CertificationError` unless ``a`` rejects ``w``."""
-    if _lasso_member(a, w):
-        raise CertificationError(
-            f"universality counterexample {format_lasso(w, a.alphabet)} is accepted"
-        )
-
-
 # ---------------------------------------------------------------------------
 # HPBA decisions (delegate through the two-copy NBA)
 
@@ -757,20 +762,16 @@ def _certify_rejected(a: Automaton, w: LassoWord) -> None:
 def hpba_probable_empty(h: Automaton) -> LassoWord | None:
     """None when L_>0(h) is empty, else a witness with exact acceptance > 0."""
     w = nba_emptiness(hpba_to_nba(h))
-    if w is not None and lasso_acceptance(h, w) <= 0:
-        raise CertificationError(
-            f"witness {format_lasso(w, h.alphabet)} has zero acceptance"
-        )
+    if w is not None:
+        _certify(lasso_acceptance(h, w) > 0, h, w, "witness {} has zero acceptance")
     return w
 
 
 def hpba_probable_universal(h: Automaton, **kw) -> LassoWord | None:
     """None when L_>0(h) is universal, else a lasso with exact acceptance 0."""
     w = nba_universality(hpba_to_nba(h), **kw)
-    if w is not None and lasso_acceptance(h, w) != 0:
-        raise CertificationError(
-            f"counterexample {format_lasso(w, h.alphabet)} has positive acceptance"
-        )
+    if w is not None:
+        _certify(lasso_acceptance(h, w) == 0, h, w, "counterexample {} has positive acceptance")
     return w
 
 
@@ -859,8 +860,9 @@ def fpm_positive_empty(
                 m.states[j] for j in range(len(m.states)) if closure >> j & 1
             )
             witness = SubsetWitness(states, reach[q], vword)
-            if not verify_subset_witness(m, witness):
-                raise CertificationError(f"subset witness {witness} failed re-check")
+            _certify(verify_subset_witness(m, witness), m, LassoWord(witness.u, witness.v),
+                     "subset witness {} on states {} failed re-check",
+                     " ".join(s for s in m.states if s in states))
             return witness
     return None
 
@@ -952,11 +954,8 @@ def fpm_positive_universal(
     cycle = next(vword for rows, vword in monoid.items()
                  if not s & ~_safe_start_mask(rows, reject_index))
     w = LassoWord(stem, cycle).normalized()
-    if lasso_acceptance(m, w) != 0:
-        raise CertificationError(
-            f"rejected-lasso counterexample {format_lasso(w, m.alphabet)} "
-            f"has positive acceptance"
-        )
+    _certify(lasso_acceptance(m, w) == 0, m, w,
+             "rejected-lasso counterexample {} has positive acceptance")
     return w
 
 
@@ -971,12 +970,8 @@ def almost_sure_empty(b: Automaton, **kw) -> LassoWord | None:
     monitor is universal.
     """
     ce = fpm_positive_universal(complement_to_fpm(b), **kw)
-    if ce is None:
-        return None
-    if lasso_acceptance(b, ce) != 1:
-        raise CertificationError(
-            f"almost-sure witness {format_lasso(ce, b.alphabet)} not accepted surely"
-        )
+    if ce is not None:
+        _certify(lasso_acceptance(b, ce) == 1, b, ce, "almost-sure witness {} not accepted surely")
     return ce
 
 
@@ -990,10 +985,7 @@ def almost_sure_universal(b: Automaton, **kw) -> LassoWord | None:
     if sw is None:
         return None
     w = sw.lasso()
-    if lasso_acceptance(b, w) >= 1:
-        raise CertificationError(
-            f"counterexample {format_lasso(w, b.alphabet)} is accepted almost surely"
-        )
+    _certify(lasso_acceptance(b, w) < 1, b, w, "counterexample {} is accepted almost surely")
     return w
 
 
@@ -1078,8 +1070,8 @@ def pba_positive_nonempty_bounded(
             if len(segments) < max_j:
                 continue
             witness = AsymptoticWitness(c, u, tuple(segments), 1)
-            if not verify_asymptotic_witness(b, witness, x):
-                raise CertificationError("asymptotic witness failed re-verification")
+            _certify(verify_asymptotic_witness(b, witness, x), b, witness.lasso(),
+                     "asymptotic witness {} failed re-verification")
             return witness
     return None
 
@@ -1099,10 +1091,8 @@ def acceptance_lower_bound(b: Automaton, w: AsymptoticWitness) -> LassoLowerBoun
     factors = _witness_factors(b, w, Fraction(0))
     if factors is None:
         raise AutomatonError("invalid asymptotic witness")
-    stem = w.u + tuple(itertools.chain.from_iterable(w.segments[:-1]))
-    assembled = LassoWord(stem, w.segments[-1])
     return LassoLowerBound(value=math.prod(factors), asymptotic=factors[-1] == 1,
-                           lasso=assembled)
+                           lasso=w.lasso())
 
 
 # ---------------------------------------------------------------------------
@@ -1138,10 +1128,10 @@ def containment_refute(
     if bound < 1:
         raise AutomatonError("bound must be at least 1")
     for aut in (b1, b2):
-        require_valid(aut)
-    for aut in (b1, b2):
         if not aut.is_probabilistic:
             raise AutomatonError("lasso acceptance needs a probabilistic automaton")
+    for aut in (b1, b2):
+        require_valid(aut)
     autos = (b1, b2)
 
     def step(walks, sym):
@@ -1174,11 +1164,7 @@ def containment_refute(
             w = LassoWord(u, v)
             scanned = (p1, value(1, masses, v))
             exact = (_lasso_value(b1, w), _lasso_value(b2, w))
-            if scanned != exact:
-                raise CertificationError(
-                    f"containment witness {format_lasso(w, b1.alphabet)} scanned "
-                    f"as {scanned[0]} and {scanned[1]}, but its acceptance "
-                    f"probabilities are {exact[0]} and {exact[1]}"
-                )
+            _certify(scanned == exact, b1, w, "containment witness {} scanned as {} and {}, "
+                     "but its acceptance probabilities are {} and {}", *scanned, *exact)
             return w
     return None

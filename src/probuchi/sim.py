@@ -34,7 +34,7 @@ from functools import partial
 from math import gcd, lcm, sqrt
 from typing import Iterable, Iterator
 
-from .core import Automaton, AutomatonError, LassoWord, ResourceLimitError, require_valid
+from .core import Automaton, AutomatonError, LassoWord, ResourceLimitError, _clip, require_valid
 from .markov import _walk, build_lasso_chain
 
 __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "MonitorError"]
@@ -149,9 +149,9 @@ def mc_lasso_estimate(
     """
     if n < 1:
         raise AutomatonError("sample count must be at least 1")
-    require_valid(aut)
     if not aut.is_probabilistic:
         raise AutomatonError("simulation needs a probabilistic automaton")
+    require_valid(aut)
     chain = build_lasso_chain(aut, w)
     in_bscc = {node: chain.value_of[node] for node in chain.bscc_nodes}
     init_nodes = [nd for nd in chain.nodes if nd in chain.initial]
@@ -190,7 +190,7 @@ class MonitorError(AutomatonError):
     def __init__(self, symbol: str, position: int):
         self.symbol = symbol
         self.position = position
-        super().__init__(f"unknown symbol {symbol!r} at stream position {position}")
+        super().__init__(f"unknown symbol {_clip(symbol)} at stream position {position}")
 
 
 class MonitorSession:

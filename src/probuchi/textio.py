@@ -30,6 +30,8 @@ from .core import (
     RabinAcceptance,
     RankFunction,
     ROLES,
+    _CLIP_WIDTH,
+    _clip,
     word_separator,
 )
 
@@ -87,11 +89,6 @@ def _int(digits: str, text: str, what: str) -> int:
             f"{what} {_clip(text)} has an integer longer than Python's "
             f"{sys.get_int_max_str_digits():,}-digit limit"
         ) from None
-
-
-def _clip(tok: str, width: int = 40) -> str:
-    """``tok`` quoted, cut to its first ``width`` characters if longer."""
-    return repr(tok) if len(tok) <= width else repr(tok[:width]) + "..."
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -205,7 +202,7 @@ def parse(text: str, name: str = "automaton") -> Automaton:
             if key in header and key != "pair":  # the one key that repeats
                 raise FormatError(f"duplicate key {key!r}", line_no, head_col)
             if key not in _HEADER_KEYS:
-                raise FormatError(f"unknown key {key!r}", line_no, head_col)
+                raise FormatError(f"unknown key {_clip(key)}", line_no, head_col)
             value = _HEADER_KEYS[key][0](key, toks[1:], line_no, head_col)
             header[key] = header.get(key, ()) + value if key == "pair" else value
             continue
@@ -217,11 +214,13 @@ def parse(text: str, name: str = "automaton") -> Automaton:
         arrow, arrow_col = toks[1]
         dst = toks[2][0]
         if not (arrow.startswith("-") and arrow.endswith("->") and len(arrow) > 3):
-            raise FormatError(f"bad transition arrow {arrow!r}", line_no, arrow_col)
+            raise FormatError(f"bad transition arrow {_clip(arrow)}", line_no, arrow_col)
         sym = arrow[1:-2]
         probabilistic_role = role in PROBABILISTIC_ROLES
         if (src, sym, dst) in seen_edges:
-            raise FormatError(f"duplicate transition {src} -{sym}-> {dst}", line_no, head_col)
+            # the tokens as written, unless _clip has to cut them
+            edge = " ".join(t if len(t) <= _CLIP_WIDTH else _clip(t) for t in (src, arrow, dst))
+            raise FormatError(f"duplicate transition {edge}", line_no, head_col)
         seen_edges.add((src, sym, dst))
         if len(toks) == 5:
             colon, colon_col = toks[3]
@@ -323,7 +322,7 @@ def parse_lasso(text: str, alphabet: tuple[str, ...]) -> LassoWord:
     alpha = set(alphabet)
     for s in stem + cycle:
         if s not in alpha:
-            raise AutomatonError(f"lasso symbol {s!r} not in alphabet")
+            raise AutomatonError(f"lasso symbol {_clip(s)} not in alphabet")
     return LassoWord(stem, cycle)
 
 

@@ -721,3 +721,45 @@ def test_hpba2nba_on_non_hierarchical_input_exits_1(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: input is not hierarchical: two same-component successors at (q0,a)\n")
+
+
+_LONG = "x" * 5000
+_SHOWN = repr("x" * 40) + "..."
+_ONE_PBA = "type: pba\nalphabet: a\nstates: s\ninit: s\nfinal: s\n"
+
+# Long text read from a lasso, stdin, a file or a generator name, as (argv
+# with FILE for the written file, the file, stdin, the expected stdout and
+# stderr).
+_LONG_INPUTS = {
+    "lasso-symbol": (
+        ["prob", "FILE", ";" + _LONG],
+        "type: pba\nalphabet: ab c\nstates: s\ninit: s\nfinal: s\n"
+        "s -ab-> s : 1\ns -c-> s : 1\n", "", "",
+        f"error: lasso symbol {_SHOWN} not in alphabet\n"),
+    "monitor-line": (
+        ["monitor", "FILE"], serialize(gen_m_id()), _LONG + "\n", "0\n",
+        f"error: unknown symbol {_SHOWN} at stream position 0\n"),
+    "header-key": (
+        ["validate", "FILE"], f"type: pba\n{_LONG}: a\n", "", "",
+        f"error: line 2, column 1: unknown key {_SHOWN}\n"),
+    "arrow": (
+        ["validate", "FILE"], _ONE_PBA + f"s {_LONG} s : 1\n", "", "",
+        f"error: line 6, column 3: bad transition arrow {_SHOWN}\n"),
+    "duplicate-target": (
+        ["validate", "FILE"], _ONE_PBA + f"s -a-> {_LONG} : 1\n" * 2, "", "",
+        f"error: line 7, column 1: duplicate transition s -a-> {_SHOWN}\n"),
+    "generator": (
+        ["gen", _LONG], "", "", "",
+        f"error: unknown generator {_SHOWN}; known: m_id, m_id_squared, m_id_swapped, "
+        "p3, succinct\n"),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_INPUTS)
+def test_long_input_is_quoted_clipped(case, tmp_path, capsys, monkeypatch):
+    argv, text, stdin, out, err = _LONG_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run([str(path) if a == "FILE" else a for a in argv]) == 1
+    assert capsys.readouterr() == (out, err)

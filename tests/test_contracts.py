@@ -17,15 +17,22 @@ from probuchi import (
     RabinAcceptance,
     RankFunction,
     RationalMatrix,
+    UnknownSymbolError,
     almost_sure_intersection,
+    almost_sure_union,
     binary_value_lasso,
     complement_to_fpm,
+    dra_to_hpba,
     final_passage_matrix,
+    fpm_product,
     gen_m_id,
+    gen_p3,
     generate_example,
     infer_hierarchy,
     lasso_acceptance,
     post,
+    rabin_decomposition,
+    reject_pba,
     rename_states,
     validate,
     word_matrix,
@@ -230,6 +237,66 @@ def test_rename_states_must_be_injective():
     assert str(err.value) == "state renaming is not injective"
 
 
+def test_rename_states_names_the_first_unmapped_state():
+    with pytest.raises(ConstructionError) as err:
+        rename_states(FPM, {"q0": "a", "q1": "b", "zz": "c"})
+    assert str(err.value) == "state renaming misses state 'qr'"
+
+
+def test_rename_states_ignores_keys_that_are_not_states():
+    renamed = rename_states(FPM, {"q0": "a", "q1": "b", "qr": "r", "zz": "c"})
+    assert renamed.states == ("a", "b", "r")
+    assert renamed == rename_states(FPM, {"q0": "a", "q1": "b", "qr": "r"})
+
+
+def test_prefix_refuses_a_negative_length():
+    w = LassoWord(("a", "b"), ("c",))
+    assert w.prefix(0) == ()
+    with pytest.raises(ValueError) as err:
+        w.prefix(-1)
+    assert str(err.value) == "prefix length must be >= 0"
+
+
+def test_unknown_symbol_error_clips_the_symbol_it_quotes():
+    err = UnknownSymbolError("x" * 5000, 2)
+    assert str(err) == f"unknown symbol {'x' * 40!r}... at position 2"
+    assert err.symbol == "x" * 5000
+    assert str(UnknownSymbolError(7, 0)) == "unknown symbol 7 at position 0"
+
+
+PRA = replace(PBA, role="pra", acceptance=DRA.acceptance)
+NO_PAIR_DRA = replace(DRA, acceptance=RabinAcceptance(()))
+
+CONSTRUCTION_ERRORS = {
+    "complement-of-nba": (lambda: complement_to_fpm(NBA),
+                          "complement_to_fpm needs a probabilistic automaton"),
+    "complement-of-pra": (lambda: complement_to_fpm(PRA),
+                          "complement_to_fpm needs Buchi acceptance"),
+    "reject-pba-of-pba": (lambda: reject_pba(PBA), "reject_pba needs an fpm"),
+    "product-of-pba": (lambda: fpm_product(PBA, FPM), "fpm_product needs fpm inputs"),
+    "product-alphabets": (lambda: fpm_product(FPM, complement_to_fpm(PBA)),
+                          "fpm_product needs a shared alphabet"),
+    "union-alphabets": (lambda: almost_sure_union(PBA, FPM),
+                        "almost_sure_union needs a shared alphabet"),
+    "intersection-alphabets": (lambda: almost_sure_intersection(PBA, FPM),
+                               "almost_sure_intersection needs a shared alphabet"),
+    "dra-to-hpba-of-nba": (lambda: dra_to_hpba(NBA), "dra_to_hpba needs a dra"),
+    "dra-to-hpba-without-pairs": (lambda: dra_to_hpba(NO_PAIR_DRA),
+                                  "dra_to_hpba needs at least one Rabin pair"),
+    "decompose-pba": (lambda: rabin_decomposition(PBA), "rabin_decomposition needs a pra"),
+    "p3-at-0": (lambda: gen_p3(F(0)), "p3 generator needs a rational in (0,1)"),
+    "p3-at-1": (lambda: gen_p3(F(1)), "p3 generator needs a rational in (0,1)"),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTION_ERRORS)
+def test_constructions_refuse_wrong_roles_and_alphabets(case):
+    call, message = CONSTRUCTION_ERRORS[case]
+    with pytest.raises(AutomatonError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name, params, message", [
     ("m_id", ("3",), "generator m_id takes 0 parameter(s)"),
     ("succinct", (), "generator succinct takes 1 parameter(s)"),
@@ -242,6 +309,8 @@ def test_generate_example_checks_its_arity(name, params, message):
 
 
 A = LassoWord((), ("a",))
+# An NBA that is both of the wrong role and invalid: the role error comes first.
+GHOST_NBA = _with(NBA, ("s", "a"), ("ghost",))
 ZERO_WITNESS = AsymptoticWitness(frozenset(), ("a",), (("a",),))
 
 ENTRY_POINT_ERRORS = {
@@ -268,6 +337,8 @@ ENTRY_POINT_ERRORS = {
                           "semantics must be positive or almost-sure"),
     "contain-alphabet": (lambda: containment_refute(PBA, FPM, "positive", 1),
                          "containment needs a shared alphabet"),
+    "contain-invalid-nba": (lambda: containment_refute(GHOST_NBA, PBA, "positive", 1),
+                            "lasso acceptance needs a probabilistic automaton"),
     # markov
     "word_matrix": (lambda: word_matrix(NBA, "a"),
                     "word matrices need a probabilistic automaton"),
@@ -287,6 +358,8 @@ ENTRY_POINT_ERRORS = {
     "mc-samples": (lambda: mc_lasso_estimate(PBA, A, 0, 0), "sample count must be at least 1"),
     "mc-role": (lambda: mc_lasso_estimate(NBA, A, 1, 0),
                 "simulation needs a probabilistic automaton"),
+    "mc-invalid-nba": (lambda: mc_lasso_estimate(GHOST_NBA, A, 1, 0),
+                       "simulation needs a probabilistic automaton"),
     "monitor-role": (lambda: MonitorSession(PBA), "monitoring needs an fpm"),
 }
 

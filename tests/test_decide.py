@@ -760,3 +760,78 @@ def _ghost_target_monitor() -> Automaton:
 def test_invalid_automata_raise_invalid_automaton_error(call):
     with pytest.raises(InvalidAutomatonError, match="ghost"):
         call(_ghost_target_monitor())
+
+
+# Monitor over (a) whose states alpha and beta swap on every a.
+SWAP_MONITOR = """type: fpm
+alphabet: a
+states: alpha beta rej
+init: alpha
+final: alpha beta
+reject: rej
+alpha -a-> beta : 1
+beta -a-> alpha : 1
+rej -a-> rej : 1
+"""
+
+
+def _swap_monitor() -> Automaton:
+    from probuchi.textio import parse
+
+    return parse(SWAP_MONITOR)
+
+
+@pytest.mark.parametrize(
+    "call, patches, message",
+    [
+        (lambda: fpm_positive_empty(_swap_monitor()),
+         {"verify_subset_witness": lambda m, w: False},
+         "subset witness a;a on states alpha beta failed re-check"),
+        (lambda: fpm_positive_universal(gen_m_id()),
+         {"lasso_acceptance": lambda m, w: F(1, 2)},
+         "rejected-lasso counterexample ;0 has positive acceptance"),
+        (lambda: pba_positive_nonempty_bounded(gen_m_id(), 1, 3),
+         {"verify_asymptotic_witness": lambda b, w, x: False},
+         "asymptotic witness 100;0 failed re-verification"),
+    ],
+    ids=["fpm_positive_empty", "fpm_positive_universal", "bounded-search"],
+)
+def test_failed_rechecks_name_the_witness_lasso(call, patches, message, monkeypatch):
+    from probuchi import decide
+
+    for name, fake in patches.items():
+        monkeypatch.setattr(decide, name, fake)
+    with pytest.raises(CertificationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_asymptotic_witness_lasso_is_the_lower_bounds_lasso():
+    m = gen_m_id()
+    w = pba_positive_nonempty_bounded(m, 1, 3)
+    assert w.lasso() == lasso("100", "0") == acceptance_lower_bound(m, w).lasso
+
+
+def test_subset_witness_error_does_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import probuchi
+
+    script = (
+        "from probuchi import decide, textio\n"
+        "decide.verify_subset_witness = lambda m, w: False\n"
+        "try:\n"
+        f"    decide.fpm_positive_empty(textio.parse({SWAP_MONITOR!r}))\n"
+        "except decide.CertificationError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.dirname(os.path.dirname(probuchi.__file__))
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src,
+                                        "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1] == "subset witness a;a on states alpha beta failed re-check\n"
