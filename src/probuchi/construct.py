@@ -437,11 +437,15 @@ def rename_states(aut: Automaton, mapping: Mapping[str, str] | None = None, suff
     missing = next((q for q in aut.states if q not in mapping), None)
     if missing is not None:
         raise ConstructionError(f"state renaming misses state {_clip(missing)}")
-    if len({mapping[q] for q in aut.states}) != len(aut.states):
+    mapping = {q: mapping[q] for q in aut.states}
+    if len(set(mapping.values())) != len(aut.states):
         raise ConstructionError("state renaming is not injective")
 
     def m(q: str) -> str:
-        return mapping[q]
+        try:
+            return mapping[q]
+        except KeyError:
+            raise ConstructionError(f"automaton names undeclared state {_clip(q)}") from None
 
     transitions: dict = {}
     for (q, a), row in aut.transitions.items():

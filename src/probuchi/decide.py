@@ -3,15 +3,30 @@ subset/monoid procedures, almost-sure decisions, bounded witness search.
 
 Every nonempty or non-universal answer ships a certificate that is
 re-verified by an independent engine (exact lasso acceptance or NBA lasso
-membership) before being returned; a failed re-verification raises
+membership) before being returned.  An empty answer of monitor positive
+emptiness ships one too: a topological numbering of its safe-step graph,
+re-checked one support step per node and symbol.  A failed re-check raises
 :class:`CertificationError` through :func:`_certify`, naming the witness
-as a lasso over the alphabet, instead of silently answering.
+as a lasso over the alphabet, or the automaton when there is no witness,
+instead of silently answering.
+
+Monitor positive emptiness is decided on supports.  A set T of live states
+steps safely on a symbol a when post(T, a) misses the reject; L_>0(m) is
+nonempty iff the safe steps reachable from the singletons of the live
+states that a nonempty word reaches close a cycle.  If T -> ... -> T on a
+word v, then v^omega never leaves T, and T holds mass after some stem.  If
+there is no cycle, every safe walk is shorter than the graph, so from
+every live state some leak happens within 2^|Q| letters with probability
+bounded below, and almost every run is rejected.
 
 Long searches accept a cooperative ``cancel`` callback (return True to stop,
-raises :class:`SearchCancelled`); the monoid and profile searches also take
-an optional ``progress`` callback that receives short status strings.  Both
-monoids come from one kernel, :func:`_monoid`, as one map from an element's
-rows to its shortest word; :func:`transition_monoid` returns that map.  All
+raises :class:`SearchCancelled`); the monoid, profile and subset searches
+also take an optional ``progress`` callback that receives short status
+strings.  Every breadth-first search is one generator, :func:`_discover`,
+which hands out elements lazily in discovery order.  Both monoids come
+from one kernel, :func:`_monoid`, as its elements with their shortest
+words; :func:`transition_monoid` returns them as one map, and the witness
+of monitor positive emptiness reads them only up to its first hit.  All
 functions are pure; deterministic tie-breaking (shortest first, then symbol
 declaration order) makes outputs reproducible.
 """
@@ -25,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Container, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     Automaton,
@@ -40,7 +55,7 @@ from .core import (
     require_valid,
 )
 from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
-from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product
+from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product, tarjan_sccs
 from .markov import (
     _ZERO,
     _bscc_accepting,
@@ -125,12 +140,16 @@ def _cap(cap: int | None, env: str, default: int) -> int:
     return cap
 
 
-def _certify(holds: bool, aut: Automaton, w: LassoWord, claim: str, *details) -> None:
-    """Raise :class:`CertificationError` unless the re-check of witness ``w``
-    ``holds``.  The message is ``claim`` with its ``{}`` fields filled by
-    ``w`` written over ``aut``'s alphabet, then by ``details``."""
+def _certify(holds: bool, aut: Automaton, w: LassoWord | None, claim: str, *details) -> None:
+    """Raise :class:`CertificationError` unless the re-check ``holds``.
+
+    The message is ``claim`` with its ``{}`` fields filled by what was
+    checked, then by ``details``: the witness ``w`` written over ``aut``'s
+    alphabet, or, for an empty answer, which has no witness, ``aut``'s name.
+    """
     if not holds:
-        raise CertificationError(claim.format(format_lasso(w, aut.alphabet), *details))
+        subject = _clip(aut.name) if w is None else format_lasso(w, aut.alphabet)
+        raise CertificationError(claim.format(subject, *details))
 
 
 def _check_cancel(cancel: Cancel) -> None:
@@ -203,21 +222,23 @@ K = TypeVar("K", bound=Hashable)
 S = TypeVar("S")
 
 
-def _explore(
+def _discover(
     seeds: Iterable[tuple[K, tuple[S, ...]]],
     step: Callable[[K, S], Iterable[K]],
     alphabet: Sequence[S],
     cap: int | None = None,
     cancel: Cancel = None,
     what: str = "",
-) -> dict[K, tuple[S, ...]]:
+) -> Iterator[tuple[K, tuple[S, ...]]]:
     """Breadth-first closure of ``seeds`` under ``step``, each with its word.
 
-    ``step(x, a)`` lists the successors of ``x`` on symbol ``a``.  Returns
+    ``step(x, a)`` lists the successors of ``x`` on symbol ``a``.  Yields
     every element in discovery order, which is (word length, symbol order),
-    mapped to the first word that reached it; a seed keeps the word it came
-    with.  More than ``cap`` elements, seeds included, raise
-    :class:`ResourceLimitError` naming ``what``.
+    with the first word that reached it; a seed keeps the word it came
+    with.  An element's successors are found after it is handed out, so a
+    reader that stops early pays only for what it read.  Before each
+    element is handed out, more than ``cap`` elements found, seeds
+    included, raise :class:`ResourceLimitError` naming ``what``.
     """
     found: dict[K, tuple[S, ...]] = {}
     for key, word in seeds:
@@ -234,12 +255,24 @@ def _explore(
             )
         x = queue.popleft()
         word = found[x]
+        yield x, word
         for a in alphabet:
             for y in step(x, a):
                 if y not in found:
                     found[y] = word + (a,)
                     queue.append(y)
-    return found
+
+
+def _explore(
+    seeds: Iterable[tuple[K, tuple[S, ...]]],
+    step: Callable[[K, S], Iterable[K]],
+    alphabet: Sequence[S],
+    cap: int | None = None,
+    cancel: Cancel = None,
+    what: str = "",
+) -> dict[K, tuple[S, ...]]:
+    """:func:`_discover` read in full: every element mapped to its word."""
+    return dict(_discover(seeds, step, alphabet, cap, cancel, what))
 
 
 def _symbol_masks(aut: Automaton) -> dict[str, tuple[int, ...]]:
@@ -290,15 +323,16 @@ def _compose(x: Sequence[int], tables: Sequence[list[int]]) -> tuple[int, ...]:
 
 
 def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Cancel,
-            what: str) -> dict[tuple[int, ...], tuple[S, ...]]:
-    """The support semigroup of ``gens`` by :func:`_explore`, with words.
+            what: str) -> Iterator[tuple[tuple[int, ...], tuple[S, ...]]]:
+    """The support semigroup of ``gens`` by :func:`_discover`, with words.
 
     ``gens[a]`` holds the rows of symbol a; multiplying by it on the right
-    takes each row to its :func:`_image` over ``acts[a]``.
+    takes each row to its :func:`_image` over ``acts[a]``.  Elements come
+    lazily, in discovery order.
     """
     tables = {a: _table(acts[a]) for a in alphabet}
-    return _explore(((gens[a], (a,)) for a in alphabet),
-                    lambda x, a: (_compose(x, tables[a]),), alphabet, cap, cancel, what)
+    return _discover(((gens[a], (a,)) for a in alphabet),
+                     lambda x, a: (_compose(x, tables[a]),), alphabet, cap, cancel, what)
 
 
 def _lex_reach_words(
@@ -660,7 +694,7 @@ def _profile_monoid(
         for sym, rows in _symbol_masks(a).items()
     }
     acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
-    return _monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid")
+    return dict(_monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid"))
 
 
 def nba_universality(
@@ -788,8 +822,8 @@ def transition_monoid(
     """Boolean transition monoid: each element's rows to its shortest word.
 
     An element is the support matrix of a nonempty word, one successor
-    bitmask per state by declaration index.  This is the map of
-    :func:`_monoid`, the shape the profile monoid also has: elements come
+    bitmask per state by declaration index.  This is :func:`_monoid` read
+    in full, the shape the profile monoid also has: elements come
     breadth-first from the single-letter supports, so discovery order is
     (word length, symbol order) and the stored word is the smallest
     realizing one.  Each product costs one table lookup per nonzero byte of
@@ -799,7 +833,7 @@ def transition_monoid(
     require_valid(aut)
     gen = _symbol_masks(aut)
     cap = _cap(cap, MONOID_CAP_ENV, 10**6)
-    elements = _monoid(gen, gen, aut.alphabet, cap, cancel, "transition monoid")
+    elements = dict(_monoid(gen, gen, aut.alphabet, cap, cancel, "transition monoid"))
     if progress is not None:
         progress(f"transition monoid has {len(elements)} elements")
     return elements
@@ -828,24 +862,54 @@ def fpm_positive_empty(
 ) -> SubsetWitness | None:
     """None when L_>0(m) is empty, else a subset witness (C, u, v).
 
-    The positive semantics of a monitor is nonempty iff some nonempty
-    reject-free state set C is reachable with positive probability and some
-    word's support matrix keeps C inside itself; both conditions only depend
-    on supports, so enumerating the boolean transition monoid is a complete
-    decision.  The witness is the first hit scanning monoid elements in
-    discovery order and start states by their shortest reaching word.
+    Decided on supports, by the safe-step graph: a nonempty set T of live
+    states steps safely on a symbol a when post(T, a) misses the reject.
+    Its nodes are the sets that safe steps reach from the singletons {q} of
+    the live states some nonempty word reaches, and L_>0(m) is nonempty iff
+    the graph has a cycle.  A cycle T -> ... -> T on a word v keeps all of
+    v^omega's mass from T inside T, and T holds mass after some stem.  With
+    no cycle, every safe walk is shorter than the graph, so from every live
+    state some leak happens within 2^|Q| symbols with probability at least
+    a fixed bound, and almost every run is rejected.
+
+    An empty answer is returned only after :func:`_certify_numbering`
+    re-checks a topological numbering of the graph.  A nonempty answer
+    recovers the witness of the exhaustive procedure: the first transition
+    monoid element in discovery order that, from some start state (taken
+    by its shortest reaching word), keeps its closure free of the reject.
+    The monoid is enumerated only up to that element.  The graph has at
+    most min(2^|Q|, |Q|*(|monoid| + 1)) nodes, since each is a seed or a
+    row of a monoid element, so it is capped at |Q|*(cap + 1) nodes by the
+    monoid cap, which also bounds the elements read before the witness.
     """
     if m.role != "fpm":
         raise AutomatonError("fpm_positive_empty needs an fpm")
-    monoid = transition_monoid(m, monoid_cap, cancel, progress)  # validates m
+    require_valid(m)
+    cap = _cap(monoid_cap, MONOID_CAP_ENV, 10**6)
     assert m.reject is not None
     idx = m.index
+    masks = _symbol_masks(m)
+    reject_bit = 1 << idx[m.reject]
     reach = _lex_reach_words(m, m.initial, at_least_one=True)
     candidates = [q for q in reach if q != m.reject]
     candidates.sort(key=lambda q: (_word_key(m, reach[q]), idx[q]))
-    reject_bit = 1 << idx[m.reject]
-    for rows, vword in monoid.items():
-        _check_cancel(cancel)
+    seeds = [1 << idx[q] for q in candidates]
+
+    def safe(t: int, a: str) -> tuple[int, ...]:
+        s = _image(t, masks[a])
+        return () if s & reject_bit else (s,)
+
+    nodes = list(_explore(((t, ()) for t in seeds), safe, m.alphabet,
+                          len(m.states) * (cap + 1), cancel, "safe-step subset graph"))
+    if progress is not None:
+        progress(f"safe-step subset graph has {len(nodes)} nodes")
+    adjacency = {t: [s for a in m.alphabet for s in safe(t, a)] for t in nodes}
+    if not accepting_cycles(nodes, adjacency, adjacency):  # any node counts
+        # acyclic, so every component is one node, sinks first
+        number = {t: i for i, (t,) in enumerate(tarjan_sccs(nodes, adjacency))}
+        _certify_numbering(m, seeds, number)
+        return None
+    for rows, vword in _monoid(masks, masks, m.alphabet, cap, cancel, "transition monoid"):
         for q in candidates:
             closure = frontier = 1 << idx[q]
             while frontier:
@@ -864,7 +928,36 @@ def fpm_positive_empty(
                      "subset witness {} on states {} failed re-check",
                      " ".join(s for s in m.states if s in states))
             return witness
-    return None
+    _certify(False, m, None, "the safe-step graph of {} has a cycle, but no transition "
+             "monoid element keeps a reachable state's closure live")
+
+
+def _certify_numbering(m: Automaton, seeds: Iterable[int], number: dict[int, int]) -> None:
+    """Re-check the certificate of an empty :func:`fpm_positive_empty` answer.
+
+    ``number`` numbers state sets (bitmasks by declaration index).  Every
+    seed singleton must be numbered, and every safe step from a numbered
+    set must land on a numbered set with a strictly smaller number, so no
+    safe walk from a seed is longer than the numbering: no cycle of safe
+    steps is reachable.  The steps are computed afresh, one :func:`_image`
+    per numbered set and symbol; the first failure names the monitor and
+    the seed or step.
+    """
+    masks = _symbol_masks(m)
+    reject_bit = 1 << m.index[m.reject]
+
+    def name(t: int) -> str:
+        return "{" + " ".join(q for j, q in enumerate(m.states) if t >> j & 1) + "}"
+
+    for t in seeds:
+        _certify(t in number, m, None, "emptiness certificate of {} leaves {} unnumbered",
+                 name(t))
+    for t, i in number.items():
+        for a in m.alphabet:
+            s = _image(t, masks[a])
+            _certify(bool(s & reject_bit) or number.get(s, i) < i, m, None,
+                     "emptiness certificate of {} fails at safe step {} -{}-> {}",
+                     name(t), a, name(s))
 
 
 def _safe_start_mask(rows: tuple[int, ...], reject_index: int) -> int:

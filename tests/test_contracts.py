@@ -249,6 +249,17 @@ def test_rename_states_ignores_keys_that_are_not_states():
     assert renamed == rename_states(FPM, {"q0": "a", "q1": "b", "qr": "r"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("acceptance", BuchiAcceptance(frozenset({"q0", "q1", "zz"}))),
+    ("transitions", {**FPM.transitions, ("q1", "0"): (("zz", Fraction(1)),)}),
+])
+@pytest.mark.parametrize("mapping", [None, {"q0": "a", "q1": "b", "qr": "r", "zz": "c"}])
+def test_rename_states_names_an_undeclared_state(field, value, mapping):
+    with pytest.raises(ConstructionError) as err:
+        rename_states(replace(FPM, **{field: value}), mapping, suffix="'")
+    assert str(err.value) == "automaton names undeclared state 'zz'"
+
+
 def test_prefix_refuses_a_negative_length():
     w = LassoWord(("a", "b"), ("c",))
     assert w.prefix(0) == ()
