@@ -327,12 +327,24 @@ def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Can
     """The support semigroup of ``gens`` by :func:`_discover`, with words.
 
     ``gens[a]`` holds the rows of symbol a; multiplying by it on the right
-    takes each row to its :func:`_image` over ``acts[a]``.  Elements come
-    lazily, in discovery order.
+    takes each row to its :func:`_image` over ``acts[a]``.  Rows repeat
+    across elements (there are at most 2^width of them), so each row's
+    image on a is computed once per enumeration, by :func:`_compose`, and
+    then read from ``images[a]``.  Elements come lazily, in discovery order.
     """
     tables = {a: _table(acts[a]) for a in alphabet}
-    return _discover(((gens[a], (a,)) for a in alphabet),
-                     lambda x, a: (_compose(x, tables[a]),), alphabet, cap, cancel, what)
+    images: dict[S, dict[int, int]] = {a: {} for a in alphabet}
+
+    def step(x: tuple[int, ...], a: S) -> tuple[tuple[int, ...]]:
+        seen = images[a]
+        try:
+            return (tuple(map(seen.__getitem__, x)),)
+        except KeyError:  # some row of x is new on a
+            y = _compose(x, tables[a])
+            seen.update(zip(x, y))
+            return (y,)
+
+    return _discover(((gens[a], (a,)) for a in alphabet), step, alphabet, cap, cancel, what)
 
 
 def _lex_reach_words(
@@ -681,6 +693,23 @@ def _profile_action(p: tuple[int, ...], n: int) -> tuple[int, ...]:
     return p + tuple((r & full) << n for r in p)
 
 
+def _profile_fixes(rows: Iterable[int], p: tuple[int, ...], n: int) -> bool:
+    """Is each of ``rows`` its own product with the profile ``p``?
+
+    A row r times p is :func:`_image` over :func:`_profile_action` (p, n),
+    which is the image of r's reach bits under p, with the reach half of the
+    image of r's fin bits shifted into the fin half; the action rows are
+    never built.  The reach half is compared first, since most products
+    already differ there.
+    """
+    full = (1 << n) - 1
+    for r in rows:
+        low = _image(r & full, p)
+        if low & full != r & full or low | (_image(r >> n, p) & full) << n != r:
+            return False
+    return True
+
+
 def _profile_monoid(
     a: Automaton, cap: int, cancel: Cancel = None
 ) -> dict[tuple[int, ...], tuple[str, ...]]:
@@ -741,8 +770,7 @@ def nba_universality(
         by_row.setdefault(u[idx0] & full, []).append(i)
     for v, vw in elements.items():
         _check_cancel(cancel)
-        act = _profile_action(v, n)
-        if not all(_image(r, act) == r for r in v):
+        if not _profile_fixes(v, v, n):  # v is not idempotent
             continue
         # States with a final-touching v-loop; u v^omega is accepted iff v
         # leads from a state u reaches into one of them.
@@ -750,7 +778,7 @@ def nba_universality(
         rejected = (ids for r, ids in by_row.items() if not _image(r, v) & loops)
         for i in sorted(itertools.chain.from_iterable(rejected)):
             u, uw = pairs[i]
-            if all(_image(r, act) == r for r in u):
+            if _profile_fixes(u, v, n):
                 witness = LassoWord(uw, vw)
                 _certify(not _lasso_member(a, witness), a, witness, _ACCEPTED)
                 return witness
@@ -826,8 +854,9 @@ def transition_monoid(
     in full, the shape the profile monoid also has: elements come
     breadth-first from the single-letter supports, so discovery order is
     (word length, symbol order) and the stored word is the smallest
-    realizing one.  Each product costs one table lookup per nonzero byte of
-    each row.  Exceeding the cap, single-letter supports included, raises
+    realizing one.  Each product costs one dictionary lookup per row, and
+    one table lookup per nonzero byte of a row the first time it meets a
+    letter.  Exceeding the cap, single-letter supports included, raises
     :class:`ResourceLimitError`; completeness never silently degrades.
     """
     require_valid(aut)
