@@ -19,14 +19,21 @@ there is no cycle, every safe walk is shorter than the graph, so from
 every live state some leak happens within 2^|Q| letters with probability
 bounded below, and almost every run is rejected.
 
+Monitor positive universality is decided on belief supports, the state
+sets that words reach from {q0}: L_>0(m) is not universal iff the
+almost-sure reachability fixpoint of blind POMDPs keeps {q0}, the greatest
+set W of supports from which every state reaches the reject through
+symbols that stay in W.  A universal answer builds no monoid element.
+
 Long searches accept a cooperative ``cancel`` callback (return True to stop,
 raises :class:`SearchCancelled`); the monoid, profile and subset searches
 also take an optional ``progress`` callback that receives short status
 strings.  Every breadth-first search is one generator, :func:`_discover`,
 which hands out elements lazily in discovery order.  Both monoids come
 from one kernel, :func:`_monoid`, as its elements with their shortest
-words; :func:`transition_monoid` returns them as one map, and the witness
-of monitor positive emptiness reads them only up to its first hit.  All
+words; :func:`transition_monoid` returns them as one map, and the
+witnesses of monitor positive emptiness and universality read them only up
+to their first hit.  All
 functions are pure; deterministic tie-breaking (shortest first, then symbol
 declaration order) makes outputs reproducible.
 """
@@ -1021,6 +1028,65 @@ def _doomed_mask(closure: Sequence[int], reject_index: int) -> int:
     return sum(1 << q for q, c in enumerate(closure) if not c & bad)
 
 
+def _belief_supports(m: Automaton, masks: dict[str, tuple[int, ...]], cap: int,
+                     cancel: Cancel) -> dict[int, tuple[str, ...]]:
+    """The supports the subset automaton reaches from {q0}, each with its
+    shortest, then smallest, stem.
+
+    {q0} comes first with the empty stem, then the supports of nonempty
+    words in shortlex order of their stems: the order in which the
+    transition monoid first lists them as initial rows.  Only the latter
+    count against ``cap``, each the initial row of a distinct monoid
+    element, and more of them raise the monoid's own cap error.
+    """
+    start = 1 << m.index[m.initial]
+    supports = {start: ()}
+    for s, stem in _discover(((_image(start, masks[a]), (a,)) for a in m.alphabet),
+                             lambda s, a: (_image(s, masks[a]),), m.alphabet, cap,
+                             cancel, "transition monoid"):
+        supports.setdefault(s, stem)
+    return supports
+
+
+def _almost_sure_supports(m: Automaton, masks: dict[str, tuple[int, ...]],
+                          supports: Iterable[int], cancel: Cancel) -> set[int]:
+    """The supports, among ``supports``, from which some word reaches the
+    reject almost surely: the greatest set W in which every state of each
+    support reaches the reject through allowed symbols, a symbol being
+    allowed at B when post(B, a) lies in W.
+
+    ``supports`` must be closed under post.  Each round computes, as a least
+    fixpoint propagated back from the reject, the states of each support
+    that reach it, and drops the supports where some state does not.
+    """
+    reject_bit = 1 << m.index[m.reject]
+    preds: dict[int, list[tuple[int, int]]] = {s: [] for s in supports}
+    for s in list(preds):
+        for k, a in enumerate(m.alphabet):
+            preds[_image(s, masks[a])].append((s, k))
+    # pre[k][t]: the states that step to state t on the k-th symbol
+    pre = [tuple(sum(1 << q for q, r in enumerate(masks[a]) if r >> t & 1)
+                 for t in range(len(m.states))) for a in m.alphabet]
+    win = set(preds)
+    while True:
+        reach = {s: s & reject_bit for s in win}
+        work = deque(s for s in win if reach[s])
+        while work:
+            _check_cancel(cancel)
+            t = work.popleft()
+            # each state of s steps into t, from which it reaches the
+            # reject, so s was kept whenever t was: preds[t] lies in win
+            for s, k in preds[t]:
+                r = reach[s] | s & _image(reach[t], pre[k])
+                if r != reach[s]:
+                    reach[s] = r
+                    work.append(s)
+        kept = {s for s in win if reach[s] == s}
+        if kept == win:
+            return win
+        win = kept
+
+
 def fpm_positive_universal(
     m: Automaton,
     monoid_cap: int | None = None,
@@ -1029,53 +1095,65 @@ def fpm_positive_universal(
 ) -> LassoWord | None:
     """None when L_>0(m) is universal, else a lasso rejected almost surely.
 
-    Non-universality always has an ultimately periodic witness; whether a
-    lasso u v^omega is rejected almost surely depends only on the support S
-    reached on u and the support matrix x of v (absorption into the reject
-    is a bottom-SCC condition on the macro-step graph).  Scanning the
-    reachable supports of the deterministic subset automaton against the
-    transition monoid is therefore a complete decision.
+    L_>0(m) is not universal iff some word reaches the reject almost
+    surely.  A word is a strategy that sees nothing, so the set of states
+    it has reached, its belief support, follows from the word alone.
+    Decided on the supports the subset automaton reaches from {q0}, by the
+    almost-sure reachability fixpoint of blind POMDPs (Chatterjee, Doyen &
+    Henzinger, MFCS 2010; Baier, Bertrand & Größer, FoSSaCS 2008): W
+    starts as every support; a symbol a is allowed at B when post(B, a)
+    lies in W; B stays when every state of B reaches the reject through
+    allowed symbols, the support moving along; repeat until W stops
+    shrinking.  The answer is "not universal" iff {q0} lies in W.
 
-    The scan pays per idempotent, not per element (the Ramsey view of
-    Fogarty & Vardi, TACAS 2010): the reject absorbs, so x and its
-    idempotent power x^k doom the same states, and the support graph of an
-    idempotent is transitive, so its doomed mask needs no closure.  Each
-    support is tested against the subset-maximal masks only, an antichain
-    (De Wulf et al., CAV 2006).  The first support that is hit is then
-    matched against the monoid in discovery order, computing doomed masks
-    only until the first element that dooms it, which gives the shortlex
-    witness of the exhaustive scan.  Beyond the monoid itself this costs
-    O(n) support steps per element for the idempotent test, O(n^2) bit
-    tests per idempotent, one test per support and antichain mask, and on
-    a non-universal answer O(n^2) word operations per element scanned.
+    Sound: drawing the allowed symbols at random keeps the support in W,
+    and from each state of each support the reject is reached within
+    |Q|*|W| symbols with probability bounded below, so it is reached
+    almost surely; then almost every drawn word is rejected almost surely
+    (Fubini), so some word is.  Complete: the supports from which some word
+    wins almost surely are closed under that word's symbols, and each of
+    their states reaches the reject along it, so they lie in W.  The search
+    builds at most min(2^|Q|, |monoid| + 1) supports: each one that a
+    nonempty word reaches is the initial row of a distinct monoid element.
+    Only those count against the monoid cap, and a universal answer builds
+    no monoid element.
+
+    A non-universal answer recovers the witness of the exhaustive scan:
+    the first support, in shortlex order of its shortest stem, doomed by a
+    transition monoid element, with the first such element in discovery
+    order as the cycle.  Supports outside W are doomed by none and are
+    skipped; the monoid is read lazily, once across supports, with one
+    :func:`_safe_start_mask` per element read.
     """
     if m.role != "fpm":
         raise AutomatonError("fpm_positive_universal needs an fpm")
-    monoid = transition_monoid(m, monoid_cap, cancel, progress)  # validates m
+    require_valid(m)
+    cap = _cap(monoid_cap, MONOID_CAP_ENV, 10**6)
     assert m.reject is not None
-    idx = m.index
-    reject_index = idx[m.reject]
-    initial = idx[m.initial]
-    # reachable supports with shortest realizing stems (empty stem allowed),
-    # in shortlex order of the stems: the monoid lists its elements in that
-    # order, each with its smallest word, and an element's initial row is
-    # the support its words reach
-    supports = {1 << initial: ()}
-    doomed = set()
-    for rows, word in monoid.items():
-        supports.setdefault(rows[initial], word)
-        if all(_image(r, rows) == r for r in rows):  # idempotent, so transitive
-            doomed.add(_doomed_mask([r | 1 << i for i, r in enumerate(rows)], reject_index))
-    maximal = [d for d in doomed if not any(d != e and not d & ~e for e in doomed)]
-    for s, stem in supports.items():
-        _check_cancel(cancel)
-        if any(not s & ~d for d in maximal):
-            break
-    else:
+    masks = _symbol_masks(m)
+    reject_index = m.index[m.reject]
+    start = 1 << m.index[m.initial]
+    supports = _belief_supports(m, masks, cap, cancel)
+    win = _almost_sure_supports(m, masks, supports, cancel)
+    if progress is not None:
+        progress(f"belief support fixpoint keeps {len(win)} of {len(supports)} supports")
+    if start not in win:
         return None
-    cycle = next(vword for rows, vword in monoid.items()
-                 if not s & ~_safe_start_mask(rows, reject_index))
-    w = LassoWord(stem, cycle).normalized()
+    read: list[tuple[int, tuple[str, ...]]] = []  # (doomed mask, word) per element
+
+    def doom_masks() -> Iterator[tuple[int, tuple[str, ...]]]:
+        for rows, vword in _monoid(masks, masks, m.alphabet, cap, cancel, "transition monoid"):
+            read.append((_safe_start_mask(rows, reject_index), vword))
+            yield read[-1]
+
+    unread = doom_masks()
+    hit = next(((stem, v) for s, stem in supports.items() if s in win
+                for d, v in itertools.chain(read, unread) if not s & ~d), None)
+    if progress is not None:
+        progress(f"witness read {len(read)} transition monoid elements")
+    _certify(hit is not None, m, None, "the belief supports of {} reach the reject almost "
+             "surely, but no transition monoid element dooms a reachable support")
+    w = LassoWord(*hit).normalized()
     _certify(lasso_acceptance(m, w) == 0, m, w,
              "rejected-lasso counterexample {} has positive acceptance")
     return w
