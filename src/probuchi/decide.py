@@ -301,6 +301,16 @@ def _image(mask: int, rows: Sequence[int]) -> int:
     return out
 
 
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _table(rows: Sequence[int]) -> list[list[int]]:
     """Byte tables of :func:`_image` over ``rows`` (Arlazarov et al., 1970).
 
@@ -722,15 +732,22 @@ def _profile_monoid(
 ) -> dict[tuple[int, ...], tuple[str, ...]]:
     """Profiles of all nonempty words in discovery order, each with its word."""
     n = len(a.states)
+    gens = _profile_gens(a)
+    acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
+    return dict(_monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid"))
+
+
+def _profile_gens(a: Automaton) -> dict[str, tuple[int, ...]]:
+    """Per symbol, its profile: each state's successors as reach bits, and
+    as fin bits those reached while touching a final state at either end."""
+    n = len(a.states)
     finals = a.final_states
     final_mask = sum(1 << a.index[q] for q in finals)
-    gens = {
+    return {
         sym: tuple(r | (r if q in finals else r & final_mask) << n
                    for q, r in zip(a.states, rows))
         for sym, rows in _symbol_masks(a).items()
     }
-    acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
-    return dict(_monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid"))
 
 
 def nba_universality(
@@ -742,16 +759,17 @@ def nba_universality(
     """None when the NBA accepts every word, else a rejected counterexample.
 
     A bounded lasso search runs first as a fast path: stems and cycles up
-    to length 3, at one support product and one SCC search per cycle
-    (sum_{1<=c<=3} |Sigma|^c of them) rather than per lasso, and one
-    successor set per stem.  The complete decision enumerates the finite
-    monoid of transition profiles (reachability with and without touching a
-    final state) on :func:`_monoid` and checks every linked pair (U, V
-    idempotent, UV = U): the language is universal iff each such pair admits
-    a final-touching loop, and a failing pair yields the rejected lasso
-    word(U) word(V)^omega.  The loop test reads U only through the states it
-    reaches from the initial one, so it runs once per such row and V, and
-    only the U of failing rows get the UV = U test.  The profile monoid,
+    to length 3, at one SCC search on the states per cycle up to rotation
+    and powers (a, b, ab, aab, abb over two letters) rather than per
+    lasso, and one successor set per stem.  The complete decision
+    enumerates the finite monoid of transition profiles (reachability with
+    and without touching a final state) on :func:`_monoid` and checks
+    every linked pair (U, V idempotent, UV = U): the language is
+    universal iff each such pair admits a final-touching loop, and a
+    failing pair yields the rejected lasso word(U) word(V)^omega.  The
+    loop test reads U only through the states it reaches from the initial
+    one, so it runs once per such row and V, and only the U of failing
+    rows get the UV = U test.  The profile monoid,
     single letters included, is capped by the shared monoid cap.
     """
     if a.role != "nba":
@@ -796,32 +814,75 @@ def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None
     """The first lasso within :data:`_PROBE_BOUND` that ``a`` rejects, or None.
 
     Lassos come stem by stem, each stem's cycles in :func:`all_words` order.
-    Each stem's successor set is computed once, and each cycle v gets one
-    support product, started from the union of those sets: v keeps the set
-    of states q whose node (q, 0) reaches an accepting loop, and u v^omega
-    is rejected exactly when post(u) misses that set.
+    Each stem's successor set is one support step from its prefix's.  Each
+    cycle v gets the set of states from which v^omega is accepted, and
+    u v^omega is rejected exactly when post(u) misses that set.  Only the
+    least rotation r of a primitive cycle gets a profile and a closure, by
+    :func:`_loop_starts`; since (xy)^omega = x (yx)^omega, the set of v = xy
+    with r = yx is the preimage under x of r's, and a power w^k has w's.
     """
+    n = len(a.states)
+    gens = _profile_gens(a)
+    masks = {sym: tuple(r & (1 << n) - 1 for r in p) for sym, p in gens.items()}
     stems = _walk_stems(
         a.alphabet,
         _PROBE_BOUND,
-        frozenset({a.initial}),
-        lambda qs, sym: frozenset(t for q in qs for t in a.successors(q, sym)),
+        1 << a.index[a.initial],
+        lambda m, sym: _image(m, masks[sym]),
         cancel,
     )
-    starts = frozenset().union(*stems.values())
+    acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
+    profiles = {(): tuple(1 << i | (1 << i + n if q in a.final_states else 0)
+                          for i, q in enumerate(a.states))}
+
+    def profile(w: tuple[str, ...]) -> tuple[int, ...]:
+        if w not in profiles:
+            profiles[w] = tuple(_image(r, acts[w[-1]]) for r in profile(w[:-1]))
+        return profiles[w]
+
+    accepted_from: dict[tuple[str, ...], int] = {}
+
+    def accepted(v: tuple[str, ...]) -> int:
+        if v not in accepted_from:
+            k = len(v)
+            root = next(v[:d] for d in range(1, k + 1) if k % d == 0 and v[:d] * (k // d) == v)
+            i = min(range(k), key=lambda j: v[j:] + v[:j])
+            if root != v:
+                accepted_from[v] = accepted(root)
+            elif i:
+                x = accepted(v[i:] + v[:i])
+                for sym in reversed(v[:i]):
+                    x = sum(1 << q for q, m in enumerate(masks[sym]) if m & x)
+                accepted_from[v] = x
+            else:
+                accepted_from[v] = _loop_starts(profile(v), n)
+        return accepted_from[v]
+
     cycles = list(all_words(a.alphabet, 1, _PROBE_BOUND))
-    accepted_from: dict[tuple[str, ...], set[str]] = {}
     for u, current in stems.items():
         for v in cycles:
             _check_cancel(cancel)
-            if v not in accepted_from:
-                nodes, adjacency = _support_product(a, starts, v)
-                loops = _accepting_loops(a, nodes, adjacency)
-                reach = coreachable((n for comp in loops for n in comp), adjacency)
-                accepted_from[v] = {q for q, i in reach if not i}
-            if current.isdisjoint(accepted_from[v]):
+            if not current & accepted(v):
                 return LassoWord(u, v)
     return None
+
+
+def _loop_starts(p: tuple[int, ...], n: int) -> int:
+    """The states q from which v^omega is accepted, for v of profile ``p``.
+
+    On the graph of v's reach rows, with an edge marked when its run can
+    touch a final state, q qualifies iff it reaches a cycle through a
+    marked edge: a run of v^omega that touches a final once per turn of
+    that cycle.  A marked edge lies on a cycle iff its ends share a
+    component, so one SCC search and one backward search decide every q.
+    """
+    full = (1 << n) - 1
+    adjacency = {s: _members(r & full) for s, r in enumerate(p) if r & full}
+    comp: dict[int, int] = {}  # each state's component, as a mask
+    for c in tarjan_sccs(range(n), adjacency):
+        comp.update(dict.fromkeys(c, sum(1 << s for s in c)))
+    loops = [s for s, r in enumerate(p) if r >> n & comp[s]]
+    return sum(1 << q for q in coreachable(loops, adjacency))
 
 
 # ---------------------------------------------------------------------------

@@ -1639,6 +1639,46 @@ def test_scan_cases_refute_and_miss():
     assert hits >= 30 and 300 - hits >= 20
 
 
+def cyclic_factor_nba() -> Automaton:
+    """All words but a c w where c w has finitely many two-letter factors
+    outside {ab, bc, ca}, that is, where a c w ends in a rotation of
+    (abc)^omega.
+
+    After a, the state s accepts whatever starts with a or b, through the
+    universal state u.  After ac it remembers the last letter, in the
+    final copy f after a factor outside the cycle.
+    """
+    alphabet = ("a", "b", "c")
+    good = {("a", "b"), ("b", "c"), ("c", "a")}
+    transitions = {("q0", "a"): ("s",), ("q0", "b"): ("u",), ("q0", "c"): ("u",),
+                   ("s", "a"): ("u",), ("s", "b"): ("u",), ("s", "c"): ("qc",)}
+    for y in alphabet:
+        transitions[("u", y)] = ("u",)
+        for x in alphabet:
+            target = f"q{y}" if (x, y) in good else f"f{y}"
+            transitions[(f"q{x}", y)] = transitions[(f"f{x}", y)] = (target,)
+    return Automaton(
+        name="cyclic_factor",
+        role="nba",
+        alphabet=alphabet,
+        states=("q0", "s", "u", *(f"{c}{x}" for c in "qf" for x in alphabet)),
+        initial="q0",
+        acceptance=BuchiAcceptance(frozenset({"u", "fa", "fb", "fc"})),
+        transitions=transitions,
+    )
+
+
+def test_universality_probe_reads_rotations_from_their_first_letter():
+    # After stem a, s accepts (bca)^omega: b then u.  The probe reads that
+    # from the least rotation abc, taking its preimage under b after the
+    # one under c.  Taken in the other order, s would have to accept
+    # c b (abc)^omega, which it rejects, and the probe would stop at bca
+    # before the first rejected lasso, a (cab)^omega.
+    a = cyclic_factor_nba()
+    want = LassoWord(("a",), ("c", "a", "b"))
+    assert _universality_probe(a) == want == ref_universality_probe(a)
+
+
 # ---------------------------------------------------------------------------
 # Exact word walks: word matrices on the final-passage walk, reach masses on
 # the stem walk
