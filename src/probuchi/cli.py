@@ -5,6 +5,20 @@ subcommands print the serialized result automaton so they can be piped back
 in (``-`` means stdin for any FILE argument); ``monitor`` streams one exact
 rational per line.  Human summaries go to stderr.  Exit status: 0 answered,
 2 unknown or resource limit, 1 input error, a malformed command line included.
+
+Start-up cost: run as ``python -m probuchi.cli``, a process imports only
+``core``, ``graphs`` and ``textio`` up front; each handler imports the engine
+it calls when it runs.  ``validate`` and ``rank`` need nothing more; ``prob``
+imports ``markov``; ``mc`` and ``monitor`` import ``sim`` (and through it
+``markov``); ``gen``, ``decompose`` and the constructions import
+``construct``; ``complement``, ``empty``, ``universal``, ``witness`` and
+``contain`` import ``decide``, which loads the rest.
+
+Imported as a module (``import probuchi.cli``, as the installed ``probuchi``
+script does), the foot of this file still binds every engine.  The only
+reason is ``bench/spans.py``: a traced run imports this module and then
+wraps functions in every engine it finds in ``sys.modules``, so an engine
+loaded later by a handler would go untraced.
 """
 
 from __future__ import annotations
@@ -13,8 +27,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from . import construct, decide, sim, textio
+from . import textio
 from .core import (
     Automaton,
     AutomatonError,
@@ -23,7 +38,6 @@ from .core import (
     infer_hierarchy,
     validate,
 )
-from .markov import lasso_acceptance
 
 EXIT_ANSWERED = 0
 EXIT_INPUT_ERROR = 1
@@ -125,21 +139,21 @@ def _build_parser() -> argparse.ArgumentParser:
     add("monitor", _cmd_monitor,
         help="stream exact rejection probabilities (symbols on stdin)")
     sp = add("complement", _cmd_construct, help="complement an NBA (rank-based)",
-             build=decide.nba_complement)
+             build="decide.nba_complement")
     sp.add_argument("--complement-cap", type=_INTEGER, default=None)
     add("product", _cmd_construct, files=2,
-        help="monitor product (acceptance multiplies)", build=construct.fpm_product)
+        help="monitor product (acceptance multiplies)", build="construct.fpm_product")
     add("union", _cmd_construct, files=2, help="almost-sure union of two PBAs",
-        build=construct.almost_sure_union)
+        build="construct.almost_sure_union")
     add("intersect", _cmd_construct, files=2, help="almost-sure intersection of two PBAs",
-        build=construct.almost_sure_intersection)
+        build="construct.almost_sure_intersection")
     add("dra2hpba", _cmd_construct, help="deterministic Rabin to hierarchical PBA",
-        build=construct.dra_to_hpba)
+        build="construct.dra_to_hpba")
     add("hpba2nba", _cmd_construct, help="hierarchical PBA to NBA (positive semantics)",
-        build=construct.hpba_to_nba)
+        build="construct.hpba_to_nba")
     add("closure", _cmd_construct,
         help="safety closure of a hierarchical PBA's positive language",
-        build=construct.safety_closure)
+        build="construct.safety_closure")
     sp = add("decompose", _cmd_decompose, help="Rabin decomposition into PBA pairs")
     sp.add_argument("--cap", type=_INTEGER, default=6)
     for name, what in (("empty", "emptiness"), ("universal", "universality")):
@@ -190,6 +204,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_prob(args) -> int:
+    from .markov import lasso_acceptance
+
     aut = _load(args.file)
     w = textio.parse_lasso(args.lasso, aut.alphabet)
     p = _text(lasso_acceptance(aut, w))
@@ -201,6 +217,8 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import sim
+
     aut = _load(args.file)
     w = textio.parse_lasso(args.lasso, aut.alphabet)
     est = sim.mc_lasso_estimate(aut, w, args.samples, args.seed)
@@ -218,6 +236,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    from . import sim
+
     symbols = (line.strip() for line in sys.stdin)
     stream = sim.monitor_stream(_load(args.file), (a for a in symbols if a))
     for fed, p in enumerate(stream):
@@ -228,6 +248,9 @@ def _cmd_monitor(args) -> int:
 
 def _certificate(aut: Automaton, w: LassoWord) -> dict:
     """Independent check of a lasso: NBA membership, else exact acceptance."""
+    from . import decide
+    from .markov import lasso_acceptance
+
     if aut.role == "nba":
         return {"member": decide.nba_lasso_member(aut, w)}
     return {"acceptance": _text(lasso_acceptance(aut, w))}
@@ -235,6 +258,8 @@ def _certificate(aut: Automaton, w: LassoWord) -> dict:
 
 def _cmd_decide(args) -> int:
     """``empty`` and ``universal`` under either semantics."""
+    from . import decide
+
     aut = _load(args.file)
     empty = args.command == "empty"
     what = "emptiness" if empty else "universality"
@@ -279,6 +304,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import decide
+
     aut = _load(args.file)
     w = decide.pba_positive_nonempty_bounded(aut, args.max_len, args.max_j, args.x)
     if w is None:
@@ -308,6 +335,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_contain(args) -> int:
+    from . import decide
+    from .markov import lasso_acceptance
+
     b1, b2 = _load(args.file1), _load(args.file2)
     w = decide.containment_refute(b1, b2, args.semantics, args.bound)
     if w is None:
@@ -335,6 +365,8 @@ def _cmd_contain(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import construct
+
     aut = _load(args.file)
     members = construct.rabin_decomposition(aut, cap=args.cap)
     return _emit(
@@ -355,19 +387,23 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import construct
+
     out = construct.generate_example(args.name_, *args.params)
     return _emit_automaton(out, f"generated {out.name}")
 
 
 def _cmd_construct(args) -> int:
-    """Construction subcommands: print the automaton that ``args.build``
-    makes of the FILE arguments."""
+    """Construction subcommands: print the automaton that ``args.build``,
+    a ``module.function`` name in this package, makes of the FILE arguments."""
+    module, name = args.build.split(".")
+    build = getattr(import_module(f".{module}", __package__), name)
     if "file" in args:
         inputs = [_load(args.file)]
     else:
         inputs = [_load(args.file1), _load(args.file2)]
     kw = {"cap": args.complement_cap} if "complement_cap" in args else {}
-    out = args.build(*inputs, **kw)
+    out = build(*inputs, **kw)
     return _emit_automaton(out, f"{len(out.states)} state(s)")
 
 
@@ -392,3 +428,5 @@ def main() -> None:
 
 if __name__ == "__main__":
     main()
+else:  # imported as a module: bind every engine (see the module docstring)
+    from . import construct, decide, markov, sim  # noqa: F401

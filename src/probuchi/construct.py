@@ -292,10 +292,12 @@ def hpba_to_nba(h: Automaton) -> Automaton:
     transition, copy 1 only the deterministic (probability exactly 1) ones,
     with a one-way jump from copy 0 to copy 1 and finals in copy 1.  The
     input must admit a compatible ranking; the error names a violating
-    (state, symbol) pair otherwise.
+    (state, symbol) pair otherwise.  Validation has already ranked an
+    ``hpba``: a compatible ranking is constant on SCCs, so the SCC ranking
+    passes too, and only the other roles are ranked here.
     """
     _require_buchi_probabilistic(h, "hpba_to_nba")
-    violations = ranking_violations(h, _scc_ranking(h))
+    violations = [] if h.role == "hpba" else ranking_violations(h, _scc_ranking(h))
     if violations:
         q, a = violations[0]
         raise ConstructionError(

@@ -1,6 +1,7 @@
 """Constructions: complementation monitor, products, unions, DRA/HPBA/NBA."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from probuchi import (
     safety_closure,
     validate,
 )
-from probuchi.core import Automaton, ranking_violations
+from probuchi import construct, core
+from probuchi.core import Automaton, RankFunction, _scc_ranking, ranking_violations
 from probuchi.decide import nba_lasso_member
 
 from conftest import (
@@ -37,6 +39,7 @@ from conftest import (
     deadline_language_accepts,
     random_dra,
     random_fpm,
+    random_hpba,
     random_lasso,
     random_pba,
     random_pra,
@@ -433,3 +436,56 @@ def test_fpm_product_refuses_pairs_that_render_to_one_name():
     assert validate(m1).ok and validate(m2).ok
     with pytest.raises(ConstructionError, match=r"same name '\(a,b,c\)'"):
         fpm_product(m1, m2)
+
+
+def test_hpba_to_nba_ranks_an_hpba_once(monkeypatch):
+    """Validation ranks an hpba, by its attached ranking or the SCC one, so
+    hpba_to_nba does not rank it again; a pba or fpm is ranked only there."""
+    calls = []
+
+    def spy(aut, ranks):
+        calls.append(aut.name)
+        return ranking_violations(aut, ranks)
+
+    monkeypatch.setattr(core, "ranking_violations", spy)
+    monkeypatch.setattr(construct, "ranking_violations", spy)
+    ranked = dra_to_hpba(infinitely_many_a_dra())
+    for h in (gen_succinct(2), ranked, gen_m_id(), complement_to_fpm(gen_m_id())):
+        calls.clear()
+        hpba_to_nba(h)
+        assert len(calls) == 1, (h.name, h.role)
+    assert ranked.ranks is not None and gen_succinct(2).ranks is None
+
+
+def test_hpba_to_nba_still_ranks_a_non_hierarchical_fpm():
+    mix = Automaton(
+        name="mix", role="fpm", alphabet=("a",), states=("q0", "q1", "r"), initial="q0",
+        acceptance=BuchiAcceptance(frozenset({"q0", "q1"})), reject="r",
+        transitions={("q0", "a"): (("q0", F(1, 4)), ("q1", F(1, 4)), ("r", F(1, 2))),
+                     ("q1", "a"): (("q0", F(1, 2)), ("q1", F(1, 2))),
+                     ("r", "a"): (("r", F(1)),)},
+    )
+    assert validate(mix).ok
+    with pytest.raises(ConstructionError) as err:
+        hpba_to_nba(mix)
+    assert str(err.value) == "input is not hierarchical: two same-component successors at (q0,a)"
+
+
+def test_a_valid_hpba_passes_the_scc_ranking():
+    """The property hpba_to_nba relies on: whichever ranking validation
+    checked, attached or canonical, the SCC ranking has no violations."""
+    rng = random.Random(23)
+    attached = 0
+    for _ in range(300):
+        h = random_hpba(rng, rng.randint(1, 5), rng.choice([("a",), ("a", "b")]))
+        levels = {q: rng.randint(0, 2) for q in h.states}
+        scc = _scc_ranking(h).levels
+        merged = {q: scc[q] // 2 for q in h.states}  # a coarser ranking
+        candidates = [h] + [
+            replace(h, ranks=RankFunction(lv, max(lv.values()))) for lv in (levels, merged)
+        ]
+        for c in candidates:
+            if validate(c).ok:
+                attached += c.ranks is not None
+                assert not ranking_violations(c, _scc_ranking(c))
+    assert attached >= 100
