@@ -283,6 +283,23 @@ class Automaton:
                     norm[key] = tuple(targets)
         object.__setattr__(self, "transitions", MappingProxyType(norm))
 
+    @classmethod
+    def _trusted(cls, name: str, role: str, alphabet: tuple[str, ...], states: tuple[str, ...],
+                 initial: str, acceptance: BuchiAcceptance,
+                 transitions: dict[tuple[str, str], NondetRow]) -> "Automaton":
+        """The automaton the constructor builds, without its normalizing pass.
+
+        For a nondeterministic role whose rows are already nonempty tuples
+        sorted by target declaration order and free of duplicates, the pass
+        would change nothing, so the result equals the constructor's.
+        ``transitions`` is wrapped read-only as it is.
+        """
+        out = object.__new__(cls)
+        out.__dict__.update(name=name, role=role, alphabet=alphabet, states=states,
+                            initial=initial, acceptance=acceptance,
+                            transitions=MappingProxyType(transitions), reject=None, ranks=None)
+        return out
+
     def __reduce__(self):
         """Pickle and copy through the constructor; a mappingproxy cannot be pickled."""
         return type(self), (self.name, self.role, self.alphabet, self.states, self.initial,

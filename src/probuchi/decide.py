@@ -495,18 +495,25 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     reachable subset with an obligation set tracking which even-ranked runs
     still owe a visit to an odd rank; acceptance is an empty obligation set.
     Macro-states are explored breadth-first on integers: a ranking is a
-    tuple of (state index, rank) pairs and the obligation set a bitmask,
-    stepped through the input's per-symbol successor masks.  Each explored
-    macro-state costs, per symbol, one pass over its ranking's edges for
-    the successors' rank bounds.  Its row of targets depends only on the
-    symbol, those bounds and the owed successors, so the rank choices,
-    one dictionary probe each, are expanded once per distinct key and the
-    row is shared by every later macro-state with that key.  The integer
-    successor table then goes to :func:`_quotient`, which trims it and
-    quotients it by forward bisimulation; no intermediate automaton is
-    built.  Inputs larger than the cap, or explorations beyond the fixed
-    state or branching limits, raise :class:`ResourceLimitError` naming
-    the cap.
+    tuple of (state index, rank) pairs, interned to an id, and the
+    obligation set a bitmask, stepped through the input's per-symbol
+    successor masks.  Work is paid once per distinct input:
+    - per ranking, one pass over its edges per symbol gives the successors'
+      rank bounds (:func:`_rank_bounds`), interned as bound sets;
+    - per bound set, its rank choices and their even-rank masks are
+      expanded once (:func:`_rank_choices`);
+    - per (bound set, owed successors), the row of targets is built, one
+      ``owing & even`` and one dictionary probe per choice, and shared by
+      every later macro-state with that key;
+    - per macro-state and symbol, only the owed successors and two
+      dictionary probes remain.
+    The integer successor table then goes to :func:`_quotient`, which trims
+    it and quotients it by forward bisimulation; no intermediate automaton
+    is built.  Inputs larger than the cap, or explorations beyond the fixed
+    state or branching limits, raise :class:`ResourceLimitError` naming the
+    cap: the branch limit at the first sight of a bound set, the state
+    limit at the first new macro-state past it, both where an unmemoized
+    exploration would.
     """
     if a.role != "nba":
         raise AutomatonError("complementation needs an nba")
@@ -525,49 +532,39 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     gens = list(_symbol_masks(a).values())
     succ_lists = [[[t for t in range(n) if m >> t & 1] for m in g] for g in gens]
 
-    StateT = tuple[tuple[tuple[int, int], ...], int]
-    init: StateT = (((a.index[a.initial], r_max),), 0)
-    ids: dict[StateT, int] = {init: 0}
-    found = [init]
-    # rows by (symbol, successor rank bounds, owed successors); -1 stands
-    # for "no obligation", since -1 & even == even
-    memo: dict[tuple, list[int]] = {}
+    # Rankings and bound sets are interned to ids, so a macro-state is the
+    # pair (ranking id, owed states).  Per ranking: the successor rank bounds
+    # of each symbol, as bound set ids.  Per bound set: its rank choices, as
+    # (ranking id, even-ranked states) pairs.  Rows by (bound set id, owed
+    # successors); -1 stands for "no obligation", since -1 & even == even.
+    ranked = [((a.index[a.initial], r_max),)]
+    rank_ids = {ranked[0]: 0}
+    bounded: list[tuple[tuple[int, int], ...]] = []
+    bound_ids: dict[tuple[tuple[int, int], ...], int] = {}
+    steps: dict[int, list[int]] = {}
+    expansions: dict[int, list[tuple[int, int]]] = {}
+    ids = {(0, 0): 0}
+    found = [(0, 0)]
+    memo: dict[tuple[int, int], list[int]] = {}
     table: list[list[list[int]]] = []
-    for ranking, owing in found:  # grows while it is read: breadth-first
+    for rid, owing in found:  # grows while it is read: breadth-first
+        bids = steps.get(rid)
+        if bids is None:
+            bids = steps[rid] = [_intern(b, bound_ids, bounded)
+                                 for b in _rank_bounds(ranked[rid], succ_lists, r_max)]
         rows = []
-        for i, (g, succ) in enumerate(zip(gens, succ_lists)):
-            succ_bound: dict[int, int] = {}
-            for q, r in ranking:
-                for t in succ[q]:
-                    succ_bound[t] = min(succ_bound.get(t, r_max), r)
-            bounds = tuple(sorted(succ_bound.items()))
+        for g, bid in zip(gens, bids):
             owing_succ = _image(owing, g) if owing else -1
-            key = (i, bounds, owing_succ)
+            key = (bid, owing_succ)
             targets = memo.get(key)
             if targets is None:
-                dom = [t for t, _ in bounds]
-                choices: list[range] = []
-                count = 1
-                for t, bound in bounds:
-                    allowed = range(0, bound + 1, 2 if final[t] else 1)
-                    choices.append(allowed)
-                    count *= len(allowed)
-                    if count > COMPLEMENT_BRANCH_LIMIT:
-                        raise ResourceLimitError(
-                            f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
-                            f"transition; the limit is fixed (input likely too large "
-                            f"for the rank-based method)",
-                            cap_name="branch_cap",
-                            cap_value=COMPLEMENT_BRANCH_LIMIT,
-                        )
+                choices = expansions.get(bid)
+                if choices is None:
+                    choices = expansions[bid] = [(_intern(g2, rank_ids, ranked), even)
+                                                 for g2, even in _rank_choices(bounded[bid], final)]
                 targets = memo[key] = []
-                for combo in itertools.product(*choices):
-                    g2 = tuple(zip(dom, combo))
-                    even = 0
-                    for t, r in g2:
-                        if not r & 1:
-                            even |= 1 << t
-                    nxt: StateT = (g2, owing_succ & even)
+                for choice, even in choices:
+                    nxt = (choice, owing_succ & even)
                     j = ids.get(nxt)
                     if j is None:
                         if len(ids) >= COMPLEMENT_STATE_LIMIT:
@@ -587,20 +584,60 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     return _quotient(f"compl({a.name})", a.alphabet, table, accepting, 0)
 
 
-def _reduce_nba(a: Automaton) -> Automaton:
-    """Trim to states on some accepting run and quotient by forward bisimulation.
+def _intern(key: K, ids: dict[K, int], keys: list[K]) -> int:
+    """The id of ``key`` in ``ids``; a new key gets the next one and joins ``keys``."""
+    i = ids.get(key)
+    if i is None:
+        i = ids[key] = len(keys)
+        keys.append(key)
+    return i
 
-    :func:`_quotient` over the integer successor table of ``a``, states
-    numbered in declaration order; building the table is linear in the
-    transitions.
+
+def _rank_bounds(
+    ranking: tuple[tuple[int, int], ...], succ_lists: Sequence[Sequence[Sequence[int]]], r_max: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """Per symbol, each successor of ``ranking``'s states with the least rank
+    of its predecessors, as (state index, bound) pairs in state order."""
+    out = []
+    for succ in succ_lists:
+        succ_bound: dict[int, int] = {}
+        for q, r in ranking:
+            for t in succ[q]:
+                succ_bound[t] = min(succ_bound.get(t, r_max), r)
+        out.append(tuple(sorted(succ_bound.items())))
+    return out
+
+
+def _rank_choices(
+    bounds: tuple[tuple[int, int], ...], final: Sequence[bool]
+) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Every ranking at or below ``bounds`` that gives final states even
+    ranks, in product order, each with the bitmask of its even-ranked
+    states.  More than the fixed branch limit raise :class:`ResourceLimitError`.
     """
-    idx = a.index
-    table = [
-        [[idx[t] for t in a.successors(q, sym)] for sym in a.alphabet]
-        for q in a.states
-    ]
-    finals = {idx[q] for q in a.final_states}
-    return _quotient(a.name, a.alphabet, table, finals, idx[a.initial])
+    dom = [t for t, _ in bounds]
+    choices: list[range] = []
+    count = 1
+    for t, bound in bounds:
+        allowed = range(0, bound + 1, 2 if final[t] else 1)
+        choices.append(allowed)
+        count *= len(allowed)
+        if count > COMPLEMENT_BRANCH_LIMIT:
+            raise ResourceLimitError(
+                f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
+                f"transition; the limit is fixed (input likely too large "
+                f"for the rank-based method)",
+                cap_name="branch_cap",
+                cap_value=COMPLEMENT_BRANCH_LIMIT,
+            )
+    out = []
+    for combo in itertools.product(*choices):
+        even = 0
+        for t, r in zip(dom, combo):
+            if not r & 1:
+                even |= 1 << t
+        out.append((tuple(zip(dom, combo)), even))
+    return out
 
 
 def _quotient(
@@ -616,15 +653,19 @@ def _quotient(
     ascending order.  States off every accepting run from ``initial`` are
     dropped; if that is all of them the result is the one-state empty NBA.
     The kept states are split, starting from {final, non-final}, by their
-    signature: own block plus, per symbol, the bitmask of successor blocks,
+    signature: own block plus, per symbol, the set of successor blocks,
     until the block count stops growing.  That is the coarsest partition in
     which a block's members share finality and successor blocks.  Equal
     rows are interned once, and the trim, the rounds and the naming read
-    each distinct row once: a round costs O(|kept|·|alphabet|) plus the
-    total length of the distinct rows, not of every edge, and at most
-    |kept| rounds run.  Blocks are named ``kv0``, ``kv1``, ... in
-    breadth-first order from the initial block, reading each block's
-    first member's successors in state order.
+    each distinct row once: a round costs one frozenset of block ids per
+    distinct row, read off a list indexed by state id, plus one signature
+    per state, O(|kept|·|alphabet|) plus the total length of the distinct
+    rows, not of every edge, and at most |kept| rounds run.  Blocks are
+    named ``kv0``, ``kv1``, ... in breadth-first order from the initial
+    block, reading each block's first member's successors in state order.
+    Every emitted row is sorted by block number, which is declaration
+    order, and lists each block once, so the result is built by
+    :meth:`Automaton._trusted`, without the constructor's re-sort.
     """
     # Rows repeat across states: each distinct row is interned once and a
     # state keeps its rows' ids.  The support graph goes through them, state
@@ -645,19 +686,19 @@ def _quotient(
     symbols = range(len(alphabet))
     kept = sorted(_explore([(initial, ())], lambda q, i: succ[ids[q][i]], symbols))
     used = {r for q in kept for r in ids[q]}
-    block = {q: int(q in finals) for q in kept}
-    count = len(set(block.values()))
+    # block ids by state id; a state off ``kept`` keeps its 0 and is never read
+    block = [0] * len(table)
+    for q in kept:
+        block[q] = int(q in finals)
+    count = len({block[q] for q in kept})
     while True:
-        mask = {}
-        for r in used:
-            m = 0
-            for t in succ[r]:
-                m |= 1 << block[t]
-            mask[r] = m
-        sigs: dict[tuple[int, ...], int] = {}
-        new_block = {}
+        at = block.__getitem__
+        blocks_of = {r: frozenset(map(at, succ[r])) for r in used}
+        sigs: dict[tuple, int] = {}
+        new_block = [0] * len(table)
         for q in kept:
-            new_block[q] = sigs.setdefault((block[q], *[mask[r] for r in ids[q]]), len(sigs))
+            sig = (block[q], *[blocks_of[r] for r in ids[q]])
+            new_block[q] = sigs.setdefault(sig, len(sigs))
         block = new_block
         if len(sigs) == count:
             break
@@ -683,7 +724,7 @@ def _quotient(
         for sym, r in zip(alphabet, ids[rep[b]])
         if named[r]
     }
-    return Automaton(
+    return Automaton._trusted(
         name=name,
         role="nba",
         alphabet=alphabet,
@@ -1301,6 +1342,19 @@ def pba_positive_nonempty_bounded(
     final-passage matrix comes from :func:`_passage` on the automaton
     validated once here, and the closing re-check uses the public calls.
     """
+    found = _bounded_witness(b, max_len, max_j, x, cancel)
+    return None if found is None else found[0]
+
+
+def _bounded_witness(
+    b: Automaton, max_len: int, max_j: int, x: Fraction, cancel: Cancel
+) -> tuple[AsymptoticWitness, list[Fraction]] | None:
+    """:func:`pba_positive_nonempty_bounded` with the witness's factors, the
+    ones :func:`acceptance_lower_bound` multiplies: the reach mass from the
+    integer walk and each segment's return from the search's own
+    final-passage matrix, the values its closing re-check confirmed.  A
+    caller that wants the bound too then builds each public matrix once,
+    in that re-check."""
     if not (b.is_probabilistic and b.is_buchi):
         raise AutomatonError("bounded witness search needs a probabilistic Buchi automaton")
     require_valid(b)
@@ -1320,20 +1374,23 @@ def pba_positive_nonempty_bounded(
                       if sum(p for q, p in nums.items() if q in c) > x * den), None)
             if u is None:
                 continue
-            segments = []
+            segments = []  # (word, final-passage matrix) pairs
             for j in range(1, max_j + 1):
                 bound = 1 - Fraction(1, 2**j)
-                seg = next((w for w, fp in zip(reach, fps)
+                seg = next(((w, fp) for w, fp in zip(reach, fps)
                             if all(fp.row_sum(q, c) > bound for q in c)), None)
                 if seg is None:
                     break
                 segments.append(seg)
             if len(segments) < max_j:
                 continue
-            witness = AsymptoticWitness(c, u, tuple(segments), 1)
+            witness = AsymptoticWitness(c, u, tuple(w for w, _ in segments), 1)
             _certify(verify_asymptotic_witness(b, witness, x), b, witness.lasso(),
                      "asymptotic witness {} failed re-verification")
-            return witness
+            nums, den = reach[u]
+            factors = [Fraction(sum(p for q, p in nums.items() if q in c), den)]
+            factors += [min(fp.row_sum(q, c) for q in c) for _, fp in segments]
+            return witness, factors
     return None
 
 
@@ -1352,6 +1409,11 @@ def acceptance_lower_bound(b: Automaton, w: AsymptoticWitness) -> LassoLowerBoun
     factors = _witness_factors(b, w, Fraction(0))
     if factors is None:
         raise AutomatonError("invalid asymptotic witness")
+    return _lower_bound(w, factors)
+
+
+def _lower_bound(w: AsymptoticWitness, factors: Sequence[Fraction]) -> LassoLowerBound:
+    """The bound from ``w``'s checked :func:`_witness_factors`."""
     return LassoLowerBound(value=math.prod(factors), asymptotic=factors[-1] == 1,
                            lasso=w.lasso())
 

@@ -474,6 +474,24 @@ def test_acceptance_lower_bound_random_witnesses():
     assert checked >= 5
 
 
+def test_search_factors_give_the_public_lower_bound():
+    # The witness CLI multiplies the search's own factors instead of calling
+    # acceptance_lower_bound; both must give the same bound, also above x.
+    from probuchi.decide import _bounded_witness, _lower_bound
+
+    rng = random.Random(808)
+    found = 0
+    for i in range(60):
+        b = random_pba(rng, rng.randint(2, 3))
+        x = (F(0), F(1, 4), F(1, 2))[i % 3]
+        hit = _bounded_witness(b, 2, 3, x, None)
+        assert (hit and hit[0]) == pba_positive_nonempty_bounded(b, 2, 3, x)
+        if hit is not None:
+            assert _lower_bound(*hit) == acceptance_lower_bound(b, hit[0])
+            found += 1
+    assert found >= 20
+
+
 def test_acceptance_lower_bound_rejects_bad_witness():
     from probuchi.decide import AsymptoticWitness
     from probuchi import AutomatonError

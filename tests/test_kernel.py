@@ -23,6 +23,7 @@ exactly the same answers, in the same order.
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 from collections import deque
 from fractions import Fraction
@@ -48,7 +49,6 @@ from probuchi.decide import (
     _doomed_mask,
     _lex_reach_words,
     _profile_monoid,
-    _reduce_nba,
     _safe_start_mask,
     _table,
     _universality_probe,
@@ -477,6 +477,72 @@ def ref_lex_reach_words(aut, start, at_least_one):
                         nxt.append((t, w + (a,)))
         layer = nxt
     return words
+
+
+def _reduce_nba(a):
+    """Trim to states on some accepting run and quotient by forward bisimulation.
+
+    :func:`_quotient` over the integer successor table of ``a``, states
+    numbered in declaration order; building the table is linear in the
+    transitions.  Read through the module, so the trusted-path check below
+    sees every quotient.
+    """
+    idx = a.index
+    table = [
+        [[idx[t] for t in a.successors(q, sym)] for sym in a.alphabet]
+        for q in a.states
+    ]
+    finals = {idx[q] for q in a.final_states}
+    return decide._quotient(a.name, a.alphabet, table, finals, idx[a.initial])
+
+
+def hash_or_error(x) -> object:
+    """``hash(x)``, or the type of the error it raises."""
+    try:
+        return hash(x)
+    except TypeError as err:
+        return type(err)
+
+
+def check_trusted(out: Automaton) -> Automaton:
+    """``out`` after checking that it is what the public constructor builds.
+
+    :func:`_quotient` builds its result without the constructor's re-sort,
+    which is sound only when every row is already sorted by declaration
+    index and free of duplicates; that precondition is checked first.
+    """
+    idx = out.index
+    for row in out.transitions.values():
+        at = [idx[t] for t in row]
+        assert at and at == sorted(set(at))
+    rebuilt = Automaton(
+        name=out.name,
+        role=out.role,
+        alphabet=out.alphabet,
+        states=out.states,
+        initial=out.initial,
+        acceptance=out.acceptance,
+        transitions=dict(out.transitions),
+    )
+    assert out == rebuilt
+    assert list(out.transitions.items()) == list(rebuilt.transitions.items())
+    assert hash_or_error(out) == hash_or_error(rebuilt)
+    assert serialize(out) == serialize(rebuilt)
+    copy = pickle.loads(pickle.dumps(out))
+    assert copy == out and serialize(copy) == serialize(out)
+    with pytest.raises(TypeError):
+        out.transitions[("kv0", out.alphabet[0])] = ("kv0",)
+    return out
+
+
+@pytest.fixture(autouse=True, scope="module")
+def trusted_quotients():
+    """Every :func:`_quotient` result in this module, each complement and
+    each reduction included, goes through :func:`check_trusted`."""
+    real = decide._quotient
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_quotient", lambda *args: check_trusted(real(*args)))
+        yield
 
 
 def ref_reduce_nba(a):
@@ -1173,6 +1239,66 @@ def test_complement_rows_are_mostly_shared():
         plain += shares_rows(explored_table(a))
         twinned += shares_rows(explored_table(small_twinned_nba(rng)))
     assert plain >= 20 and twinned >= 20
+
+
+def memo_reuse(a: Automaton) -> tuple[int, int] | None:
+    """How often nba_complement, under the test limit, reuses a ranking's
+    rank bounds and a bound set's rank choices; None when the exploration
+    runs into a limit.  Every macro-state reads its ranking's bounds and
+    every row-memo miss, one fresh row in the table, its bound set's
+    choices; each memo miss is one call of the helper behind it."""
+    calls = {"_rank_bounds": 0, "_rank_choices": 0}
+
+    def counted(name):
+        real = getattr(decide, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(decide, name, counted(name))
+        table = explored_table(a)
+    if table is None:
+        return None
+    fresh_rows = len({id(row) for rows in table for row in rows})
+    return len(table) - calls["_rank_bounds"], fresh_rows - calls["_rank_choices"]
+
+
+def reuses_both(reuse: tuple[int, int] | None) -> bool:
+    return reuse is not None and min(reuse) > 0
+
+
+def test_complement_bounds_and_choices_are_mostly_reused():
+    # Guard against vacuous memos: in most drawn cases of either kind that
+    # finish under the test limit, both the bounds memo and the rank-choice
+    # memo must be hit, so the reference comparisons above run the shared
+    # paths.  About half of the twinned draws run into the limit.
+    rng = random.Random(13)
+    plain, twinned = [], []
+    for _ in range(40):
+        a = random_nba(rng, rng.randint(1, 4), rng.choice([("a", "b"), ("a", "b", "c")]))
+        plain.append(memo_reuse(a))
+        twinned.append(memo_reuse(small_twinned_nba(rng)))
+    for reuse in (plain, twinned):
+        built = [r for r in reuse if r is not None]
+        reused = sum(map(reuses_both, built))
+        assert reused >= 15 and 2 * reused > len(built)
+
+
+def test_check_trusted_refuses_what_the_constructor_would_change():
+    # The trusted-path check has teeth: a row out of declaration order or
+    # with a repeated target is refused.
+    for row in (("kv1", "kv0"), ("kv0", "kv0")):
+        bad = Automaton._trusted(
+            name="bad", role="nba", alphabet=("a",), states=("kv0", "kv1"),
+            initial="kv0", acceptance=BuchiAcceptance(frozenset({"kv0"})),
+            transitions={("kv0", "a"): row, ("kv1", "a"): ("kv0",)},
+        )
+        with pytest.raises(AssertionError):
+            check_trusted(bad)
 
 
 def test_complement_state_limit_one_below_a_shared_exploration():
