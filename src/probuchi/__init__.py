@@ -28,7 +28,6 @@ _EXPORTS = {
         "validate",
     ),
     "markov": (
-        "Distribution",
         "RationalMatrix",
         "binary_value_lasso",
         "final_passage_matrix",

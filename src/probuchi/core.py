@@ -152,6 +152,9 @@ class RankFunction:
         """Pickle and copy through the constructor; a mappingproxy cannot be pickled."""
         return type(self), (dict(self.levels), self.k)
 
+    def __hash__(self) -> int:
+        return hash((frozenset(self.levels.items()), self.k))
+
 
 def word_separator(symbols: Iterable[str]) -> str:
     """Separator of a written word: "" if every symbol is one character, else ","."""
@@ -304,6 +307,11 @@ class Automaton:
         """Pickle and copy through the constructor; a mappingproxy cannot be pickled."""
         return type(self), (self.name, self.role, self.alphabet, self.states, self.initial,
                            self.acceptance, dict(self.transitions), self.reject, self.ranks)
+
+    def __hash__(self) -> int:
+        """Agrees with ``==``: every field but ``name``, the rows as a set."""
+        return hash((self.role, self.alphabet, self.states, self.initial, self.acceptance,
+                     frozenset(self.transitions.items()), self.reject, self.ranks))
 
     @property
     def is_probabilistic(self) -> bool:

@@ -31,11 +31,12 @@ also take an optional ``progress`` callback that receives short status
 strings.  Every breadth-first search is one generator, :func:`_discover`,
 which hands out elements lazily in discovery order.  Both monoids come
 from one kernel, :func:`_monoid`, as its elements with their shortest
-words; :func:`transition_monoid` returns them as one map, and the
-witnesses of monitor positive emptiness and universality read them only up
-to their first hit.  All
-functions are pure; deterministic tie-breaking (shortest first, then symbol
-declaration order) makes outputs reproducible.
+words, one :func:`_image` per row and letter; :func:`transition_monoid`
+returns them as one map, and the witnesses of monitor positive emptiness
+and universality read them only up to their first hit, each element
+through one :func:`_closure`.  All functions are pure; deterministic
+tie-breaking (shortest first, then symbol declaration order) makes
+outputs reproducible.
 """
 
 from __future__ import annotations
@@ -311,32 +312,15 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _table(rows: Sequence[int]) -> list[list[int]]:
-    """Byte tables of :func:`_image` over ``rows`` (Arlazarov et al., 1970).
-
-    Entry b of table k is the union of ``rows[8k + i]`` over the set bits i
-    of b: the "Four Russians" tables, built by doubling at one union each.
-    """
-    tables = []
-    for k in range(0, len(rows), 8):
-        t = [0]
-        for r in rows[k : k + 8]:
-            t += [x | r for x in t]
-        tables.append(t)
-    return tables
-
-
-def _compose(x: Sequence[int], tables: Sequence[list[int]]) -> tuple[int, ...]:
-    """:func:`_image` of every row of ``x``: one lookup per nonzero byte."""
-    out = []
-    for m in x:
-        r = k = 0
-        while m:
-            r |= tables[k][m & 255]
-            m >>= 8
-            k += 1
-        out.append(r)
-    return tuple(out)
+def _closure(rows: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure of the support graph of ``rows``: each
+    state's row holds every state it reaches, itself included.  Warshall's
+    algorithm on the row bitmasks, O(n^2) word operations."""
+    closure = [r | 1 << i for i, r in enumerate(rows)]
+    for k in range(len(closure)):
+        through, bit = closure[k], 1 << k
+        closure = [c | through if c & bit else c for c in closure]
+    return closure
 
 
 def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Cancel,
@@ -346,10 +330,10 @@ def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Can
     ``gens[a]`` holds the rows of symbol a; multiplying by it on the right
     takes each row to its :func:`_image` over ``acts[a]``.  Rows repeat
     across elements (there are at most 2^width of them), so each row's
-    image on a is computed once per enumeration, by :func:`_compose`, and
-    then read from ``images[a]``.  Elements come lazily, in discovery order.
+    image on a is computed once per enumeration, by one :func:`_image`
+    the first time the row meets a, and then read from ``images[a]``.
+    Elements come lazily, in discovery order.
     """
-    tables = {a: _table(acts[a]) for a in alphabet}
     images: dict[S, dict[int, int]] = {a: {} for a in alphabet}
 
     def step(x: tuple[int, ...], a: S) -> tuple[tuple[int, ...]]:
@@ -357,9 +341,10 @@ def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Can
         try:
             return (tuple(map(seen.__getitem__, x)),)
         except KeyError:  # some row of x is new on a
-            y = _compose(x, tables[a])
-            seen.update(zip(x, y))
-            return (y,)
+            for r in x:
+                if r not in seen:
+                    seen[r] = _image(r, acts[a])
+            return (tuple(map(seen.__getitem__, x)),)
 
     return _discover(((gens[a], (a,)) for a in alphabet), step, alphabet, cap, cancel, what)
 
@@ -791,6 +776,12 @@ def _profile_gens(a: Automaton) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _profile_identity(a: Automaton) -> tuple[int, ...]:
+    """The profile of the empty word, the unit of the profile monoid."""
+    n = len(a.states)
+    return tuple(1 << i | (q in a.final_states) << i + n for i, q in enumerate(a.states))
+
+
 def nba_universality(
     a: Automaton,
     monoid_cap: int | None = None,
@@ -826,9 +817,7 @@ def nba_universality(
     n = len(a.states)
     full = (1 << n) - 1
     idx0 = a.index[a.initial]
-    ident = tuple(1 << i | (1 << i + n if q in a.final_states else 0)
-                  for i, q in enumerate(a.states))
-    pairs = [(ident, ()), *elements.items()]
+    pairs = [(_profile_identity(a), ()), *elements.items()]
     # Whether u v^omega is rejected depends on u only through the states u
     # reaches from the initial one, so the u are grouped by that row.
     by_row: dict[int, list[int]] = {}
@@ -873,8 +862,7 @@ def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None
         cancel,
     )
     acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
-    profiles = {(): tuple(1 << i | (1 << i + n if q in a.final_states else 0)
-                          for i, q in enumerate(a.states))}
+    profiles = {(): _profile_identity(a)}
 
     def profile(w: tuple[str, ...]) -> tuple[int, ...]:
         if w not in profiles:
@@ -964,8 +952,8 @@ def transition_monoid(
     breadth-first from the single-letter supports, so discovery order is
     (word length, symbol order) and the stored word is the smallest
     realizing one.  Each product costs one dictionary lookup per row, and
-    one table lookup per nonzero byte of a row the first time it meets a
-    letter.  Exceeding the cap, single-letter supports included, raises
+    one :func:`_image` for a row the first time it meets a letter.
+    Exceeding the cap, single-letter supports included, raises
     :class:`ResourceLimitError`; completeness never silently degrades.
     """
     require_valid(aut)
@@ -1048,19 +1036,12 @@ def fpm_positive_empty(
         _certify_numbering(m, seeds, number)
         return None
     for rows, vword in _monoid(masks, masks, m.alphabet, cap, cancel, "transition monoid"):
+        closure = _closure(rows)
         for q in candidates:
-            closure = frontier = 1 << idx[q]
-            while frontier:
-                step = _image(frontier, rows)
-                if step & reject_bit:
-                    break
-                frontier = step & ~closure
-                closure |= frontier
-            if frontier:  # the closure leaks into the reject
+            kept = closure[idx[q]]
+            if kept & reject_bit:  # the closure leaks into the reject
                 continue
-            states = frozenset(
-                m.states[j] for j in range(len(m.states)) if closure >> j & 1
-            )
+            states = frozenset(m.states[j] for j in _members(kept))
             witness = SubsetWitness(states, reach[q], vword)
             _certify(verify_subset_witness(m, witness), m, LassoWord(witness.u, witness.v),
                      "subset witness {} on states {} failed re-check",
@@ -1103,23 +1084,11 @@ def _safe_start_mask(rows: tuple[int, ...], reject_index: int) -> int:
 
     On the support graph of one macro-step matrix, absorption is almost sure
     into bottom SCCs; a start state is "doomed" iff every bottom SCC it can
-    reach is the reject singleton.  The reflexive-transitive closure comes
-    from Warshall's algorithm on the row bitmasks, O(n^2) word operations.
-    Returns the bitmask of doomed states.
+    reach is the reject singleton.  State j lies in a bottom SCC iff every
+    state it reaches reaches it back; its component is then its row of the
+    :func:`_closure`.  Returns the bitmask of doomed states.
     """
-    closure = [r | 1 << i for i, r in enumerate(rows)]
-    for k in range(len(closure)):
-        through, bit = closure[k], 1 << k
-        closure = [c | through if c & bit else c for c in closure]
-    return _doomed_mask(closure, reject_index)
-
-
-def _doomed_mask(closure: Sequence[int], reject_index: int) -> int:
-    """:func:`_safe_start_mask` from the reflexive-transitive closure.
-
-    State j lies in a bottom SCC iff every state it reaches reaches it back;
-    its component is then ``closure[j]``.
-    """
+    closure = _closure(rows)
     n = len(closure)
     bad = 0  # states of bottom SCCs other than the reject singleton
     for j, c in enumerate(closure):

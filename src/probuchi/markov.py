@@ -30,14 +30,12 @@ from .core import (
     BuchiAcceptance,
     LassoWord,
     RabinAcceptance,
-    UnknownSymbolError,
     require_valid,
 )
 from .graphs import bottom_sccs, coreachable, lasso_product
 
 __all__ = [
     "RationalMatrix",
-    "Distribution",
     "word_matrix",
     "final_passage_matrix",
     "lasso_acceptance",
@@ -95,68 +93,6 @@ class RationalMatrix:
         r = self.rows[self._i(q)]
         return frozenset(t for t, p in zip(self.states, r) if p > 0)
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.states != other.states:
-            raise ValueError("state spaces differ")
-        n = self.order
-        brows = other.rows
-        out = []
-        for i in range(n):
-            arow = self.rows[i]
-            acc = [Fraction(0)] * n
-            for k in range(n):
-                aik = arow[k]
-                if not aik:
-                    continue
-                brow = brows[k]
-                for j in range(n):
-                    if brow[j]:
-                        acc[j] += aik * brow[j]
-            out.append(tuple(acc))
-        return RationalMatrix(self.states, tuple(out))
-
-    __matmul__ = matmul
-
-    @staticmethod
-    def identity(states: Sequence[str]) -> "RationalMatrix":
-        n = len(states)
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        return RationalMatrix(tuple(states), rows)
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Sub-distribution over states: nonnegative entries, total mass <= 1."""
-
-    entries: Mapping[str, Fraction]
-
-    def __post_init__(self) -> None:
-        clean = {q: Fraction(p) for q, p in self.entries.items() if p != 0}
-        if any(p < 0 for p in clean.values()):
-            raise ValueError("negative probability mass")
-        if sum(clean.values(), Fraction(0)) > 1:
-            raise ValueError("total mass exceeds 1")
-        object.__setattr__(self, "entries", clean)
-
-    @staticmethod
-    def dirac(q: str) -> "Distribution":
-        return Distribution({q: Fraction(1)})
-
-    def support(self) -> frozenset[str]:
-        return frozenset(self.entries)
-
-    def step(self, aut: Automaton, symbol: str) -> "Distribution":
-        """One transition step, by the ``Fraction`` loop that checks :func:`_walk`."""
-        if symbol not in set(aut.alphabet):
-            raise UnknownSymbolError(symbol)
-        out: dict[str, Fraction] = {}
-        for q, p in self.entries.items():
-            for t, w in aut.prob_row(q, symbol):
-                out[t] = out.get(t, _ZERO) + p * w
-        return Distribution(out)
-
 
 Walk = tuple[dict[str, int], int]
 
@@ -164,8 +100,7 @@ Walk = tuple[dict[str, int], int]
 def _walk(aut: Automaton, walk: Walk, symbol: str) -> Walk:
     """``walk``, state masses as (numerators, denominator), moved by one
     ``symbol``: the denominator is multiplied by ``aut.weights[symbol][0]``
-    and no gcd is taken.  Masses keep the insertion order of
-    :meth:`Distribution.step`.  The caller checks the symbol."""
+    and no gcd is taken.  The caller checks the symbol."""
     nums, den = walk
     sym_den, rows = aut.weights[symbol]
     out: dict[str, int] = {}

@@ -211,7 +211,7 @@ class MonitorSession:
         # Each symbol's weight denominator as (power of two, odd part).
         self._split = {a: (_twos(d), d >> _twos(d)) for a, (d, _) in m.weights.items()}
         # State masses are self._nums[q] / self._den, in the insertion order
-        # of Distribution.step; self._den is self._odd << self._twos, self._odd odd.
+        # of markov._walk; self._den is self._odd << self._twos, self._odd odd.
         self._nums: dict[str, int] = {m.initial: 1}
         self._twos = 0
         self._odd = 1

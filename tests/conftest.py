@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from probuchi import Automaton, BuchiAcceptance, LassoWord, RabinAcceptance
+from probuchi import Automaton, BuchiAcceptance, LassoWord, RabinAcceptance, RationalMatrix
 
 F = Fraction
 PALETTE = [
@@ -280,3 +280,19 @@ def brute_force_ranking_exists(aut: Automaton) -> bool:
         if ok:
             return True
     return False
+
+
+def ref_identity(states) -> RationalMatrix:
+    """The identity matrix over ``states``, the word matrix of the empty word."""
+    n = len(states)
+    return RationalMatrix(tuple(states), tuple(
+        tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n)))
+
+
+def ref_matmul(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
+    """The dense product of two matrices over the same states, one sum per entry."""
+    assert x.states == y.states
+    columns = list(zip(*y.rows))
+    return RationalMatrix(x.states, tuple(
+        tuple(sum((a * b for a, b in zip(row, col)), F(0)) for col in columns)
+        for row in x.rows))

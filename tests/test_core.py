@@ -14,9 +14,11 @@ from probuchi import (
     BuchiAcceptance,
     LassoWord,
     RabinAcceptance,
+    RankFunction,
     UnknownSymbolError,
     dra_to_hpba,
     gen_m_id,
+    gen_succinct,
     infer_hierarchy,
     lasso,
     lasso_acceptance,
@@ -171,6 +173,32 @@ def test_transitions_and_levels_are_read_only():
     trans = dict(m.transitions)
     trans[("q0", "1")] = (("q0", F(1, 4)), ("q1", F(3, 4)))
     assert lasso_acceptance(replace(m, transitions=trans), lasso("11", "0")) == F(15, 16)
+
+
+def test_equal_automata_and_rankings_hash_equally():
+    # Both classes are frozen and compare by value, the automaton's name
+    # aside, so they hash by value: the rows and levels as sets.
+    nba = Automaton(
+        name="x", role="nba", alphabet=("a", "b"), states=("p", "q"), initial="p",
+        acceptance=BuchiAcceptance(frozenset({"q"})),
+        transitions={("q", "a"): ("q", "p"), ("p", "b"): ("q",), ("p", "a"): ("p",)},
+    )
+    trusted = Automaton._trusted(
+        "y", "nba", ("a", "b"), ("p", "q"), "p", BuchiAcceptance(frozenset({"q"})),
+        {("p", "a"): ("p",), ("p", "b"): ("q",), ("q", "a"): ("p", "q")},
+    )
+    assert trusted == nba and hash(trusted) == hash(nba)
+    h = gen_succinct(2)
+    rk = infer_hierarchy(h)
+    twin_rk = RankFunction(dict(reversed(rk.levels.items())), rk.k)
+    assert twin_rk == rk and hash(twin_rk) == hash(rk)
+    ranked = replace(h, ranks=rk)
+    twin = replace(ranked, name="twin", transitions=dict(reversed(ranked.transitions.items())),
+                   ranks=twin_rk)
+    assert twin == ranked != h and hash(twin) == hash(ranked)
+    assert hash(gen_m_id()) == hash(gen_m_id())
+    table = {nba: "nba", h: "plain", ranked: "ranked"}
+    assert [table[a] for a in (trusted, replace(h), twin)] == ["nba", "plain", "ranked"]
 
 
 @pytest.mark.parametrize("copy_of", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy])

@@ -115,15 +115,21 @@ def _random_monitors():
 
 def test_matches_the_exhaustive_scan_on_answer_and_witness():
     answers = dict.fromkeys(itertools.product(("random", "complement"), (True, False)), 0)
+    past_first = 0
     for family, m in _random_monitors():
         want = ref_fpm_positive_empty(m)
         assert fpm_positive_empty(m) == want
         # the graph's bound, |Q|*(cap + 1) nodes, admits every monitor whose
         # full monoid fits the cap
-        assert fpm_positive_empty(m, monoid_cap=len(transition_monoid(m))) == want
+        monoid = transition_monoid(m)
+        assert fpm_positive_empty(m, monoid_cap=len(monoid)) == want
         answers[family, want is None] += 1
-    # vacuity guard: each family gives both answers
+        past_first += want is not None and want.v != next(iter(monoid.values()))
+    # vacuity guard: each family gives both answers, and many witness
+    # cycles come after the first monoid element, so the witness scan
+    # must read past the first element's closure
     assert min(answers.values()) >= 20, answers
+    assert past_first >= 30, past_first
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
