@@ -178,17 +178,6 @@ class LassoWord:
         sep = word_separator(self.stem + self.cycle)
         return sep.join(self.stem) + ";" + sep.join(self.cycle)
 
-    def prefix(self, n: int) -> tuple[str, ...]:
-        """First ``n`` symbols of the infinite word."""
-        if n < 0:
-            raise ValueError("prefix length must be >= 0")
-        out = list(self.stem[:n])
-        i = 0
-        while len(out) < n:
-            out.append(self.cycle[i % len(self.cycle)])
-            i += 1
-        return tuple(out)
-
     def unrolled(self, times: int) -> "LassoWord":
         """Same word with the cycle repeated ``times`` times."""
         if times < 1:
@@ -507,7 +496,7 @@ def validate(aut: Automaton) -> ValidationReport:
             for q, a in ranking_violations(aut, aut.ranks):
                 bad.append(f"ranking violated at ({q},{a})")
         elif not bad:
-            if _hierarchy_levels(aut) is None:
+            if ranking_violations(aut, _scc_ranking(aut)):
                 bad.append("no compatible ranking function exists")
     elif aut.ranks is not None:
         bad.append("ranks are only meaningful for the hpba role")
@@ -563,12 +552,6 @@ def _scc_ranking(aut: Automaton) -> RankFunction:
     components = sccs_topological(aut.states, aut.support_adjacency(), aut.index)
     level = {q: i for i, comp in enumerate(components) for q in comp}
     return RankFunction({q: level[q] for q in aut.states}, max(len(components) - 1, 0))
-
-
-def _hierarchy_levels(aut: Automaton) -> Mapping[str, int] | None:
-    """SCC-based level assignment, or None when no compatible ranking exists."""
-    ranks = _scc_ranking(aut)
-    return None if ranking_violations(aut, ranks) else ranks.levels
 
 
 def infer_hierarchy(aut: Automaton) -> RankFunction | None:

@@ -271,18 +271,6 @@ def _discover(
                     queue.append(y)
 
 
-def _explore(
-    seeds: Iterable[tuple[K, tuple[S, ...]]],
-    step: Callable[[K, S], Iterable[K]],
-    alphabet: Sequence[S],
-    cap: int | None = None,
-    cancel: Cancel = None,
-    what: str = "",
-) -> dict[K, tuple[S, ...]]:
-    """:func:`_discover` read in full: every element mapped to its word."""
-    return dict(_discover(seeds, step, alphabet, cap, cancel, what))
-
-
 def _symbol_masks(aut: Automaton) -> dict[str, tuple[int, ...]]:
     """Per symbol, each state's successor set as a bitmask by declaration index."""
     idx = aut.index
@@ -362,7 +350,7 @@ def _lex_reach_words(
         seeds = [(t, (a,)) for a in aut.alphabet for t in aut.successors(start, a)]
     else:
         seeds = [(start, ())]
-    return _explore(seeds, aut.successors, aut.alphabet)
+    return dict(_discover(seeds, aut.successors, aut.alphabet))
 
 
 def _walk_stems(
@@ -409,30 +397,15 @@ def _lasso_member(a: Automaton, w: LassoWord) -> bool:
     current = post(a, a.initial, w.stem)
     if not current:
         return False
-    nodes, adjacency = _support_product(a, current, w.cycle)
+    rows = a.transitions  # target tuples, since the role is nondeterministic
+    nodes, _, adjacency = lasso_product(
+        current, w.cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
+    )
     if a.role == "dra":
         (loop,) = bottom_sccs(nodes, adjacency)
         return _bscc_accepting(a, loop)
-    return bool(_accepting_loops(a, nodes, adjacency))
-
-
-def _support_product(
-    a: Automaton, start: Iterable[str], cycle: Sequence[str]
-) -> tuple[list[tuple[str, int]], dict]:
-    """Nodes and successors of the (state, cycle position) graph of ``cycle``."""
-    rows = a.transitions  # target tuples, since the role is nondeterministic
-    nodes, _, adjacency = lasso_product(
-        start, cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
-    )
-    return nodes, adjacency
-
-
-def _accepting_loops(
-    a: Automaton, nodes: list[tuple[str, int]], adjacency: dict
-) -> list[list[tuple[str, int]]]:
-    """Components of an NBA's support product with a cycle through a final state."""
     finals = a.final_states
-    return accepting_cycles(nodes, adjacency, {n for n in nodes if n[0] in finals})
+    return bool(accepting_cycles(nodes, adjacency, {n for n in nodes if n[0] in finals}))
 
 
 def nba_emptiness(a: Automaton) -> LassoWord | None:
@@ -515,7 +488,7 @@ def nba_complement(a: Automaton, cap: int | None = None) -> Automaton:
     final = [q in a.final_states for q in a.states]
     r_max = 2 * (n - sum(final))
     gens = list(_symbol_masks(a).values())
-    succ_lists = [[[t for t in range(n) if m >> t & 1] for m in g] for g in gens]
+    succ_lists = [[_members(m) for m in g] for g in gens]
 
     # Rankings and bound sets are interned to ids, so a macro-state is the
     # pair (ranking id, owed states).  Per ranking: the successor rank bounds
@@ -669,7 +642,8 @@ def _quotient(
     # under them, so from a kept state they all stay in keep
     succ = [[t for t in row if t in live] for row in row_id]
     symbols = range(len(alphabet))
-    kept = sorted(_explore([(initial, ())], lambda q, i: succ[ids[q][i]], symbols))
+    kept = sorted(q for q, _ in _discover([(initial, ())], lambda q, i: succ[ids[q][i]],
+                                          symbols))
     used = {r for q in kept for r in ids[q]}
     # block ids by state id; a state off ``kept`` keeps its 0 and is never read
     block = [0] * len(table)
@@ -695,11 +669,8 @@ def _quotient(
     for q in kept:
         rep.setdefault(block[q], q)
     blocks = {r: list(dict.fromkeys(block[t] for t in succ[r])) for r in used}
-    order = list(_explore(
-        [(block[initial], ())],
-        lambda b, i: blocks[ids[rep[b]][i]],
-        symbols,
-    ))
+    order = [b for b, _ in _discover([(block[initial], ())],
+                                     lambda b, i: blocks[ids[rep[b]][i]], symbols)]
     number = {b: i for i, b in enumerate(order)}
     names = [f"kv{i}" for i in range(len(order))]
     named = {r: tuple(names[i] for i in sorted(number[c] for c in blocks[r])) for r in used}
@@ -1025,14 +996,15 @@ def fpm_positive_empty(
         s = _image(t, masks[a])
         return () if s & reject_bit else (s,)
 
-    nodes = list(_explore(((t, ()) for t in seeds), safe, m.alphabet,
-                          len(m.states) * (cap + 1), cancel, "safe-step subset graph"))
+    nodes = [t for t, _ in _discover(((t, ()) for t in seeds), safe, m.alphabet,
+                                     len(m.states) * (cap + 1), cancel, "safe-step subset graph")]
     if progress is not None:
         progress(f"safe-step subset graph has {len(nodes)} nodes")
     adjacency = {t: [s for a in m.alphabet for s in safe(t, a)] for t in nodes}
-    if not accepting_cycles(nodes, adjacency, adjacency):  # any node counts
+    components = tarjan_sccs(nodes, adjacency)
+    if not any(len(c) > 1 or c[0] in adjacency[c[0]] for c in components):
         # acyclic, so every component is one node, sinks first
-        number = {t: i for i, (t,) in enumerate(tarjan_sccs(nodes, adjacency))}
+        number = {t: i for i, (t,) in enumerate(components)}
         _certify_numbering(m, seeds, number)
         return None
     for rows, vword in _monoid(masks, masks, m.alphabet, cap, cancel, "transition monoid"):

@@ -67,22 +67,11 @@ class RationalMatrix:
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("matrix shape does not match state count")
 
-    @property
-    def order(self) -> int:
-        return len(self.states)
-
     def _i(self, q: str) -> int:
         try:
             return self.states.index(q)
         except ValueError:
             raise AutomatonError(f"unknown state {q!r}") from None
-
-    def entry(self, q: str, q2: str) -> Fraction:
-        return self.rows[self._i(q)][self._i(q2)]
-
-    def row(self, q: str) -> dict[str, Fraction]:
-        r = self.rows[self._i(q)]
-        return {t: p for t, p in zip(self.states, r) if p}
 
     def row_sum(self, q: str, targets: Iterable[str]) -> Fraction:
         idx = [self._i(t) for t in targets]

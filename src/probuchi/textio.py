@@ -103,6 +103,19 @@ def _role(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> str:
     return rest[0][0]
 
 
+def _alphabet(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
+    """The symbols.  None may contain a separator of the lasso syntax over
+    them: ``;``, or ``,`` when some symbol is longer than one character."""
+    symbols = _some_names(key, rest, line_no, col)
+    separators = ";" + word_separator(symbols)
+    for sym, sym_col in rest:
+        for ch in separators:
+            if ch in sym:
+                raise FormatError(f"symbol {_clip(sym)} contains {ch!r}, a separator in "
+                                  f"lassos over this alphabet", line_no, sym_col)
+    return symbols
+
+
 def _one_state(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> str:
     if len(rest) != 1:
         raise FormatError(f"{key} takes one state", line_no, col)
@@ -166,7 +179,7 @@ def _ranks(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> dic
 # allowed in reverse order.
 _HEADER_KEYS = {
     "type": (_role, (), "", ROLES, ""),
-    "alphabet": (_some_names, ROLES, "missing 'alphabet' line", ROLES, ""),
+    "alphabet": (_alphabet, ROLES, "missing 'alphabet' line", ROLES, ""),
     "states": (_some_names, ROLES, "missing 'states' line", ROLES, ""),
     "init": (_one_state, ROLES, "missing 'init' line", ROLES, ""),
     "final": (_names, BUCHI_ROLES, "missing 'final:' line for a Buchi role",
@@ -332,13 +345,8 @@ def format_word(symbols: Sequence[str], alphabet: Sequence[str]) -> str:
     return word_separator(alphabet).join(symbols)
 
 
-def format_lasso(w: LassoWord, alphabet: Sequence[str] | None = None) -> str:
+def format_lasso(w: LassoWord, alphabet: Sequence[str]) -> str:
     """``STEM;CYCLE`` that :func:`parse_lasso` reads back over ``alphabet``.
-
-    Without an alphabet this is ``str(w)``, whose separator is chosen from
-    the word's own symbols and so misreads a word of one-character symbols
-    over a mixed-width alphabet; pass the alphabet whenever it is known.
-    """
-    if alphabet is None:
-        return str(w)
+    ``str(w)`` takes its separator from the word's own symbols instead, so
+    it misreads a word of one-character symbols over a mixed-width alphabet."""
     return format_word(w.stem, alphabet) + ";" + format_word(w.cycle, alphabet)

@@ -289,6 +289,16 @@ def ref_identity(states) -> RationalMatrix:
         tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
 
+def ref_entry(mat: RationalMatrix, q: str, q2: str) -> Fraction:
+    """The entry of ``mat`` in row ``q`` and column ``q2``."""
+    return mat.rows[mat.states.index(q)][mat.states.index(q2)]
+
+
+def ref_row(mat: RationalMatrix, q: str) -> dict[str, Fraction]:
+    """Row ``q`` of ``mat`` as its nonzero entries by column state."""
+    return {t: p for t, p in zip(mat.states, mat.rows[mat.states.index(q)]) if p}
+
+
 def ref_matmul(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     """The dense product of two matrices over the same states, one sum per entry."""
     assert x.states == y.states

@@ -22,7 +22,7 @@ from probuchi import (
     validate,
 )
 from probuchi.core import Automaton, BuchiAcceptance, LassoWord, all_words
-from probuchi.core import ranking_violations, _hierarchy_levels
+from probuchi.core import ranking_violations, _scc_ranking
 from probuchi.cli import run
 from probuchi.decide import (
     acceptance_lower_bound,
@@ -379,9 +379,8 @@ def test_criterion_9_hierarchy_inference_vs_brute_force(capsys):
                 acceptance=BuchiAcceptance(frozenset({"q0"})),
                 transitions=trans,
             )
-            assert (_hierarchy_levels(aut) is not None) == brute_force_ranking_exists(
-                aut
-            )
+            exists = not ranking_violations(aut, _scc_ranking(aut))
+            assert exists == brute_force_ranking_exists(aut)
             total += 1
     with capsys.disabled():
         report(9, f"{total} grid automata: SCC inference matches brute force", t0)

@@ -259,14 +259,6 @@ def test_rename_states_names_an_undeclared_state(field, value, mapping):
     assert str(err.value) == "automaton names undeclared state 'zz'"
 
 
-def test_prefix_refuses_a_negative_length():
-    w = LassoWord(("a", "b"), ("c",))
-    assert w.prefix(0) == ()
-    with pytest.raises(ValueError) as err:
-        w.prefix(-1)
-    assert str(err.value) == "prefix length must be >= 0"
-
-
 def test_unknown_symbol_error_clips_the_symbol_it_quotes():
     err = UnknownSymbolError("x" * 5000, 2)
     assert str(err) == f"unknown symbol {'x' * 40!r}... at position 2"
@@ -360,7 +352,7 @@ ENTRY_POINT_ERRORS = {
                          "lasso acceptance needs a probabilistic automaton"),
     "binary_value_lasso": (lambda: binary_value_lasso(LassoWord(("1",), ("2",))),
                            "non-binary symbol '2'"),
-    "matrix-unknown-state": (lambda: RationalMatrix(("s",), ((F(1),),)).row("t"),
+    "matrix-unknown-state": (lambda: RationalMatrix(("s",), ((F(1),),)).support("t"),
                              "unknown state 't'"),
     # sim
     "mc-samples": (lambda: mc_lasso_estimate(PBA, A, 0, 0), "sample count must be at least 1"),

@@ -157,7 +157,6 @@ def test_lasso_helpers():
     assert lasso("1", "1").normalized() == lasso("", "1")
     assert lasso("", "0101").normalized() == lasso("", "01")
     assert str(lasso("", "10")) == ";10"
-    assert lasso("", "10").prefix(5) == ("1", "0", "1", "0", "1")
 
 
 def test_transitions_and_levels_are_read_only():

@@ -23,7 +23,8 @@ from probuchi import (
 from probuchi.core import Automaton, LassoWord, all_words
 from probuchi.markov import solve_linear
 
-from conftest import random_fpm, random_lasso, random_pra, ref_identity, ref_matmul
+from conftest import (random_fpm, random_lasso, random_pra, ref_entry, ref_identity, ref_matmul,
+                      ref_row)
 
 F = Fraction
 
@@ -31,9 +32,9 @@ F = Fraction
 def test_word_matrix_examples():
     m = gen_m_id()
     assert word_matrix(m, "") == ref_identity(m.states)
-    row = word_matrix(m, "1").row("q0")
+    row = ref_row(word_matrix(m, "1"), "q0")
     assert row == {"q0": F(1, 2), "q1": F(1, 2)}
-    assert word_matrix(m, "11").entry("q0", "q1") == F(3, 4)
+    assert ref_entry(word_matrix(m, "11"), "q0", "q1") == F(3, 4)
 
 
 def test_word_matrix_concatenation():
@@ -50,8 +51,8 @@ def test_final_passage_examples():
     restricted = replace(m, role="pba", reject=None,
                          acceptance=BuchiAcceptance(frozenset({"q1"})))
     fp = final_passage_matrix(restricted, "1")
-    assert fp.entry("q0", "q1") == F(1, 2)
-    assert fp.entry("q0", "q0") == F(0)
+    assert ref_entry(fp, "q0", "q1") == F(1, 2)
+    assert ref_entry(fp, "q0", "q0") == F(0)
 
 
 def test_final_passage_below_word_matrix_and_final_start():
@@ -63,10 +64,10 @@ def test_final_passage_below_word_matrix_and_final_start():
         wm = word_matrix(aut, u)
         for q in aut.states:
             for t in aut.states:
-                assert fp.entry(q, t) <= wm.entry(q, t)
+                assert ref_entry(fp, q, t) <= ref_entry(wm, q, t)
             if q in aut.final_states:
                 assert all(
-                    fp.entry(q, t) == wm.entry(q, t) for t in aut.states
+                    ref_entry(fp, q, t) == ref_entry(wm, q, t) for t in aut.states
                 )
 
 

@@ -236,7 +236,7 @@ def test_an_empty_answer_returns_only_after_its_certificate(monkeypatch):
 def test_a_cycle_without_a_monoid_witness_is_refused(monkeypatch):
     from probuchi import decide
 
-    monkeypatch.setattr(decide, "accepting_cycles", lambda nodes, adj, final: [[S]])
+    monkeypatch.setattr(decide, "tarjan_sccs", lambda nodes, adj: [[S, T]])
     with pytest.raises(CertificationError) as err:
         fpm_positive_empty(CHAIN)
     assert str(err.value) == (

@@ -129,7 +129,7 @@ INVOCATIONS = [
     ("prob m_id.pba ;10", _BASE | {"markov"}),
     ("mc m_id.pba ;10 --samples 200 --seed 3", _BASE | {"markov", "sim"}),
     ("monitor m_id.pba", _BASE | {"markov", "sim"}),
-    ("complement s2.nba --complement-cap 40", _DECIDE),
+    ("complement s2.nba --complement-cap 9", _DECIDE),
     ("product m_id.pba m_id.pba", _BASE | {"construct"}),
     ("union p3.pba p3.pba", _BASE | {"construct"}),
     ("intersect p3.pba p3.pba", _BASE | {"construct"}),

@@ -136,13 +136,13 @@ def test_parse_lasso_single_char_alphabet():
     w = parse_lasso(";10", ("0", "1"))
     assert w == lasso("", "10")
     assert parse_lasso("1;0", ("0", "1")) == lasso("1", "0")
-    assert format_lasso(w) == ";10"
+    assert str(w) == ";10"
 
 
 def test_parse_lasso_multi_char_alphabet():
     w = parse_lasso("req;req,ack", ("req", "ack"))
     assert w.stem == ("req",) and w.cycle == ("req", "ack")
-    assert format_lasso(w) == "req;req,ack"
+    assert str(w) == "req;req,ack"
 
 
 def test_parse_lasso_errors():
@@ -161,9 +161,29 @@ def test_format_lasso_uses_the_alphabet_separator():
     # it reads back as the single symbol "ab".
     alphabet = ("ab", "a", "b")
     w = lasso("ab", "b")
-    assert format_lasso(w) == "ab;b"
+    assert str(w) == "ab;b"
     assert format_lasso(w, alphabet) == "a,b;b"
     assert parse_lasso(format_lasso(w, alphabet), alphabet) == w
+
+
+@pytest.mark.parametrize("alphabet, symbol, column", [
+    ("a,b c", "a,b", 11),  # ";a,b" would read back as a, b
+    ("; a", ";", 11),  # ";;a" would read back as (;a)^omega
+    ("a b;", "b;", 13),
+    ("ab ,", ",", 14),
+])
+def test_symbols_must_not_contain_a_lasso_separator(alphabet, symbol, column):
+    text = f"type: nba\nalphabet: {alphabet}\nstates: s\ninit: s\nfinal: s\n"
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert f"symbol {symbol!r} contains" in str(err.value)
+
+
+def test_a_comma_symbol_is_allowed_among_one_character_symbols():
+    aut = parse("type: nba\nalphabet: , a\nstates: s\ninit: s\nfinal: s\ns -,-> s\n")
+    w = LassoWord((",",), (",", "a"))
+    assert parse_lasso(format_lasso(w, aut.alphabet), aut.alphabet) == w
 
 
 _SYMBOLS = st.text(alphabet="abxyz01", min_size=1, max_size=3)
