@@ -65,7 +65,6 @@ from .core import (
 from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
 from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product, tarjan_sccs
 from .markov import (
-    _ZERO,
     _bscc_accepting,
     _cycle_values,
     _lasso_value,
@@ -939,16 +938,25 @@ def transition_monoid(
 def verify_subset_witness(m: Automaton, w: SubsetWitness) -> bool:
     """Exact re-check of the subset witness invariants.  A set holding the
     reject state fails: the reject is absorbing, so it stays inside the set
-    while the run's acceptance is 0."""
+    while the run's acceptance is 0.
+
+    Both invariants are support questions, answered by :func:`post`'s set
+    walk, which shares no code with the search's bitmask kernel: ``u`` leads
+    from the initial state into the set (delta_u(qs, C) > 0), and ``v``
+    leads from each state of the set only into the set (delta_v(q, C) = 1).
+    """
     if m.role != "fpm":
         raise AutomatonError("verify_subset_witness needs an fpm")
     if not w.states or not w.u or not w.v or m.reject in w.states:
         return False
-    mat = word_matrix(m, w.u)
-    if mat.row_sum(m.initial, w.states) <= 0:
+    require_valid(m)
+    reached = post(m, m.initial, w.u)
+    for q in w.states:
+        if q not in m.index:
+            raise AutomatonError(f"unknown state {q!r}")
+    if not reached & w.states:
         return False
-    matv = word_matrix(m, w.v)
-    return all(matv.support(q) <= w.states for q in w.states)
+    return all(post(m, q, w.v) <= w.states for q in w.states)
 
 
 def fpm_positive_empty(
@@ -1382,8 +1390,12 @@ def containment_refute(
     per-state values: sum_{1<=c<=bound} |Sigma|^c solves per operand
     instead of one per lasso, for O(|Sigma|^bound * |Q|) stored masses and
     values.  ``b2``'s chain for a cycle is solved only once ``b1``'s value
-    calls for it.  The witness is re-checked by each operand's per-lasso
-    solve.
+    calls for it.  Scoring is on integers: each cycle's values are kept as
+    numerators over their lcm, so a lasso's value is one integer dot
+    product with its stem's numerators, over the product of the two
+    denominators, and the tests against 0 and 1 compare integers.  Only a
+    hit's two values become fractions, for the certificate: the witness is
+    re-checked by each operand's per-lasso solve.
     """
     if semantics not in ("positive", "almost-sure"):
         raise AutomatonError("semantics must be positive or almost-sure")
@@ -1406,27 +1418,30 @@ def containment_refute(
     starts = [frozenset().union(*(m[k][0] for m in stems.values())) for k in (0, 1)]
     values: tuple[dict, dict] = ({}, {})
 
-    def value(k: int, walks, v: tuple[str, ...]) -> Fraction:
+    def score(k: int, walks, v: tuple[str, ...]) -> tuple[int, int]:
         per_state = values[k].get(v)
         if per_state is None:
-            per_state = values[k][v] = _cycle_values(autos[k], starts[k], v)
+            exact = _cycle_values(autos[k], starts[k], v)
+            vden = math.lcm(*(x.denominator for x in exact.values()))
+            per_state = values[k][v] = (
+                {q: x.numerator * (vden // x.denominator) for q, x in exact.items()}, vden)
+        vnums, vden = per_state
         nums, den = walks[k]
-        return sum((p * per_state[q] for q, p in nums.items()), _ZERO) / den
+        return sum(p * vnums[q] for q, p in nums.items()), den * vden
 
     positive = semantics == "positive"
     cycles = list(all_words(b1.alphabet, 1, bound))
     for u, masses in stems.items():
         for v in cycles:
             _check_cancel(cancel)
-            p1 = value(0, masses, v)
-            if positive:
-                hit = p1 > 0 and value(1, masses, v) == 0
-            else:
-                hit = p1 == 1 and value(1, masses, v) < 1
-            if not hit:
+            n1, d1 = score(0, masses, v)
+            if not (n1 > 0 if positive else n1 == d1):
+                continue
+            n2, d2 = score(1, masses, v)
+            if not (n2 == 0 if positive else n2 < d2):
                 continue
             w = LassoWord(u, v)
-            scanned = (p1, value(1, masses, v))
+            scanned = (Fraction(n1, d1), Fraction(n2, d2))
             exact = (_lasso_value(b1, w), _lasso_value(b2, w))
             _certify(scanned == exact, b1, w, "containment witness {} scanned as {} and {}, "
                      "but its acceptance probabilities are {} and {}", *scanned, *exact)

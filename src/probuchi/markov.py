@@ -78,10 +78,6 @@ class RationalMatrix:
         r = self.rows[self._i(q)]
         return sum((r[i] for i in idx), Fraction(0))
 
-    def support(self, q: str) -> frozenset[str]:
-        r = self.rows[self._i(q)]
-        return frozenset(t for t, p in zip(self.states, r) if p > 0)
-
 
 Walk = tuple[dict[str, int], int]
 

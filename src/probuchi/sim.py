@@ -218,10 +218,6 @@ class MonitorSession:
         self._position = 0
 
     @property
-    def position(self) -> int:
-        return self._position
-
-    @property
     def _den(self) -> int:
         return self._odd << self._twos
 

@@ -299,6 +299,11 @@ def ref_row(mat: RationalMatrix, q: str) -> dict[str, Fraction]:
     return {t: p for t, p in zip(mat.states, mat.rows[mat.states.index(q)]) if p}
 
 
+def ref_support(mat: RationalMatrix, q: str) -> frozenset[str]:
+    """The columns of row ``q`` of ``mat`` that hold positive entries."""
+    return frozenset(t for t, p in ref_row(mat, q).items() if p > 0)
+
+
 def ref_matmul(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     """The dense product of two matrices over the same states, one sum per entry."""
     assert x.states == y.states

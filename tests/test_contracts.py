@@ -352,7 +352,7 @@ ENTRY_POINT_ERRORS = {
                          "lasso acceptance needs a probabilistic automaton"),
     "binary_value_lasso": (lambda: binary_value_lasso(LassoWord(("1",), ("2",))),
                            "non-binary symbol '2'"),
-    "matrix-unknown-state": (lambda: RationalMatrix(("s",), ((F(1),),)).support("t"),
+    "matrix-unknown-state": (lambda: RationalMatrix(("s",), ((F(1),),)).row_sum("t", ()),
                              "unknown state 't'"),
     # sim
     "mc-samples": (lambda: mc_lasso_estimate(PBA, A, 0, 0), "sample count must be at least 1"),

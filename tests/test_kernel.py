@@ -16,8 +16,10 @@ doomed mask, the rank-based complement explored on state names, and the
 containment scan and universality probe that built one chain or product
 per lasso, the dense per-symbol product behind word matrices (on the
 conftest's ``ref_identity`` and ``ref_matmul``), the ``Fraction`` step
-that the integer walk replaced, and the bounded witness search that
-walked every reach word from the start.  They are kept here only as
+that the integer walk replaced, the bounded witness search that
+walked every reach word from the start, the subset-witness check on word
+matrices and the containment scan that scored lassos on ``Fraction``s.
+They are kept here only as
 oracles; the properties require the kernel to give exactly the same
 answers, in the same order.
 """
@@ -28,6 +30,7 @@ import itertools
 import pickle
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod, sqrt
 
@@ -35,7 +38,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from probuchi import decide
-from probuchi.construct import _empty_nba, complement_to_fpm
+from probuchi.construct import _empty_nba, complement_to_fpm, gen_p3
 from probuchi.core import (
     Automaton,
     BuchiAcceptance,
@@ -43,21 +46,26 @@ from probuchi.core import (
     RabinAcceptance,
     ResourceLimitError,
     all_words,
+    require_valid,
 )
 from probuchi.decide import (
     _PROBE_BOUND,
     AsymptoticWitness,
+    SubsetWitness,
     _lex_reach_words,
     _profile_monoid,
     _safe_start_mask,
     _universality_probe,
+    almost_sure_universal,
     containment_refute,
+    fpm_positive_empty,
     fpm_positive_universal,
     nba_complement,
     nba_lasso_member,
     nba_universality,
     pba_positive_nonempty_bounded,
     transition_monoid,
+    verify_subset_witness,
 )
 from probuchi.graphs import accepting_cycles, coreachable, tarjan_sccs
 from probuchi.markov import (
@@ -97,6 +105,7 @@ from conftest import (
     random_prob_rows,
     ref_identity,
     ref_matmul,
+    ref_support,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -732,7 +741,7 @@ def ref_nba_lasso_member(a, w):
     return bool(accepting_cycles(nodes, edges, final_nodes))
 
 
-def ref_containment_refute(b1, b2, semantics, bound):
+def ref_per_lasso_containment(b1, b2, semantics, bound):
     """The per-lasso scan: one chain and one absorption solve per lasso and operand."""
     for w in all_lassos(b1.alphabet, bound, bound):
         p1 = _lasso_value(b1, w)
@@ -1714,7 +1723,7 @@ def containment_operands(rng: random.Random) -> tuple[Automaton, Automaton]:
 def test_containment_refute_matches_per_lasso_scan(seed, semantics, bound):
     b1, b2 = containment_operands(random.Random(seed))
     got = containment_refute(b1, b2, semantics, bound)
-    assert got == ref_containment_refute(b1, b2, semantics, bound)
+    assert got == ref_per_lasso_containment(b1, b2, semantics, bound)
 
 
 def probe_nba(rng: random.Random) -> Automaton:
@@ -1978,3 +1987,169 @@ def test_witness_check_and_bound_match_the_reference(monkeypatch):
     # Vacuity guard: witnesses that hold, fail and raise, and bounds built.
     assert verdicts[True] >= 100 and verdicts[False] >= 100 and verdicts["error"] >= 20, verdicts
     assert bounds >= 100, bounds
+
+
+# ---------------------------------------------------------------------------
+# Certificates without rational arithmetic: subset witnesses checked on
+# supports, containment lassos scored on integers
+
+
+def ref_verify_subset_witness(m, w):
+    """The word-matrix check: the stem's mass on the set, then the support
+    of each set state's row under the cycle."""
+    if m.role != "fpm":
+        raise decide.AutomatonError("verify_subset_witness needs an fpm")
+    if not w.states or not w.u or not w.v or m.reject in w.states:
+        return False
+    if word_matrix(m, w.u).row_sum(m.initial, w.states) <= 0:
+        return False
+    matv = word_matrix(m, w.v)
+    return all(ref_support(matv, q) <= w.states for q in w.states)
+
+
+def _subset_witness_draws(rng):
+    """Witnesses the search finds, then ones with a part swapped for a random
+    (possibly empty) word that may hold an unknown symbol, with a random
+    state set that may hold the reject or a stranger, or over a monitor
+    whose row sums break validation."""
+    while True:
+        m = random_fpm(rng, rng.randint(2, 5))
+        found = fpm_positive_empty(m)
+        if found is not None:
+            yield m, found
+        base = found or SubsetWitness(frozenset(m.states[:1]), ("a",), ("a",))
+
+        def word():
+            return tuple(rng.choice("aab" if rng.random() < 0.9 else "abz")
+                         for _ in range(rng.randint(0, 3)))
+
+        parts = [base.states, base.u, base.v]
+        if rng.random() < 0.5:
+            parts[0] = frozenset(q for q in m.states if rng.random() < 0.5)
+            if rng.random() < 0.1:
+                parts[0] |= {"stranger"}
+        parts[rng.randint(1, 2)] = word()
+        if rng.random() < 0.05:
+            m = replace(m, transitions={**m.transitions, ("q0", "a"): (("q0", Fraction(1, 2)),)})
+        yield m, SubsetWitness(*parts)
+
+
+def test_subset_witness_check_matches_the_word_matrix_check():
+    rng = random.Random(2727)
+    draws = _subset_witness_draws(rng)
+    verdicts = {True: 0, False: 0, "error": 0}
+    for _ in range(800):
+        m, w = next(draws)
+        ref = _outcome(ref_verify_subset_witness, m, w)
+        got = _outcome(verify_subset_witness, m, w)
+        assert got == ref, (w, ref, got)
+        verdicts[ref[1] if ref[0] == "ok" else "error"] += 1
+    # Vacuity guard: witnesses that hold, fail and raise.
+    assert verdicts[True] >= 100 and verdicts[False] >= 100 and verdicts["error"] >= 20, verdicts
+
+
+def test_almost_sure_counterexample_builds_no_matrix(monkeypatch):
+    from probuchi import markov
+
+    passages = []
+
+    def spy(*args, _fn=markov._passage):
+        passages.append(args[1])
+        return _fn(*args)
+
+    monkeypatch.setattr(markov, "_passage", spy)
+    monkeypatch.setattr(decide, "_passage", spy)
+    w = almost_sure_universal(gen_p3(Fraction(1, 3)))
+    assert w == LassoWord((), ("x",)) and passages == []
+
+
+def ref_containment_refute(b1, b2, semantics, bound, cycle_values=_cycle_values):
+    """The ``Fraction`` scoring: each lasso's value is the sum of its stem's
+    masses times the cycle's per-state values, divided by the stem's
+    denominator."""
+    if semantics not in ("positive", "almost-sure"):
+        raise decide.AutomatonError("semantics must be positive or almost-sure")
+    if b1.alphabet != b2.alphabet:
+        raise decide.AutomatonError("containment needs a shared alphabet")
+    if bound < 1:
+        raise decide.AutomatonError("bound must be at least 1")
+    for aut in (b1, b2):
+        if not aut.is_probabilistic:
+            raise decide.AutomatonError("lasso acceptance needs a probabilistic automaton")
+    for aut in (b1, b2):
+        require_valid(aut)
+    autos = (b1, b2)
+
+    def step(walks, sym):
+        return tuple(_walk(aut, walk, sym) for aut, walk in zip(autos, walks))
+
+    stems = decide._walk_stems(b1.alphabet, bound,
+                               (({b1.initial: 1}, 1), ({b2.initial: 1}, 1)), step)
+    starts = [frozenset().union(*(m[k][0] for m in stems.values())) for k in (0, 1)]
+    values = ({}, {})
+
+    def value(k, walks, v):
+        per_state = values[k].get(v)
+        if per_state is None:
+            per_state = values[k][v] = cycle_values(autos[k], starts[k], v)
+        nums, den = walks[k]
+        return sum((p * per_state[q] for q, p in nums.items()), Fraction(0)) / den
+
+    positive = semantics == "positive"
+    for u, masses in stems.items():
+        for v in all_words(b1.alphabet, 1, bound):
+            p1 = value(0, masses, v)
+            if positive:
+                hit = p1 > 0 and value(1, masses, v) == 0
+            else:
+                hit = p1 == 1 and value(1, masses, v) < 1
+            if not hit:
+                continue
+            w = LassoWord(u, v)
+            scanned = (p1, value(1, masses, v))
+            exact = (_lasso_value(b1, w), _lasso_value(b2, w))
+            decide._certify(scanned == exact, b1, w, "containment witness {} scanned as {} "
+                            "and {}, but its acceptance probabilities are {} and {}",
+                            *scanned, *exact)
+            return w
+    return None
+
+
+def skewed_cycle_values(rng):
+    """Per-cycle values of which some states read 0, 1 or a random fraction
+    instead of their exact value, drawn once per automaton and cycle."""
+    drawn = {}
+
+    def cycle_values(aut, starts, cycle):
+        key = (id(aut), cycle)
+        if key not in drawn:
+            exact = _cycle_values(aut, starts, cycle)
+            drawn[key] = {q: rng.choice([x, x, Fraction(0), Fraction(1),
+                                         Fraction(rng.randint(0, 6), rng.randint(1, 6)) % 1])
+                          for q, x in exact.items()}
+        return drawn[key]
+
+    return cycle_values
+
+
+def test_containment_scoring_matches_fraction_scoring(monkeypatch):
+    # On exact values the two scorings return the same lasso or None; on
+    # skewed ones they also stop at the same lasso, and the per-lasso
+    # re-check refuses it with the same message.
+    rng = random.Random(2828)
+    outcomes = {"hit": 0, "miss": 0, "refused": 0}
+    for i in range(360):
+        b1, b2 = containment_operands(rng)
+        semantics, bound = ("positive", "almost-sure")[i % 2], 1 + i // 2 % 3
+        values = _cycle_values if i % 3 else skewed_cycle_values(random.Random(i))
+        monkeypatch.setattr(decide, "_cycle_values", values)
+        got = _outcome(containment_refute, b1, b2, semantics, bound)
+        ref = _outcome(ref_containment_refute, b1, b2, semantics, bound, values)
+        assert got == ref, (i, got, ref)
+        if got[0] == "error":
+            assert got[1] is decide.CertificationError and values is not _cycle_values, got
+            outcomes["refused"] += 1
+        else:
+            outcomes["miss" if got[1] is None else "hit"] += 1
+    # Vacuity guard: lassos found, scans that miss and certificates refused.
+    assert min(outcomes.values()) >= 30, outcomes

@@ -233,7 +233,9 @@ def test_monitor_long_leak_stream():
         if n in sampled:
             assert r == 1 - keep**n
             assert (r.numerator, r.denominator) == (1024**n - 1023**n, 1024**n)
-    assert session.position == 3000
+    with pytest.raises(MonitorError) as err:
+        session.feed("z")
+    assert err.value.position == 3000
 
 
 def slow_exit_monitor(den: int) -> str:

@@ -4,8 +4,9 @@ A module-level function or class of ``src/probuchi`` counts as used when a
 name or attribute reference to it appears in ``src/`` or ``demos/``
 outside its own definition, or when its module lists it in ``__all__``.
 A method or property of a class in ``src/probuchi`` (any ``def`` in a class
-body but a dunder) counts as used when an attribute reference of its name
-appears in ``src/`` or ``demos/``; dataclass fields are not checked.
+body but a dunder) counts as used when an attribute read of its name
+appears in ``src/`` or ``demos/``: an assignment such as ``self.x = ...``
+does not use a member ``x``.  Dataclass fields are not checked.
 Code that only the tests reach belongs in ``tests/`` as a ``ref_*`` oracle.
 """
 
@@ -61,7 +62,8 @@ def test_every_class_member_in_src_is_used_outside_the_tests():
     attributes, members = set(), []
     for path in sources():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
         if path.parent != SRC:
             continue
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
