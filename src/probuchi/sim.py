@@ -1,15 +1,22 @@
 """Monte Carlo estimation of lasso acceptance and streaming monitor sessions.
 
 Sampling uses a splittable 64-bit generator: every sample derives its own
-seed from the root seed and the sample index, so a fixed root seed gives the
-same estimate regardless of how samples would be sharded across workers.
-Random choices against exact rational distributions are made by the
-Knuth-Yao walk on integers (Saad et al., "The Fast Loaded Dice Roller",
-AISTATS 2020): each distribution's cumulative weights are computed once per
-estimate as integer numerators over their least common denominator, and the
-dyadic interval [lo/d, (lo+1)/d) of the draw is refined one bit at a time and
-compared against them by cross-multiplication, so the estimator carries no
-floating-point bias and needs no rational arithmetic per decision.
+seed from the root seed, read modulo 2^64, and the sample index, so a fixed
+root seed gives the same estimate regardless of how samples would be
+sharded across workers.  Random choices against exact rational
+distributions are made by the Knuth-Yao walk on integers (Saad et al., "The
+Fast Loaded Dice Roller", AISTATS 2020): each distribution's cumulative
+weights are computed once per estimate as integer numerators over their
+least common denominator, and the dyadic interval [lo/d, (lo+1)/d) of the
+draw is refined one bit at a time and compared against them on integers,
+so the estimator carries no floating-point bias and needs no rational
+arithmetic per decision.
+
+An estimate runs as one loop over the chain compiled to integer node ids,
+with the seeding, the generator and the walk inlined, so a sample costs
+time per random choice, not per chain step: a node with one successor
+draws no bit, and the sampler jumps over each stretch of such nodes at
+once.  The jumped steps still count against :data:`MC_STEP_LIMIT`.
 
 Monitor sessions keep the exact state distribution as integer numerators
 over one running denominator, stepped by ``markov._walk`` over the rows
@@ -40,6 +47,7 @@ from .markov import _walk, build_lasso_chain
 __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "MonitorError"]
 
 _MASK = (1 << 64) - 1
+_WORD_END = 1 << 64
 # Chain steps one Monte Carlo sample may take before it enters a bottom SCC.
 # The benchmark's longest sample takes about 2,200; a transient node whose
 # exit has a tiny probability would otherwise hold the sampler for ever.
@@ -56,36 +64,6 @@ if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
     _coprime_fraction = Fraction._from_coprime_ints
 else:
     _coprime_fraction = partial(Fraction, _normalize=False)  # 3.10 and 3.11
-
-
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return z ^ (z >> 31)
-
-
-def sample_seed(root: int, index: int) -> int:
-    """Per-sample seed derived from the root seed; order-independent."""
-    return _mix64((root & _MASK) ^ _mix64(index + 1))
-
-
-class _BitSource:
-    """Bits of a splitmix64 stream, each 64-bit word lowest bit first."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-        self._word = 0
-        self._left = 0
-
-    def bit(self) -> int:
-        if self._left == 0:
-            self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-            self._word = _mix64(self._state)
-            self._left = 64
-        self._left -= 1
-        b = self._word & 1
-        self._word >>= 1
-        return b
 
 
 def _cumulative(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
@@ -106,26 +84,6 @@ def _cumulative(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
     return den, cum
 
 
-def _pick(den: int, cum: list[int], bits: _BitSource) -> int:
-    """Index drawn exactly from the distribution with cumulative weights
-    ``cum[k] / den``, as built by :func:`_cumulative`.
-
-    Refines a uniform [0,1) draw, the dyadic interval [lo/d, (lo+1)/d), one
-    bit at a time until it lies inside one cumulative segment; terminates
-    with probability one and uses an expected constant number of bits per
-    decision.  The first segment ending above lo/d never moves left as the
-    interval narrows, so the scan resumes where it stopped.
-    """
-    lo, d, k = 0, 1, 0
-    while True:
-        while lo * den >= cum[k] * d:
-            k += 1
-        if (lo + 1) * den <= cum[k] * d:
-            return k
-        lo = 2 * lo + bits.bit()
-        d *= 2
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Empirical acceptance estimate with its standard error."""
@@ -141,11 +99,12 @@ def mc_lasso_estimate(
 ) -> McEstimate:
     """Unbiased Monte Carlo estimate of the lasso acceptance probability.
 
-    Each sample walks the stem, then the finite (state, cycle position)
-    chain until it enters a bottom SCC, whose acceptance classification
-    decides the sample.  Identical seeds give identical estimates.  A sample
-    still outside every bottom SCC after :data:`MC_STEP_LIMIT` steps raises
-    :class:`ResourceLimitError`.
+    Each sample draws its start node from the distribution the stem puts on
+    the finite (state, cycle position) chain, then walks the chain until it
+    enters a bottom SCC, whose acceptance classification decides the
+    sample.  Identical seeds give identical estimates; ``seed`` is read
+    modulo 2^64.  A sample still outside every bottom SCC after
+    :data:`MC_STEP_LIMIT` steps raises :class:`ResourceLimitError`.
     """
     if n < 1:
         raise AutomatonError("sample count must be at least 1")
@@ -153,31 +112,88 @@ def mc_lasso_estimate(
         raise AutomatonError("simulation needs a probabilistic automaton")
     require_valid(aut)
     chain = build_lasso_chain(aut, w)
-    in_bscc = {node: chain.value_of[node] for node in chain.bscc_nodes}
-    init_nodes = [nd for nd in chain.nodes if nd in chain.initial]
-    init_den, init_cum = _cumulative(chain.initial[nd] for nd in init_nodes)
-    moves = {
-        node: (tuple(t for t, _ in row), *_cumulative(p for _, p in row))
-        for node, row in chain.edges.items()
-        if node not in in_bscc
-    }
+    # The chain compiled to integer ids in chain.nodes order: rows[v] is
+    # None for a bottom node and (targets, den, cum) for any other.
+    ids = {node: v for v, node in enumerate(chain.nodes)}
+    init_nodes = [ids[nd] for nd in chain.nodes if nd in chain.initial]
+    init_den, init_cum = _cumulative(chain.initial[chain.nodes[v]] for v in init_nodes)
+    rows: list = [None] * len(ids)
+    for node, row in chain.edges.items():
+        if node not in chain.bscc_nodes:
+            rows[ids[node]] = ([ids[t] for t, _ in row], *_cumulative(p for _, p in row))
+    accepts = [node in chain.bscc_nodes and chain.value_of[node] == 1 for node in chain.nodes]
+    # A node with one target draws no bit.  Each one jumps to the end of its
+    # single-target stretch, charging the stretch's length; a single-target
+    # cycle would be a bottom SCC, so every stretch ends.
+    end, skip = list(range(len(ids))), [0] * len(ids)
+    for first in range(len(ids)):
+        path, v = [], first
+        while rows[v] is not None and len(rows[v][0]) == 1 and not skip[v]:
+            path.append(v)
+            v = rows[v][0][0]
+        e, s = end[v], skip[v]
+        for u in reversed(path):
+            s += 1
+            end[u], skip[u] = e, s
+    # A pick lands on a stretch end and costs its move plus the jump; the
+    # start costs only the jump.  No walk lands on a single-target node.
+    moves = [
+        None if row is None or len(row[0]) == 1
+        else ([end[t] for t in row[0]], [1 + skip[t] for t in row[0]], row[1], row[2])
+        for row in rows
+    ]
+    start = ([end[v] for v in init_nodes], [skip[v] for v in init_nodes], init_den, init_cum)
+    limit = MC_STEP_LIMIT
+    root = seed & _MASK
     hits = 0
     for i in range(n):
-        bits = _BitSource(sample_seed(seed, i))
-        node = init_nodes[_pick(init_den, init_cum, bits)]
-        left = MC_STEP_LIMIT
-        while node not in in_bscc:
-            if not left:
+        # The sample's splitmix64 seed: mix64(root ^ mix64(i + 1)).
+        z = i + 1
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        z = root ^ z ^ (z >> 31)
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        state = z ^ (z >> 31)
+        word = 1
+        targets, costs, den, cum = start
+        steps = 0
+        while True:
+            # The Knuth-Yao walk on [lo/d, (lo+1)/d), kept as the gap
+            # g = cum[k] * d - lo * den between the end of the first segment
+            # above lo/d and the interval's start: the interval lies inside
+            # segment k once g >= den.  Each bit halves the interval, so the
+            # gap doubles, less den for a one bit; a gap of 0 or below moves
+            # on to the next segment, never back.  Every weight is positive,
+            # so the gap starts above 0.  Bits come from 64-bit words lowest
+            # bit first, a set bit 64 marking the end of the word.
+            k, g, d = 0, cum[0], 1
+            while g < den:
+                if word == 1:
+                    state = (state + 0x9E3779B97F4A7C15) & _MASK
+                    z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+                    word = z ^ (z >> 31) | _WORD_END
+                g += g - (word & 1) * den
+                word >>= 1
+                d += d
+                while g <= 0:
+                    k += 1
+                    g += (cum[k] - cum[k - 1]) * d
+            node = targets[k]
+            steps += costs[k]
+            if steps > limit:
                 raise ResourceLimitError(
-                    f"a Monte Carlo sample exceeds {MC_STEP_LIMIT} chain steps "
+                    f"a Monte Carlo sample exceeds {limit} chain steps "
                     f"without reaching a bottom SCC; the limit is fixed",
                     cap_name="step_cap",
-                    cap_value=MC_STEP_LIMIT,
+                    cap_value=limit,
                 )
-            left -= 1
-            targets, den, cum = moves[node]
-            node = targets[_pick(den, cum, bits)]
-        if in_bscc[node] == 1:
+            move = moves[node]
+            if move is None:
+                break
+            targets, costs, den, cum = move
+        if accepts[node]:
             hits += 1
     mean = hits / n
     stderr = sqrt(mean * (1.0 - mean) / n)
@@ -210,21 +226,12 @@ class MonitorSession:
         self._m = m
         # Each symbol's weight denominator as (power of two, odd part).
         self._split = {a: (_twos(d), d >> _twos(d)) for a, (d, _) in m.weights.items()}
-        # State masses are self._nums[q] / self._den, in the insertion order
-        # of markov._walk; self._den is self._odd << self._twos, self._odd odd.
+        # State masses are self._nums[q] / (self._odd << self._twos), in the
+        # insertion order of markov._walk, with self._odd odd.
         self._nums: dict[str, int] = {m.initial: 1}
         self._twos = 0
         self._odd = 1
         self._position = 0
-
-    @property
-    def _den(self) -> int:
-        return self._odd << self._twos
-
-    @property
-    def _state(self) -> dict[str, Fraction]:
-        den = self._den
-        return {q: Fraction(p, den) for q, p in self._nums.items()}
 
     @property
     def reject_probability(self) -> Fraction:

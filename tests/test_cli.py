@@ -93,6 +93,18 @@ def test_mc(m_id_file, capsys):
     assert abs(doc["mean"] - 2 / 3) <= 3 * doc["stderr"]
 
 
+def test_mc_reads_the_seed_modulo_2_64_and_echoes_it_as_given(m_id_file, capsys):
+    big = 99999999999999999999999
+    docs = {}
+    for seed in (-1, 2**64 - 1, big, big % 2**64, 0):
+        assert run(["mc", m_id_file, "0;10", "--samples", "500", "--seed", str(seed)]) == 0
+        docs[seed] = out_doc(capsys)
+        assert docs[seed]["seed"] == seed
+    estimate = {seed: (doc["mean"], doc["stderr"]) for seed, doc in docs.items()}
+    assert estimate[-1] == estimate[2**64 - 1] and estimate[big] == estimate[big % 2**64]
+    assert len(set(estimate.values())) == 3
+
+
 def test_monitor(capsys, monkeypatch, tmp_path):
     from probuchi import complement_to_fpm
 

@@ -11,7 +11,9 @@ cycle-word search, the layered breadth-first reach words, the NBA trim and
 quotient with its own searches, the private NBA lasso product, the
 monitor's own accumulation loop, the dense absorption system over every
 mixed node of a lasso chain, the sampler that refines a ``Fraction``
-interval, the monitor universality scan over every monoid element's
+interval and the splitmix64 bit source, per-sample seed and integer
+Knuth-Yao pick that the sampler's one loop now inlines, the monitor
+universality scan over every monoid element's
 doomed mask, the rank-based complement explored on state names, and the
 containment scan and universality probe that built one chain or product
 per lasso, the dense per-symbol product behind word matrices (on the
@@ -32,13 +34,14 @@ import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import gcd, prod, sqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from probuchi import decide
-from probuchi.construct import _empty_nba, complement_to_fpm, gen_p3
+from probuchi import decide, sim
+from probuchi.construct import _empty_nba, complement_to_fpm, gen_p3, gen_succinct
 from probuchi.core import (
     Automaton,
     BuchiAcceptance,
@@ -84,12 +87,9 @@ from probuchi.markov import (
 from probuchi.sim import (
     McEstimate,
     MonitorSession,
-    _BitSource,
     _cumulative,
-    _pick,
     mc_lasso_estimate,
     monitor_stream,
-    sample_seed,
 )
 from probuchi.textio import serialize
 
@@ -167,6 +167,41 @@ def leaky_ring(rng: random.Random, n: int, rabin: bool) -> Automaton:
         states=tuple(ts) + ("acc", "rej"),
         initial="t0",
         acceptance=acceptance,
+        transitions=trans,
+    )
+
+
+def stretch_ring(rng: random.Random, n: int) -> Automaton:
+    """A ring of n states over an accepting and a rejecting sink, where
+    every state but one moves with probability one.
+
+    On a the ring steps to the next state, on b to the one after it; now
+    and then a state falls into a sink instead.  Only the branching state
+    leaks to both sinks, so a chain runs through single-target stretches of
+    up to n - 1 steps between two draws.
+    """
+    ts = [f"t{i}" for i in range(n)]
+    branching = rng.randrange(n)
+    trans = {}
+    for i, q in enumerate(ts):
+        for step, a in enumerate(("a", "b"), start=1):
+            nxt = ts[(i + step) % n]
+            if i == branching:
+                acc, rej = Fraction(rng.randint(1, 4), 16), Fraction(rng.randint(1, 4), 16)
+                trans[(q, a)] = ((nxt, 1 - acc - rej), ("acc", acc), ("rej", rej))
+            else:
+                sink = rng.choice(("acc", "rej")) if rng.random() < 0.1 else nxt
+                trans[(q, a)] = ((sink, Fraction(1)),)
+    for sink in ("acc", "rej"):
+        for a in ("a", "b"):
+            trans[(sink, a)] = ((sink, Fraction(1)),)
+    return Automaton(
+        name="stretch_ring",
+        role="pba",
+        alphabet=("a", "b"),
+        states=tuple(ts) + ("acc", "rej"),
+        initial="t0",
+        acceptance=BuchiAcceptance(frozenset({"acc"})),
         transitions=trans,
     )
 
@@ -775,6 +810,64 @@ def ref_monitor_run(m, word):
     return rejects, state
 
 
+_MASK = (1 << 64) - 1
+
+
+def ref_mix64(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def ref_sample_seed(root: int, index: int) -> int:
+    """Per-sample seed derived from the root seed; order-independent."""
+    return ref_mix64((root & _MASK) ^ ref_mix64(index + 1))
+
+
+class ref_bits:
+    """Bits of a splitmix64 stream, each 64-bit word lowest bit first."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+        self._word = 0
+        self._left = 0
+
+    def bit(self) -> int:
+        if self._left == 0:
+            self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+            self._word = ref_mix64(self._state)
+            self._left = 64
+        self._left -= 1
+        b = self._word & 1
+        self._word >>= 1
+        return b
+
+
+def ref_integer_pick(den: int, cum: list[int], bits) -> int:
+    """Index drawn exactly from the distribution with cumulative weights
+    ``cum[k] / den``: the Knuth-Yao walk refining [lo/d, (lo+1)/d) one bit
+    at a time, compared against the segments by cross-multiplication."""
+    lo, d, k = 0, 1, 0
+    while True:
+        while lo * den >= cum[k] * d:
+            k += 1
+        if (lo + 1) * den <= cum[k] * d:
+            return k
+        lo = 2 * lo + bits.bit()
+        d *= 2
+
+
+def ref_session_den(session) -> int:
+    """A monitor session's running denominator, from its split."""
+    return session._odd << session._twos
+
+
+def ref_session_state(session) -> dict[str, Fraction]:
+    """A monitor session's exact state masses, in its numerators' order."""
+    den = ref_session_den(session)
+    return {q: Fraction(p, den) for q, p in session._nums.items()}
+
+
 def ref_pick(weights, bits):
     """Index distributed exactly as ``weights``, refining a ``Fraction``
     interval and re-summing the cumulative weights on every call."""
@@ -795,21 +888,36 @@ def ref_pick(weights, bits):
             hi = mid
 
 
-def ref_mc_estimate(aut, w, n, seed):
-    """The Monte Carlo loop over the lasso chain, drawing with ``ref_pick``."""
+def ref_samples(aut, w, n, seed):
+    """``(accepted, moves, stretch)`` per sample of the Monte Carlo loop over
+    the lasso chain, one chain step at a time, drawing with ``ref_pick``;
+    ``stretch`` is the most moves in a row the sample made from nodes with
+    one successor."""
     chain = build_lasso_chain(aut, w)
     in_bscc = {node: chain.value_of[node] for node in chain.bscc_nodes}
     init_nodes = sorted(chain.initial, key=lambda nd: chain.nodes.index(nd))
     init_weights = [chain.initial[nd] for nd in init_nodes]
-    hits = 0
     for i in range(n):
-        bits = _BitSource(sample_seed(seed, i))
+        bits = ref_bits(ref_sample_seed(seed, i))
         node = init_nodes[ref_pick(init_weights, bits)]
+        moves = run = stretch = 0
         while node not in in_bscc:
             targets = chain.edges[node]
+            run = run + 1 if len(targets) == 1 else 0
+            stretch = max(stretch, run)
             node = targets[ref_pick([p for _, p in targets], bits)][0]
-        if in_bscc[node] == 1:
-            hits += 1
+            moves += 1
+        yield in_bscc[node] == 1, moves, stretch
+
+
+def ref_mc_estimate(aut, w, n, seed, limit=None):
+    """The estimate of ``ref_samples``; with a ``limit``, a sample of more
+    moves raises the step cap instead."""
+    hits = 0
+    for accepted, moves, _ in ref_samples(aut, w, n, seed):
+        if limit is not None and moves > limit:
+            raise ResourceLimitError("step limit", "step_cap", limit)
+        hits += accepted
     mean = hits / n
     return McEstimate(mean=mean, stderr=sqrt(mean * (1.0 - mean) / n), samples=n, seed=seed)
 
@@ -1036,7 +1144,7 @@ def test_monitor_feed_matches_reference_loop(seed):
     got = [session.feed(a) for a in word]
     rejects, state = ref_monitor_run(m, word)
     assert got == rejects
-    assert list(session._state.items()) == list(state.items())
+    assert list(ref_session_state(session).items()) == list(state.items())
     assert ref_masses(m, word) == {q: p for q, p in state.items() if p}
 
 
@@ -1369,7 +1477,7 @@ class CountingBits:
     """A bit source that counts the bits drawn from it."""
 
     def __init__(self, seed: int):
-        self.source = _BitSource(seed)
+        self.source = ref_bits(seed)
         self.drawn = 0
 
     def bit(self) -> int:
@@ -1381,10 +1489,10 @@ class CountingBits:
 @given(SEEDS, st.integers(min_value=0, max_value=2**64 - 1))
 def test_pick_matches_fraction_pick(seed, bit_seed):
     weights = random_weights(random.Random(seed))
-    ours, ref = _BitSource(bit_seed), _BitSource(bit_seed)
+    ours, ref = ref_bits(bit_seed), ref_bits(bit_seed)
     den, cum = _cumulative(weights)
     for _ in range(4):
-        assert _pick(den, cum, ours) == ref_pick(weights, ref)
+        assert ref_integer_pick(den, cum, ours) == ref_pick(weights, ref)
         assert vars(ours) == vars(ref)
 
 
@@ -1399,14 +1507,14 @@ def test_drawn_picks_need_several_bits():
         bits = CountingBits(rng.getrandbits(64))
         for _ in range(4):
             bits.drawn = 0
-            _pick(den, cum, bits)
+            ref_integer_pick(den, cum, bits)
             several += bits.drawn >= 2
             total += 1
     assert several >= 0.8 * total
     assert {len(random_weights(rng)) for _ in range(500)} == set(range(1, 9))
 
 
-MC_KINDS = ["pba", "fpm", "hpba", "pra", "two-sink", "ring"]
+MC_KINDS = ["pba", "fpm", "hpba", "pra", "two-sink", "ring", "stretch", "succinct"]
 
 
 def mc_case(rng: random.Random, kind: str):
@@ -1414,6 +1522,8 @@ def mc_case(rng: random.Random, kind: str):
 
     The conftest machines mostly accept with probability 0 or 1, where any
     walk gives the same mean; the two-sink and ring machines mostly do not.
+    The stretch rings and succinct monitors have chains with single-target
+    stretches of two steps or more.
     """
     n = rng.randint(1, 6)
     aut = {
@@ -1423,6 +1533,8 @@ def mc_case(rng: random.Random, kind: str):
         "pra": lambda: random_pra(rng, n, rng.randint(1, 3)),
         "two-sink": lambda: two_sink_pba(rng, n),
         "ring": lambda: leaky_ring(rng, n, rabin=rng.random() < 0.5),
+        "stretch": lambda: stretch_ring(rng, n + 2),
+        "succinct": lambda: gen_succinct(n),
     }[kind]()
     return aut, random_lasso(rng, aut.alphabet, 3)
 
@@ -1448,6 +1560,74 @@ def test_mc_cases_have_mixed_means():
     assert mixed >= 60
 
 
+def test_stretch_cases_jump_and_have_mixed_means():
+    # Guard against a vacuous jump: many drawn stretch rings must have a
+    # sample that moves two or more steps in a row from single-target
+    # nodes, which the sampler jumps over, and many a mean strictly
+    # between 0 and 1, which a wrong jump end can move.
+    rng = random.Random(15)
+    jumped = mixed = 0
+    for _ in range(100):
+        aut, w = mc_case(rng, "stretch")
+        samples = list(ref_samples(aut, w, 40, rng.getrandbits(64)))
+        jumped += max(stretch for _, _, stretch in samples) >= 2
+        mixed += 0 < sum(accepted for accepted, _, _ in samples) < 40
+    assert jumped >= 30 and mixed >= 30
+
+
+def line_pba(m: int) -> Automaton:
+    """s0 -> s1 -> ... -> sm with probability one, sm absorbing and
+    accepting: every sample of ``;a`` takes exactly m moves, all of them
+    from single-target nodes."""
+    states = tuple(f"s{i}" for i in range(m + 1))
+    trans = {(q, "a"): ((states[min(i + 1, m)], Fraction(1)),) for i, q in enumerate(states)}
+    return Automaton(name="line", role="pba", alphabet=("a",), states=states, initial="s0",
+                     acceptance=BuchiAcceptance(frozenset({states[-1]})), transitions=trans)
+
+
+def mc_outcome(estimate, aut, w, n, seed):
+    """The estimate, or the cap name and value of the step limit it hit."""
+    try:
+        return estimate(aut, w, n, seed)
+    except ResourceLimitError as err:
+        return err.cap_name, err.cap_value
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_mc_step_limit_counts_every_step_of_a_stretch(monkeypatch, m):
+    aut, w = line_pba(m), LassoWord((), ("a",))
+    for limit in range(m + 2):
+        monkeypatch.setattr(sim, "MC_STEP_LIMIT", limit)
+        got = mc_outcome(mc_lasso_estimate, aut, w, 5, 8)
+        assert got == mc_outcome(partial(ref_mc_estimate, limit=limit), aut, w, 5, 8)
+        assert got == (("step_cap", limit) if limit < m else McEstimate(1.0, 0.0, 5, 8))
+
+
+@pytest.mark.parametrize("case", ["stretch ring", "leaky ring", "succinct"])
+def test_mc_step_limit_boundary_matches_reference(monkeypatch, case):
+    # With the limit at the most moves any of the n samples needs, all
+    # answer; one below, the first sample that needs them raises, and the
+    # samples before it still answer.
+    rng = random.Random(16)
+    aut, w = {
+        "stretch ring": lambda: (stretch_ring(rng, 6), LassoWord(("a",), ("a", "b", "a"))),
+        "leaky ring": lambda: (leaky_ring(rng, 4, rabin=False), LassoWord((), ("a", "b"))),
+        "succinct": lambda: (gen_succinct(3), LassoWord(("b",), tuple("abbc"))),
+    }[case]()
+    n, seed = 200, 17
+    samples = list(ref_samples(aut, w, n, seed))
+    most = max(moves for _, moves, _ in samples)
+    first = next(i for i, (_, moves, _) in enumerate(samples) if moves == most)
+    assert most >= 3 and first >= 1
+    monkeypatch.setattr(sim, "MC_STEP_LIMIT", most)
+    assert mc_lasso_estimate(aut, w, n, seed) == ref_mc_estimate(aut, w, n, seed, limit=most)
+    monkeypatch.setattr(sim, "MC_STEP_LIMIT", most - 1)
+    assert mc_lasso_estimate(aut, w, first, seed) == ref_mc_estimate(aut, w, first, seed, limit=most - 1)
+    for count in (first + 1, n):
+        assert mc_outcome(mc_lasso_estimate, aut, w, count, seed) == ("step_cap", most - 1)
+        assert mc_outcome(partial(ref_mc_estimate, limit=most - 1), aut, w, count, seed) == ("step_cap", most - 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(SEEDS)
 def test_monitor_feed_matches_reference_loop_on_long_streams(seed):
@@ -1461,7 +1641,7 @@ def test_monitor_feed_matches_reference_loop_on_long_streams(seed):
     got = [session.feed(a) for a in word]
     rejects, state = ref_monitor_run(m, word)
     assert got == rejects
-    assert list(session._state.items()) == list(state.items())
+    assert list(ref_session_state(session).items()) == list(state.items())
     assert list(monitor_stream(m, word)) == [Fraction(0)] + rejects
 
 
@@ -1488,9 +1668,9 @@ def test_monitor_denominator_stays_bounded():
     widest = 0
     for _ in range(5000):
         assert session.feed("a") == 0
-        widest = max(widest, session._den.bit_length())
+        widest = max(widest, ref_session_den(session).bit_length())
     assert widest < 64
-    assert session._state == {"s": half, "t": half}
+    assert ref_session_state(session) == {"s": half, "t": half}
 
 
 def test_monitor_denominator_stays_bounded_on_odd_weights():
@@ -1513,9 +1693,9 @@ def test_monitor_denominator_stays_bounded_on_odd_weights():
     widest = 0
     for _ in range(5000):
         assert session.feed("a") == 0
-        widest = max(widest, session._den.bit_length())
+        widest = max(widest, ref_session_den(session).bit_length())
     assert widest < 64
-    assert session._state == {"s": sixth, "t": 5 * sixth}
+    assert ref_session_state(session) == {"s": sixth, "t": 5 * sixth}
 
 
 # A prime far above the rows' other primes, next to products of the small
@@ -1572,10 +1752,9 @@ def feed_mixed_prime_case(m, word):
         got.append(r)
         # The split is the running denominator's: an odd part and a power of two.
         assert session._odd % 2 == 1 and session._twos >= 0
-        assert session._odd << session._twos == session._den
         mixed |= session._twos > 0 and any(session._odd % p == 0 for p in (3, 5, 7))
         big |= session._odd % BIG_PRIME == 0
-        big_content |= r > 0 and (session._den // r.denominator) % BIG_PRIME == 0
+        big_content |= r > 0 and (ref_session_den(session) // r.denominator) % BIG_PRIME == 0
     return got, session, (mixed, big, big_content)
 
 
@@ -1589,7 +1768,7 @@ def test_monitor_feed_matches_reference_loop_on_mixed_primes(seed):
     assert got == rejects
     assert [(r.numerator, r.denominator) for r in got] == [
         (r.numerator, r.denominator) for r in rejects]
-    assert list(session._state.items()) == list(state.items())
+    assert list(ref_session_state(session).items()) == list(state.items())
 
 
 def test_mixed_prime_cases_exercise_both_factor_kinds():

@@ -77,6 +77,16 @@ def test_mc_reproducible_and_seed_sensitive():
     assert (a.mean, a.seed) != (c.mean, c.seed)
 
 
+def test_mc_reads_the_seed_modulo_2_64():
+    m, w = gen_m_id(), lasso("0", "10")
+    for seed, same in ((-1, 2**64 - 1), (0, 2**64), (7, 7 - 3 * 2**64)):
+        a, b = mc_lasso_estimate(m, w, 3000, seed), mc_lasso_estimate(m, w, 3000, same)
+        assert (a.mean, a.stderr, a.samples) == (b.mean, b.stderr, b.samples)
+        assert (a.seed, b.seed) == (seed, same)
+    means = {mc_lasso_estimate(m, w, 3000, seed).mean for seed in (-1, 0, 7)}
+    assert len(means) == 3
+
+
 def test_mc_seeds_agree_within_six_stderr():
     m = gen_m_id()
     w = lasso("", "10")
