@@ -26,7 +26,7 @@ from .core import (
     ranking_violations,
     require_valid,
 )
-from .graphs import accepting_cycles, coreachable
+from .graphs import accepting_cycle, reaching
 from .textio import integer, rational
 
 __all__ = [
@@ -352,10 +352,10 @@ def safety_closure(h: Automaton) -> Automaton:
     """
     nba = hpba_to_nba(h)
     adjacency = nba.support_adjacency()
-    cycles = accepting_cycles(nba.states, adjacency, nba.final_states)
+    finals = nba.final_states
     # States that can reach an accepting cycle.
-    live = coreachable([q for comp in cycles for q in comp], adjacency)
-    positive = tuple(q for q in h.states if pair_state(q, "0") in live)
+    live = reaching(nba.states, adjacency, lambda comp: accepting_cycle(comp, adjacency, finals))
+    positive = tuple(q for q in h.states if live[pair_state(q, "0")])
 
     if h.initial not in positive:
         return _empty_nba(f"closure({h.name})", h.alphabet, h.initial)

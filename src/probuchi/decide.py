@@ -63,7 +63,7 @@ from .core import (
     require_valid,
 )
 from .construct import _empty_nba, complement_to_fpm, hpba_to_nba
-from .graphs import accepting_cycles, bottom_sccs, coreachable, lasso_product, tarjan_sccs
+from .graphs import accepting_cycle, lasso_product, reaching, tarjan_sccs
 from .markov import (
     _bscc_accepting,
     _cycle_values,
@@ -400,11 +400,12 @@ def _lasso_member(a: Automaton, w: LassoWord) -> bool:
     nodes, _, adjacency = lasso_product(
         current, w.cycle, lambda q, s: [(t, None) for t in rows.get((q, s), ())], a.index
     )
+    components = tarjan_sccs(nodes, adjacency)
     if a.role == "dra":
-        (loop,) = bottom_sccs(nodes, adjacency)
-        return _bscc_accepting(a, loop)
-    finals = a.final_states
-    return bool(accepting_cycles(nodes, adjacency, {n for n in nodes if n[0] in finals}))
+        # the graph's one bottom component, which Tarjan emits first
+        return _bscc_accepting(a, components[0])
+    finals = {n for n in nodes if n[0] in a.final_states}
+    return any(accepting_cycle(comp, adjacency, finals) for comp in components)
 
 
 def nba_emptiness(a: Automaton) -> LassoWord | None:
@@ -633,13 +634,13 @@ def _quotient(
     ids = [[row_id.setdefault(tuple(row), len(row_id)) for row in rows] for rows in table]
     adjacency: dict[int, Sequence[int]] = {q: [~r for r in rids] for q, rids in enumerate(ids)}
     adjacency.update((~r, row) for r, row in enumerate(row_id))
-    cycles = accepting_cycles(range(len(table)), adjacency, finals)
-    live = coreachable([q for comp in cycles for q in comp], adjacency)
-    if initial not in live:
+    live = reaching(range(len(table)), adjacency,
+                    lambda comp: accepting_cycle(comp, adjacency, finals))
+    if not live[initial]:
         return _empty_nba(name, alphabet, "kv0")
     # live successors; forward reachability within live states closes keep
     # under them, so from a kept state they all stay in keep
-    succ = [[t for t in row if t in live] for row in row_id]
+    succ = [[t for t in row if live[t]] for row in row_id]
     symbols = range(len(alphabet))
     kept = sorted(q for q, _ in _discover([(initial, ())], lambda q, i: succ[ids[q][i]],
                                           symbols))
@@ -873,15 +874,16 @@ def _loop_starts(p: tuple[int, ...], n: int) -> int:
     touch a final state, q qualifies iff it reaches a cycle through a
     marked edge: a run of v^omega that touches a final once per turn of
     that cycle.  A marked edge lies on a cycle iff its ends share a
-    component, so one SCC search and one backward search decide every q.
+    component, so one pass over the components decides every q.
     """
     full = (1 << n) - 1
     adjacency = {s: _members(r & full) for s, r in enumerate(p) if r & full}
-    comp: dict[int, int] = {}  # each state's component, as a mask
-    for c in tarjan_sccs(range(n), adjacency):
-        comp.update(dict.fromkeys(c, sum(1 << s for s in c)))
-    loops = [s for s, r in enumerate(p) if r >> n & comp[s]]
-    return sum(1 << q for q in coreachable(loops, adjacency))
+
+    def loop(comp: list[int]) -> bool:
+        mask = sum(1 << s for s in comp)
+        return any(p[s] >> n & mask for s in comp)
+
+    return sum(1 << q for q, hit in reaching(range(n), adjacency, loop).items() if hit)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@
   topological order;
 - :func:`sccs_topological`: the same components in deterministic
   topological order (hierarchy levels);
-- :func:`bottom_sccs`: components with no outgoing edge, where a finite
-  Markov chain is absorbed (lasso chains, macro-step support graphs);
-- :func:`accepting_cycles`: components holding a cycle through a final node
-  (NBA lasso membership, trimming, safety closure);
-- :func:`coreachable`: every node with a path into a target set, by one
-  search over reversed edges;
+- :func:`accepting_cycle`: does a component hold a cycle through a final
+  node (NBA lasso membership, trimming, safety closure);
+- :func:`reaching`: which marked components each node reaches, one bit per
+  kind of mark, by one forward scan of Tarjan's emission order (the bottom
+  components of a lasso chain and the nodes that reach each kind, the
+  states that reach an accepting cycle);
 - :func:`lasso_product`: the reachable (state, cycle position) graph of a
   lasso's cycle, which exact lasso acceptance weighs with probabilities and
   NBA lasso membership searches for accepting cycles.
@@ -20,13 +20,14 @@ chains cannot hit Python's recursion limit.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 W = TypeVar("W")
 
-__all__ = ["tarjan_sccs", "sccs_topological", "bottom_sccs", "accepting_cycles",
-           "coreachable", "lasso_product"]
+__all__ = ["tarjan_sccs", "sccs_topological", "accepting_cycle", "reaching",
+           "lasso_product"]
 
 
 def tarjan_sccs(
@@ -84,8 +85,8 @@ def sccs_topological(
 ) -> list[list[N]]:
     """SCCs sorted topologically, ties broken by smallest member ``order``.
 
-    Kahn's algorithm on the condensation with an order-sorted ready set,
-    which makes the numbering deterministic.
+    Kahn's algorithm on the condensation with its ready set in a heap keyed
+    by smallest member ``order``, which makes the numbering deterministic.
     """
     comps = tarjan_sccs(nodes, adjacency)
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
@@ -97,72 +98,52 @@ def sccs_topological(
             if ci != cj and cj not in succs[ci]:
                 succs[ci].add(cj)
                 indeg[cj] += 1
+    # (smallest member order, component): the keys are unique, so the heap
+    # pops the components in the order a sorted ready list would
     key = [min(order[n] for n in comp) for comp in comps]
-    ready = sorted((i for i in range(len(comps)) if indeg[i] == 0), key=lambda i: key[i])
+    ready = [(key[i], i) for i in range(len(comps)) if indeg[i] == 0]
+    heapq.heapify(ready)
     out: list[list[N]] = []
     while ready:
-        i = ready.pop(0)
+        _, i = heapq.heappop(ready)
         out.append(sorted(comps[i], key=lambda n: order[n]))
-        changed = False
         for j in succs[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                ready.append(j)
-                changed = True
-        if changed:
-            ready.sort(key=lambda i: key[i])
+                heapq.heappush(ready, (key[j], j))
     return out
 
 
-def bottom_sccs(
-    nodes: Sequence[N], adjacency: Mapping[N, Sequence[N]]
-) -> list[list[N]]:
-    """SCCs with no outgoing edges; a finite Markov chain is absorbed into these."""
-    comps = tarjan_sccs(nodes, adjacency)
-    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
-    bottom = []
-    for i, comp in enumerate(comps):
-        if all(comp_of[m] == i for n in comp for m in adjacency.get(n, ())):
-            bottom.append(comp)
-    return bottom
-
-
-def accepting_cycles(
-    nodes: Sequence[N], adjacency: Mapping[N, Sequence[N]], final: Container[N]
-) -> list[list[N]]:
-    """SCCs that hold a cycle through a node of ``final``, in Tarjan order.
+def accepting_cycle(
+    comp: Sequence[N], adjacency: Mapping[N, Sequence[N]], final: Container[N]
+) -> bool:
+    """Does component ``comp`` hold a cycle through a node of ``final``?
 
     A component holds a cycle when it has two or more nodes or a self-loop;
     a run that reaches one can then visit a final node infinitely often.
     """
-    return [
-        comp
-        for comp in tarjan_sccs(nodes, adjacency)
-        if (len(comp) > 1 or comp[0] in adjacency.get(comp[0], ()))
-        and any(n in final for n in comp)
-    ]
+    has_cycle = len(comp) > 1 or comp[0] in adjacency.get(comp[0], ())
+    return has_cycle and any(n in final for n in comp)
 
 
-def coreachable(
-    targets: Iterable[N], adjacency: Mapping[N, Sequence[N]]
-) -> set[N]:
-    """Nodes with a path, possibly empty, into ``targets``.
+def reaching(
+    nodes: Sequence[N], adjacency: Mapping[N, Sequence[N]], mark: Callable[[list[N]], int]
+) -> dict[N, int]:
+    """For every node reachable from ``nodes``, the OR of ``mark(C)`` over
+    each component C it reaches, its own included.
 
-    One depth-first search over the reversed edges, linear in the graph.
-    ``adjacency`` must list every node that has an outgoing edge.
+    Tarjan emits a component after every component it reaches, so one scan
+    in emission order reads each successor's answer before it is needed; no
+    reversed graph is built, and the whole pass is linear in the graph.
     """
-    reverse: dict[N, list[N]] = {}
-    for v, succs in adjacency.items():
-        for w in succs:
-            reverse.setdefault(w, []).append(v)
-    seen = set(targets)
-    stack = list(seen)
-    while stack:
-        for v in reverse.get(stack.pop(), ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    out: dict[N, int] = {}
+    for comp in tarjan_sccs(nodes, adjacency):
+        bits = mark(comp)
+        for n in comp:
+            for m in adjacency.get(n, ()):
+                bits |= out.get(m, 0)  # 0 for a member of comp, still unset
+        out.update(dict.fromkeys(comp, bits))
+    return out
 
 
 def lasso_product(

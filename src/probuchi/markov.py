@@ -32,7 +32,7 @@ from .core import (
     RabinAcceptance,
     require_valid,
 )
-from .graphs import bottom_sccs, coreachable, lasso_product
+from .graphs import lasso_product, reaching
 
 __all__ = [
     "RationalMatrix",
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+# a chain node's value by the marks of the bottom components it reaches
+_VALUE_OF_MARKS = {1: _ONE, 2: _ZERO, 3: None}
 
 
 @dataclass(frozen=True)
@@ -252,34 +254,31 @@ def _chain(
         aut.index,
     )
 
-    bottoms = bottom_sccs(nodes, adjacency)
-    accepting = [_bscc_accepting(aut, comp) for comp in bottoms]
-    bscc_value = {
-        n: _ONE if acc else _ZERO for comp, acc in zip(bottoms, accepting) for n in comp
-    }
-    # A transient node that can only reach accepting (or only rejecting)
-    # bottom components already has value 1 (or 0); only mixed nodes need
-    # the linear system.
-    reach_acc = coreachable([n for n, v in bscc_value.items() if v], adjacency)
-    reach_rej = coreachable([n for n, v in bscc_value.items() if not v], adjacency)
+    # One pass marks each bottom component 1 if accepting, 2 if rejecting,
+    # and gives every node the OR of the marks it reaches: a transient node
+    # that reaches only accepting (or only rejecting) bottom components
+    # already has value 1 (or 0); only mixed nodes, bits 3, need the linear
+    # system.  Every node reaches some bottom component, so no node reads 0.
+    bottoms: list[tuple[list[tuple[str, int]], bool]] = []
 
-    value_of: dict[tuple[str, int], Fraction | None] = {}
-    for n in nodes:
-        if n in bscc_value:
-            value_of[n] = bscc_value[n]
-        elif n in reach_acc and n in reach_rej:
-            value_of[n] = None
-        else:
-            value_of[n] = _ONE if n in reach_acc else _ZERO
+    def mark(comp: list[tuple[str, int]]) -> int:
+        members = set(comp)
+        if any(t not in members for n in comp for t in adjacency[n]):
+            return 0
+        accepting = _bscc_accepting(aut, comp)
+        bottoms.append((comp, accepting))
+        return 1 if accepting else 2
 
+    reach = reaching(nodes, adjacency, mark)
+    accepting = sum(acc for _, acc in bottoms)
     return LassoChain(
         nodes=tuple(nodes),
         edges=edges,
         initial={(q, 0): p for q, p in masses.items()},
-        value_of=value_of,
-        bscc_nodes=frozenset(bscc_value),
-        accepting_bsccs=sum(accepting),
-        rejecting_bsccs=len(accepting) - sum(accepting),
+        value_of={n: _VALUE_OF_MARKS[reach[n]] for n in nodes},
+        bscc_nodes=frozenset(n for comp, _ in bottoms for n in comp),
+        accepting_bsccs=accepting,
+        rejecting_bsccs=len(bottoms) - accepting,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -620,7 +621,7 @@ def test_nba_universality_rechecks_its_probe(monkeypatch):
 
     # With no state reaching an accepting loop, the probe calls the first
     # lasso rejected; inf_many_a accepts it, and the re-check must say so.
-    monkeypatch.setattr(decide, "coreachable", lambda targets, adjacency: set())
+    monkeypatch.setattr(decide, "reaching", lambda nodes, adjacency, mark: defaultdict(int))
     with pytest.raises(CertificationError, match="counterexample ;a is accepted"):
         nba_universality(inf_many_a())
 

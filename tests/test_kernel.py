@@ -70,7 +70,8 @@ from probuchi.decide import (
     transition_monoid,
     verify_subset_witness,
 )
-from probuchi.graphs import accepting_cycles, coreachable, tarjan_sccs
+from probuchi import graphs as graphs_module
+from probuchi.graphs import accepting_cycle, reaching, tarjan_sccs
 from probuchi.markov import (
     RationalMatrix,
     _absorption,
@@ -237,6 +238,76 @@ def ref_fixpoint(nodes, adjacency, targets):
                 reach.add(n)
                 changed = True
     return reach
+
+
+def ref_bottom_sccs(nodes, adjacency):
+    """SCCs with no outgoing edges; a finite Markov chain is absorbed into these."""
+    comps = tarjan_sccs(nodes, adjacency)
+    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
+    bottom = []
+    for i, comp in enumerate(comps):
+        if all(comp_of[m] == i for n in comp for m in adjacency.get(n, ())):
+            bottom.append(comp)
+    return bottom
+
+
+def ref_accepting_cycles(nodes, adjacency, final):
+    """SCCs that hold a cycle through a node of ``final``, in Tarjan order.
+
+    A component holds a cycle when it has two or more nodes or a self-loop.
+    """
+    return [
+        comp
+        for comp in tarjan_sccs(nodes, adjacency)
+        if (len(comp) > 1 or comp[0] in adjacency.get(comp[0], ()))
+        and any(n in final for n in comp)
+    ]
+
+
+def ref_coreachable(targets, adjacency):
+    """Nodes with a path, possibly empty, into ``targets``: one depth-first
+    search over the reversed edges.  ``adjacency`` must list every node that
+    has an outgoing edge."""
+    reverse = {}
+    for v, succs in adjacency.items():
+        for w in succs:
+            reverse.setdefault(w, []).append(v)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for v in reverse.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def ref_live(nodes, adjacency, final):
+    """The nodes that reach a cycle through ``final``, by the two searches
+    :func:`reaching` replaced."""
+    cycles = ref_accepting_cycles(nodes, adjacency, final)
+    return ref_coreachable([q for comp in cycles for q in comp], adjacency)
+
+
+def ref_chain_classes(aut, chain):
+    """(value_of, bscc_nodes, accepting, rejecting) of ``chain`` from its own
+    nodes and edges, by a bottom-component search and one reversed search per
+    kind of bottom component."""
+    adjacency = {n: [t for t, _ in chain.edges[n]] for n in chain.nodes}
+    bottoms = ref_bottom_sccs(chain.nodes, adjacency)
+    accepting = [_bscc_accepting(aut, comp) for comp in bottoms]
+    bscc_value = {n: Fraction(int(acc)) for comp, acc in zip(bottoms, accepting) for n in comp}
+    reach_acc = ref_coreachable([n for n, v in bscc_value.items() if v], adjacency)
+    reach_rej = ref_coreachable([n for n, v in bscc_value.items() if not v], adjacency)
+    value_of = {}
+    for n in chain.nodes:
+        if n in bscc_value:
+            value_of[n] = bscc_value[n]
+        elif n in reach_acc and n in reach_rej:
+            value_of[n] = None
+        else:
+            value_of[n] = Fraction(1) if n in reach_acc else Fraction(0)
+    return value_of, frozenset(bscc_value), sum(accepting), len(accepting) - sum(accepting)
 
 
 def ref_chain_values(aut, w):
@@ -583,8 +654,7 @@ def ref_reduce_nba(a):
     """Trim and bisimulation quotient with its own two searches."""
     adjacency = a.support_adjacency()
     finals = a.final_states
-    cycles = accepting_cycles(a.states, adjacency, finals)
-    live = coreachable([q for comp in cycles for q in comp], adjacency)
+    live = ref_live(a.states, adjacency, finals)
     keep = set()
     if a.initial in live:
         stack = [a.initial]
@@ -773,7 +843,7 @@ def ref_nba_lasso_member(a, w):
     finals = a.final_states
     nodes = sorted(seen, key=lambda n: (n[1], a.index[n[0]]))
     final_nodes = {n for n in nodes if n[0] in finals}
-    return bool(accepting_cycles(nodes, edges, final_nodes))
+    return bool(ref_accepting_cycles(nodes, edges, final_nodes))
 
 
 def ref_per_lasso_containment(b1, b2, semantics, bound):
@@ -937,11 +1007,18 @@ def graphs(draw):
     return list(range(n)), adjacency, targets
 
 
+def coreached(nodes, adjacency, targets):
+    """The nodes with a path into ``targets``, read off :func:`reaching` with
+    the mark "the component holds a target"."""
+    reach = reaching(nodes, adjacency, lambda comp: any(n in targets for n in comp))
+    return {n for n, hit in reach.items() if hit}
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs())
 def test_coreachable_matches_fixpoint(graph):
     nodes, adjacency, targets = graph
-    assert coreachable(targets, adjacency) == ref_fixpoint(nodes, adjacency, targets)
+    assert coreached(nodes, adjacency, targets) == ref_fixpoint(nodes, adjacency, targets)
 
 
 @settings(max_examples=100, deadline=None)
@@ -951,12 +1028,14 @@ def test_coreachable_matches_fixpoint_on_nba_support_graphs(seed):
     a = random_nba(rng, rng.randint(1, 8), rng.choice([("a", "b"), ("a", "b", "c")]))
     adjacency = a.support_adjacency()
     targets = [q for q in a.states if rng.random() < 0.3]
-    assert coreachable(targets, adjacency) == ref_fixpoint(a.states, adjacency, targets)
+    assert coreached(a.states, adjacency, targets) == ref_fixpoint(a.states, adjacency, targets)
 
 
-@settings(max_examples=150, deadline=None)
-@given(SEEDS, st.sampled_from(["pba", "fpm", "hpba", "pra", "two-sink"]))
-def test_lasso_chain_matches_fixpoint_chain(seed, kind):
+CHAIN_KINDS = ["pba", "fpm", "hpba", "pra", "two-sink"]
+
+
+def chain_case(seed, kind):
+    """A random automaton of ``kind`` and a random lasso over its alphabet."""
     rng = random.Random(seed)
     n = rng.randint(1, 6)
     aut = {
@@ -966,13 +1045,130 @@ def test_lasso_chain_matches_fixpoint_chain(seed, kind):
         "pra": lambda: random_pra(rng, n, rng.randint(1, 3)),
         "two-sink": lambda: two_sink_pba(rng, n),
     }[kind]()
-    w = random_lasso(rng, aut.alphabet, 5)
+    return aut, random_lasso(rng, aut.alphabet, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from(CHAIN_KINDS))
+def test_lasso_chain_matches_fixpoint_chain(seed, kind):
+    aut, w = chain_case(seed, kind)
     chain = build_lasso_chain(aut, w)
     value_of, bscc_nodes, n_acc, n_rej = ref_chain_values(aut, w)
     assert chain.value_of == value_of
     assert list(chain.value_of) == list(value_of)
     assert chain.bscc_nodes == bscc_nodes
     assert (chain.accepting_bsccs, chain.rejecting_bsccs) == (n_acc, n_rej)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.sampled_from(CHAIN_KINDS))
+def test_lasso_chain_classes_match_reversed_searches(seed, kind):
+    # The one reaching pass of _chain against the searches it replaced: a
+    # bottom-component search and a reversed search per kind of component.
+    aut, w = chain_case(seed, kind)
+    chain = build_lasso_chain(aut, w)
+    value_of, bscc_nodes, n_acc, n_rej = ref_chain_classes(aut, chain)
+    assert list(chain.value_of.items()) == list(value_of.items())
+    assert chain.bscc_nodes == bscc_nodes
+    assert (chain.accepting_bsccs, chain.rejecting_bsccs) == (n_acc, n_rej)
+
+
+def test_chain_cases_have_mixed_nodes_and_both_kinds():
+    # Guard against a vacuous chain differential: of the 500 chains at seeds
+    # 0-99 of every kind, at least 60 hold a mixed node (value None) and at
+    # least 75 hold both kinds of bottom component (76 and 92 today).  Most
+    # come from two_sink_pba; the plain kinds must give at least 8 mixed
+    # chains and 10 with both kinds (11 and 15 today).
+    counts = {"mixed": 0, "both": 0, "plain mixed": 0, "plain both": 0}
+    for kind in CHAIN_KINDS:
+        for seed in range(100):
+            aut, w = chain_case(seed, kind)
+            value_of, _, n_acc, n_rej = ref_chain_classes(aut, build_lasso_chain(aut, w))
+            mixed = any(v is None for v in value_of.values())
+            both = n_acc > 0 and n_rej > 0
+            counts["mixed"] += mixed
+            counts["both"] += both
+            counts["plain mixed"] += mixed and kind != "two-sink"
+            counts["plain both"] += both and kind != "two-sink"
+    assert counts["mixed"] >= 60 and counts["both"] >= 75, counts
+    assert counts["plain mixed"] >= 8 and counts["plain both"] >= 10, counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_accepting_cycle_reach_matches_reversed_search(seed):
+    rng = random.Random(seed)
+    a = random_nba(rng, rng.randint(1, 8), rng.choice([("a", "b"), ("a", "b", "c")]))
+    adjacency = a.support_adjacency()
+    finals = a.final_states
+    reach = reaching(a.states, adjacency, lambda comp: accepting_cycle(comp, adjacency, finals))
+    assert {q for q, hit in reach.items() if hit} == ref_live(a.states, adjacency, finals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_quotient_live_states_match_reversed_search(seed):
+    # Every reaching pass inside _quotient, on the complement and on the
+    # reduction of a random NBA, keeps the states that the two reversed
+    # searches find on the plain successor graph of the table.
+    rng = random.Random(seed)
+    a = random_nba(rng, rng.randint(1, 5), ("a", "b"))
+    checked = []
+    real_quotient, real_reaching = decide._quotient, decide.reaching
+    seen = {}
+
+    def quotient(name, alphabet, table, finals, initial):
+        seen["graph"] = table, finals
+        return real_quotient(name, alphabet, table, finals, initial)
+
+    def reach(nodes, adjacency, mark):
+        out = real_reaching(nodes, adjacency, mark)
+        table, finals = seen.pop("graph")
+        plain = {q: sorted({t for row in rows for t in row}) for q, rows in enumerate(table)}
+        want = ref_live(range(len(table)), plain, finals)
+        assert {q for q in range(len(table)) if out[q]} == want
+        checked.append(len(table))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_quotient", quotient)
+        mp.setattr(decide, "reaching", reach)
+        _reduce_nba(a)
+        try:
+            nba_complement(a)
+        except ResourceLimitError:
+            pass
+    assert checked
+
+
+def counted_tarjan(monkeypatch):
+    """Count every tarjan_sccs call, from graphs.reaching and from decide."""
+    calls = []
+
+    def counted(nodes, adjacency):
+        calls.append(len(nodes))
+        return tarjan_sccs(nodes, adjacency)
+
+    for module in (graphs_module, decide):
+        monkeypatch.setattr(module, "tarjan_sccs", counted)
+    return calls
+
+
+def test_one_tarjan_pass_per_chain_quotient_and_loop_search(monkeypatch):
+    rng = random.Random(5)
+    aut = two_sink_pba(rng, 4)
+    require_valid(aut)
+    nba = random_nba(rng, 5, ("a", "b"))
+    calls = counted_tarjan(monkeypatch)
+    for _ in range(3):
+        lasso_acceptance(aut, random_lasso(rng, aut.alphabet, 4))
+    assert len(calls) == 3
+    _reduce_nba(nba)
+    assert len(calls) == 4
+    n = 4
+    profile = tuple(rng.randrange(1 << 2 * n) for _ in range(n))
+    decide._loop_starts(profile, n)
+    assert len(calls) == 5
 
 
 @st.composite
@@ -1217,8 +1413,7 @@ def test_twinned_nbas_merge_states():
     for _ in range(300):
         a = twinned_nba(rng)
         adjacency = a.support_adjacency()
-        cycles = accepting_cycles(a.states, adjacency, a.final_states)
-        live = coreachable([q for comp in cycles for q in comp], adjacency)
+        live = ref_live(a.states, adjacency, a.final_states)
         kept, stack = {a.initial}, [a.initial]
         while stack:
             for t in adjacency[stack.pop()]:

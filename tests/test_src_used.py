@@ -6,7 +6,8 @@ outside its own definition, or when its module lists it in ``__all__``.
 A method or property of a class in ``src/probuchi`` (any ``def`` in a class
 body but a dunder) counts as used when an attribute read of its name
 appears in ``src/`` or ``demos/``: an assignment such as ``self.x = ...``
-does not use a member ``x``.  Dataclass fields are not checked.
+does not use a member ``x``, and a read of ``self.x`` inside a class body
+uses only that class's member ``x``.  Dataclass fields are not checked.
 Code that only the tests reach belongs in ``tests/`` as a ``ref_*`` oracle.
 """
 
@@ -58,18 +59,65 @@ def test_every_definition_in_src_is_used_outside_the_tests():
     assert not unused, f"defined in src/ but used only by the tests, or not at all: {unused}"
 
 
-def test_every_class_member_in_src_is_used_outside_the_tests():
-    attributes, members = set(), []
-    for path in sources():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        attributes |= {node.attr for node in ast.walk(tree)
-                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-        if path.parent != SRC:
-            continue
+def attribute_reads(tree: ast.Module) -> set[tuple[str | None, str]]:
+    """(class, name) for every attribute read in ``tree``.  A read of
+    ``self.<name>`` inside a class body is tied to that class; any other
+    read is tied to None, and counts for every class."""
+    out = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                on_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+                out.add((owner if on_self else None, child.attr))
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def unused_members(src: list[ast.Module], others: list[ast.Module]) -> list[str]:
+    """``Class.member`` for every method or property of a class in ``src``
+    that no attribute read in ``src`` or ``others`` uses."""
+    reads, members = set(), []
+    for tree in src + others:
+        reads |= attribute_reads(tree)
+    for tree in src:
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            for stmt in cls.body:
-                if isinstance(stmt, FUNCTIONS) and not stmt.name.startswith("__"):
-                    members.append((f"{cls.name}.{stmt.name}", f"{path.name}:{stmt.lineno}"))
-    unused = [(member, where) for member, where in members
-              if member.rpartition(".")[2] not in attributes and member not in CALLED_FROM_OUTSIDE]
+            members += [(cls.name, stmt.name) for stmt in cls.body
+                        if isinstance(stmt, FUNCTIONS) and not stmt.name.startswith("__")]
+    return [f"{cls}.{name}" for cls, name in members
+            if (None, name) not in reads and (cls, name) not in reads]
+
+
+def test_every_class_member_in_src_is_used_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources()}
+    unused = unused_members([tree for path, tree in trees.items() if path.parent == SRC],
+                            [tree for path, tree in trees.items() if path.parent != SRC])
+    unused = [member for member in unused if member not in CALLED_FROM_OUTSIDE]
     assert not unused, f"class members in src/ used only by the tests, or not at all: {unused}"
+
+
+def test_a_self_read_counts_only_for_its_own_class():
+    # A._x is read only as self._x inside B, which has an _x of its own, so
+    # A._x is unused; a read on any other expression counts for every class.
+    source = """
+class A:
+    @property
+    def _x(self):
+        return 0
+
+class B:
+    def __init__(self):
+        self._x = 1
+
+    def get(self):
+        return self._x
+
+B().get()
+"""
+    assert unused_members([ast.parse(source)], []) == ["A._x"]
+    assert unused_members([ast.parse(source)], [ast.parse("obj._x")]) == []
