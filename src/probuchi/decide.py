@@ -29,14 +29,15 @@ Long searches accept a cooperative ``cancel`` callback (return True to stop,
 raises :class:`SearchCancelled`); the monoid, profile and subset searches
 also take an optional ``progress`` callback that receives short status
 strings.  Every breadth-first search is one generator, :func:`_discover`,
-which hands out elements lazily in discovery order.  Both monoids come
-from one kernel, :func:`_monoid`, as its elements with their shortest
-words, one :func:`_image` per row and letter; :func:`transition_monoid`
-returns them as one map, and the witnesses of monitor positive emptiness
-and universality read them only up to their first hit, each element
-through one :func:`_closure`.  All functions are pure; deterministic
-tie-breaking (shortest first, then symbol declaration order) makes
-outputs reproducible.
+which hands out elements lazily in discovery order, so a caller that
+wants one element stops there.  Both monoids come from one kernel,
+:func:`_monoid`, the profile monoid on one :func:`_profile_tables`, as
+elements with their shortest words, one :func:`_image` per row and letter;
+:func:`transition_monoid` returns them as one map, and the witnesses of
+monitor positive emptiness and universality read them only up to their
+first hit, each element through one :func:`_closure`.  All functions are
+pure; deterministic tie-breaking (shortest first, then symbol declaration
+order) makes outputs reproducible.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ from .markov import (
     _cycle_values,
     _lasso_value,
     _passage,
+    _passage_row,
     _walk,
     final_passage_matrix,
     lasso_acceptance,
-    word_matrix,
 )
 from .textio import format_lasso, integer
 
@@ -336,20 +337,9 @@ def _monoid(gens: dict, acts: dict, alphabet: Sequence[S], cap: int, cancel: Can
     return _discover(((gens[a], (a,)) for a in alphabet), step, alphabet, cap, cancel, what)
 
 
-def _lex_reach_words(
-    aut: Automaton, start: str, at_least_one: bool
-) -> dict[str, tuple[str, ...]]:
-    """Shortest, then lexicographically smallest, word reaching each state.
-
-    Words are compared by symbol declaration order.  With ``at_least_one``
-    the empty word does not count, so the start state itself needs a cycle
-    to appear in the result.
-    """
-    if at_least_one:
-        seeds = [(t, (a,)) for a in aut.alphabet for t in aut.successors(start, a)]
-    else:
-        seeds = [(start, ())]
-    return dict(_discover(seeds, aut.successors, aut.alphabet))
+def _first_steps(aut: Automaton, q: str) -> list[tuple[str, tuple[str]]]:
+    """:func:`_discover` seeds for the nonempty words read from ``q``."""
+    return [(t, (a,)) for a in aut.alphabet for t in aut.successors(q, a)]
 
 
 def _walk_stems(
@@ -414,18 +404,19 @@ def nba_emptiness(a: Automaton) -> LassoWord | None:
     The witness reaches some final state on the stem and loops on the cycle;
     among all finals the (stem length + cycle length, stem, cycle) minimum
     under symbol declaration order is returned, re-verified by
-    :func:`nba_lasso_member`.
+    :func:`nba_lasso_member`.  A final's cycle search stops at that final.
     """
     if a.role != "nba":
         raise AutomatonError("emptiness needs an nba")
     require_valid(a)
-    reach = _lex_reach_words(a, a.initial, at_least_one=False)
+    reach = dict(_discover([(a.initial, ())], a.successors, a.alphabet))
     best: tuple | None = None
     best_w: LassoWord | None = None
     for f in a.states:
         if f not in a.final_states or f not in reach:
             continue
-        cyc = _lex_reach_words(a, f, at_least_one=True).get(f)
+        cycles = _discover(_first_steps(a, f), a.successors, a.alphabet)
+        cyc = next((w for t, w in cycles if t == f), None)
         if cyc is None:
             continue
         u = reach[f]
@@ -698,23 +689,36 @@ def _quotient(
 # A profile packs one 2n-bit row per state, reach | fin << n: a path exists,
 # and a path exists through a final state, endpoints included.  Row by row
 # fin is a subset of reach, so right-multiplying by a profile is a support
-# step over its action rows, :func:`_profile_action`.
+# step over its action rows: the rows a left factor's reach bits, then its
+# fin bits, read in the profile.
 
 
-def _profile_action(p: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The rows a left factor's reach bits, then its fin bits, read in ``p``."""
+def _profile_tables(a: Automaton) -> tuple[dict, dict, tuple[int, ...]]:
+    """Per symbol its profile and action rows, then the empty word's profile.
+    A symbol's fin bits are the successors reached while touching a final
+    state at either end."""
+    n = len(a.states)
     full = (1 << n) - 1
-    return p + tuple((r & full) << n for r in p)
+    finals = a.final_states
+    final_mask = sum(1 << a.index[q] for q in finals)
+    gens = {
+        sym: tuple(r | (r if q in finals else r & final_mask) << n
+                   for q, r in zip(a.states, rows))
+        for sym, rows in _symbol_masks(a).items()
+    }
+    acts = {sym: p + tuple((r & full) << n for r in p) for sym, p in gens.items()}
+    unit = tuple(1 << i | (q in finals) << i + n for i, q in enumerate(a.states))
+    return gens, acts, unit
 
 
 def _profile_fixes(rows: Iterable[int], p: tuple[int, ...], n: int) -> bool:
     """Is each of ``rows`` its own product with the profile ``p``?
 
-    A row r times p is :func:`_image` over :func:`_profile_action` (p, n),
-    which is the image of r's reach bits under p, with the reach half of the
-    image of r's fin bits shifted into the fin half; the action rows are
-    never built.  The reach half is compared first, since most products
-    already differ there.
+    A row r times p is :func:`_image` over p's action rows, which is the
+    image of r's reach bits under p, with the reach half of the image of
+    r's fin bits shifted into the fin half; the action rows are never
+    built.  The reach half is compared first, since most products already
+    differ there.
     """
     full = (1 << n) - 1
     for r in rows:
@@ -722,35 +726,6 @@ def _profile_fixes(rows: Iterable[int], p: tuple[int, ...], n: int) -> bool:
         if low & full != r & full or low | (_image(r >> n, p) & full) << n != r:
             return False
     return True
-
-
-def _profile_monoid(
-    a: Automaton, cap: int, cancel: Cancel = None
-) -> dict[tuple[int, ...], tuple[str, ...]]:
-    """Profiles of all nonempty words in discovery order, each with its word."""
-    n = len(a.states)
-    gens = _profile_gens(a)
-    acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
-    return dict(_monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid"))
-
-
-def _profile_gens(a: Automaton) -> dict[str, tuple[int, ...]]:
-    """Per symbol, its profile: each state's successors as reach bits, and
-    as fin bits those reached while touching a final state at either end."""
-    n = len(a.states)
-    finals = a.final_states
-    final_mask = sum(1 << a.index[q] for q in finals)
-    return {
-        sym: tuple(r | (r if q in finals else r & final_mask) << n
-                   for q, r in zip(a.states, rows))
-        for sym, rows in _symbol_masks(a).items()
-    }
-
-
-def _profile_identity(a: Automaton) -> tuple[int, ...]:
-    """The profile of the empty word, the unit of the profile monoid."""
-    n = len(a.states)
-    return tuple(1 << i | (q in a.final_states) << i + n for i, q in enumerate(a.states))
 
 
 def nba_universality(
@@ -773,22 +748,26 @@ def nba_universality(
     loop test reads U only through the states it reaches from the initial
     one, so it runs once per such row and V, and only the U of failing
     rows get the UV = U test.  The profile monoid,
-    single letters included, is capped by the shared monoid cap.
+    single letters included, is capped by the shared monoid cap.  The
+    probe and the monoid share one :func:`_profile_tables`.
     """
     if a.role != "nba":
         raise AutomatonError("universality needs an nba")
     require_valid(a)
-    probed = _universality_probe(a, cancel)
+    tables = _profile_tables(a)
+    probed = _universality_probe(a, tables, cancel)
     if probed is not None:
         _certify(not _lasso_member(a, probed), a, probed, _ACCEPTED)
         return probed
-    elements = _profile_monoid(a, _cap(monoid_cap, MONOID_CAP_ENV, 10**6), cancel)
+    gens, acts, unit = tables
+    cap = _cap(monoid_cap, MONOID_CAP_ENV, 10**6)
+    elements = dict(_monoid(gens, acts, a.alphabet, cap, cancel, "profile monoid"))
     if progress is not None:
         progress(f"profile monoid has {len(elements)} elements")
     n = len(a.states)
     full = (1 << n) - 1
     idx0 = a.index[a.initial]
-    pairs = [(_profile_identity(a), ()), *elements.items()]
+    pairs = [(unit, ()), *elements.items()]
     # Whether u v^omega is rejected depends on u only through the states u
     # reaches from the initial one, so the u are grouped by that row.
     by_row: dict[int, list[int]] = {}
@@ -811,10 +790,11 @@ def nba_universality(
     return None
 
 
-def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None:
+def _universality_probe(a: Automaton, tables: tuple, cancel: Cancel = None) -> LassoWord | None:
     """The first lasso within :data:`_PROBE_BOUND` that ``a`` rejects, or None.
 
-    Lassos come stem by stem, each stem's cycles in :func:`all_words` order.
+    ``tables`` is ``a``'s :func:`_profile_tables`.  Lassos come stem by
+    stem, each stem's cycles in :func:`all_words` order.
     Each stem's successor set is one support step from its prefix's.  Each
     cycle v gets the set of states from which v^omega is accepted, and
     u v^omega is rejected exactly when post(u) misses that set.  Only the
@@ -823,7 +803,7 @@ def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None
     with r = yx is the preimage under x of r's, and a power w^k has w's.
     """
     n = len(a.states)
-    gens = _profile_gens(a)
+    gens, acts, unit = tables
     masks = {sym: tuple(r & (1 << n) - 1 for r in p) for sym, p in gens.items()}
     stems = _walk_stems(
         a.alphabet,
@@ -832,8 +812,7 @@ def _universality_probe(a: Automaton, cancel: Cancel = None) -> LassoWord | None
         lambda m, sym: _image(m, masks[sym]),
         cancel,
     )
-    acts = {sym: _profile_action(p, n) for sym, p in gens.items()}
-    profiles = {(): _profile_identity(a)}
+    profiles = {(): unit}
 
     def profile(w: tuple[str, ...]) -> tuple[int, ...]:
         if w not in profiles:
@@ -997,7 +976,7 @@ def fpm_positive_empty(
     idx = m.index
     masks = _symbol_masks(m)
     reject_bit = 1 << idx[m.reject]
-    reach = _lex_reach_words(m, m.initial, at_least_one=True)
+    reach = dict(_discover(_first_steps(m, m.initial), m.successors, m.alphabet))
     candidates = [q for q in reach if q != m.reject]
     candidates.sort(key=lambda q: (_word_key(m, reach[q]), idx[q]))
     seeds = [1 << idx[q] for q in candidates]
@@ -1251,10 +1230,19 @@ def _witness_factors(b: Automaton, w: AsymptoticWitness,
     """The reach mass z = delta_u(qs, C), then each segment's worst-case
     final-passage return min over C; None at the first that fails z > x or
     return > 1 - 2^-j, before any later matrix is built or symbol met, and
-    for a start index below 1, whose threshold 1 - 2^-j is not positive."""
+    for a start index below 1, whose threshold 1 - 2^-j is not positive.
+    z reads one :func:`_passage_row`, after :func:`word_matrix`'s checks."""
     if not w.states or not w.u or not w.segments or w.start_index < 1:
         return None
-    z = word_matrix(b, w.u).row_sum(b.initial, w.states)
+    if not b.is_probabilistic:
+        raise AutomatonError("word matrices need a probabilistic automaton")
+    require_valid(b)
+    b.check_symbols(w.u)
+    for q in w.states:
+        if q not in b.index:
+            raise AutomatonError(f"unknown state {q!r}")
+    row = _passage_row(b, b.initial, w.u, frozenset(b.states))
+    z = sum((row[b.index[q]] for q in w.states), Fraction(0))
     if z <= x:
         return None
     factors = [z]

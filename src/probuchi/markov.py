@@ -136,28 +136,32 @@ def _passage(
     Entry (q, q') sums the weights of the paths from q to q', endpoints
     included, that visit a marked state; with every state marked this is
     the word matrix, and the empty word gives the identity.  One sparse
-    walk per row over (state, seen-marked flag), kept apart from
-    :func:`_walk` so the certificates re-check the engines independently.
-    The automaton and the symbols must be checked.
+    walk per row, :func:`_passage_row`.  The automaton and the symbols must
+    be checked.
     """
-    n = len(aut.states)
-    idx = aut.index
-    rows = []
-    for q in aut.states:
-        flagged: dict[tuple[str, bool], Fraction] = {(q, q in marked): _ONE}
-        for a in u:
-            nxt: dict[tuple[str, bool], Fraction] = {}
-            for (s, f), p in flagged.items():
-                for t, w in aut.prob_row(s, a):
-                    key = (t, f or t in marked)
-                    nxt[key] = nxt.get(key, _ZERO) + p * w
-            flagged = nxt
-        row = [_ZERO] * n
+    return RationalMatrix(aut.states,
+                          tuple(_passage_row(aut, q, u, marked) for q in aut.states))
+
+
+def _passage_row(
+    aut: Automaton, q: str, u: Sequence[str], marked: Container[str]
+) -> tuple[Fraction, ...]:
+    """Row ``q`` of :func:`_passage`, by declaration index: one sparse walk
+    over (state, seen-marked flag), kept apart from :func:`_walk` so the
+    certificates re-check the engines independently."""
+    flagged: dict[tuple[str, bool], Fraction] = {(q, q in marked): _ONE}
+    for a in u:
+        nxt: dict[tuple[str, bool], Fraction] = {}
         for (s, f), p in flagged.items():
-            if f:
-                row[idx[s]] += p
-        rows.append(tuple(row))
-    return RationalMatrix(aut.states, tuple(rows))
+            for t, w in aut.prob_row(s, a):
+                key = (t, f or t in marked)
+                nxt[key] = nxt.get(key, _ZERO) + p * w
+        flagged = nxt
+    row = [_ZERO] * len(aut.states)
+    for (s, f), p in flagged.items():
+        if f:
+            row[aut.index[s]] += p
+    return tuple(row)
 
 
 def solve_linear(

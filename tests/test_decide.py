@@ -543,7 +543,7 @@ def test_transition_monoid_cap_and_cancel():
 
 def test_monoid_cap_counts_one_letter_elements(tmp_path, capsys):
     from probuchi.cli import run
-    from probuchi.decide import _profile_monoid
+    from probuchi.decide import _monoid, _profile_tables
     from probuchi.textio import serialize
 
     # a is the identity and b sends p to q: two elements of one letter each
@@ -565,8 +565,10 @@ def test_monoid_cap_counts_one_letter_elements(tmp_path, capsys):
     with pytest.raises(ResourceLimitError) as err:
         transition_monoid(m, cap=1)
     assert err.value.cap_name == "PROBUCHI_MONOID_CAP" and err.value.cap_value == 1
+    nba = hpba_to_nba(gen_m_id())
+    gens, acts, _ = _profile_tables(nba)
     with pytest.raises(ResourceLimitError):
-        _profile_monoid(hpba_to_nba(gen_m_id()), 1)
+        dict(_monoid(gens, acts, nba.alphabet, 1, None, "profile monoid"))
     path = tmp_path / "two_letters.fpm"
     path.write_text(serialize(m))
     assert run(["universal", str(path), "--monoid-cap", "1"]) == 2

@@ -23,7 +23,6 @@ from probuchi.decide import (
     SubsetWitness,
     _certify_numbering,
     _image,
-    _lex_reach_words,
     _monoid,
     _symbol_masks,
     _word_key,
@@ -33,6 +32,7 @@ from probuchi.decide import (
 from probuchi.textio import serialize
 
 from conftest import random_fpm, random_pba
+from test_kernel import ref_lex_reach_words
 
 F = Fraction
 
@@ -43,7 +43,7 @@ def ref_fpm_positive_empty(m: Automaton) -> SubsetWitness | None:
     state (taken by its shortest reaching word) off the reject."""
     monoid = transition_monoid(m)
     idx = m.index
-    reach = _lex_reach_words(m, m.initial, at_least_one=True)
+    reach = ref_lex_reach_words(m, m.initial, at_least_one=True)
     candidates = sorted((q for q in reach if q != m.reject),
                         key=lambda q: (_word_key(m, reach[q]), idx[q]))
     reject_bit = 1 << idx[m.reject]

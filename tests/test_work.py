@@ -1,0 +1,133 @@
+"""Work pins: the size of each search, read through its ``progress``
+messages or by counting kernel calls, at several input sizes.
+
+The counts are exact.  A search that falls back to enumerating every
+element of a monoid (n! of them on the permutation inputs below) or that
+reads past what its answer needs changes them, and fails here long before
+it shows up as time.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from probuchi import Automaton, BuchiAcceptance, decide
+from probuchi.decide import (
+    fpm_positive_empty,
+    fpm_positive_universal,
+    nba_emptiness,
+    nba_universality,
+)
+
+from test_monitor_emptiness import perm_monitor
+
+
+def perm_nba(n: int) -> Automaton:
+    """a rotates p0 .. p{n-1} and b swaps p0 and p1, final at p0; p0 may
+    also jump to the accepting sink u on either letter, so every word is
+    accepted."""
+    st = [f"p{i}" for i in range(n)]
+    rows = {}
+    for i, q in enumerate(st):
+        rows[(q, "a")] = (st[(i + 1) % n],)
+        rows[(q, "b")] = (st[1 - i] if i < 2 else q,)
+    for a in ("a", "b"):
+        rows[("u", a)] = ("u",)
+        rows[("p0", a)] += ("u",)
+    return Automaton(
+        name="perm_nba", role="nba", alphabet=("a", "b"), states=(*st, "u"), initial="p0",
+        acceptance=BuchiAcceptance(frozenset({"p0", "u"})), transitions=rows,
+    )
+
+
+def prefix_nba(k: int) -> Automaton:
+    """Accepts every word but a^k b^omega: leaving that word leads to the
+    accepting sink u.  For k > 3 no lasso of the universality probe's
+    bound is rejected, so the answer comes from the profile monoid."""
+    st = [f"s{i}" for i in range(k + 1)]
+    rows = {("u", "a"): ("u",), ("u", "b"): ("u",), (st[k], "a"): ("u",), (st[k], "b"): ("t",),
+            ("t", "a"): ("u",), ("t", "b"): ("t",)}
+    for i in range(k):
+        rows[(st[i], "a")] = (st[i + 1],)
+        rows[(st[i], "b")] = ("u",)
+    return Automaton(
+        name="prefix_nba", role="nba", alphabet=("a", "b"), states=(*st, "t", "u"),
+        initial="s0", acceptance=BuchiAcceptance(frozenset({"u"})), transitions=rows,
+    )
+
+
+def tail_nba(k: int) -> Automaton:
+    """f is initial and final, with f -a-> f and f -b-> t1 -a-> ... -a-> tk."""
+    st = [f"t{i}" for i in range(1, k + 1)]
+    rows = {("f", "a"): ("f",), ("f", "b"): (st[0],)}
+    rows.update(((q, "a"), (t,)) for q, t in zip(st, st[1:]))
+    return Automaton(
+        name="tail_nba", role="nba", alphabet=("a", "b"), states=("f", *st), initial="f",
+        acceptance=BuchiAcceptance(frozenset({"f"})), transitions=rows,
+    )
+
+
+def messages(query, aut) -> tuple[object, list[str]]:
+    said: list[str] = []
+    return query(aut, progress=said.append), said
+
+
+@pytest.mark.parametrize("n, elements", [(3, 16), (4, 50), (5, 178), (6, 842), (7, 5290)])
+def test_profile_monoid_of_the_universal_permutation_nba(n, elements):
+    answer, said = messages(nba_universality, perm_nba(n))
+    assert answer is None
+    assert said == [f"profile monoid has {elements} elements"]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("leak", [False, True])
+def test_safe_step_graph_of_the_permutation_monitor(n, leak):
+    answer, said = messages(fpm_positive_empty, perm_monitor(n, leak))
+    assert (answer is None) == leak
+    assert said == [f"safe-step subset graph has {n} nodes"]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_belief_supports_of_the_permutation_monitor(n):
+    answer, said = messages(fpm_positive_universal, perm_monitor(n, False))
+    assert answer is None
+    assert said == [f"belief support fixpoint keeps 0 of {n} supports"]
+    answer, said = messages(fpm_positive_universal, perm_monitor(n, True))
+    assert answer is not None
+    assert said == [f"belief support fixpoint keeps {n + 1} of {n + 1} supports",
+                    "witness read 1 transition monoid elements"]
+
+
+@pytest.mark.parametrize("aut, universal", [
+    (perm_nba(3), True), (perm_nba(5), True), (prefix_nba(4), False), (prefix_nba(6), False),
+])
+def test_universality_builds_the_symbol_masks_once(monkeypatch, aut, universal):
+    calls = []
+
+    def spy(a, _fn=decide._symbol_masks):
+        calls.append(a)
+        return _fn(a)
+
+    monkeypatch.setattr(decide, "_symbol_masks", spy)
+    answer, said = messages(nba_universality, aut)
+    assert (answer is None) == universal
+    assert said[0].startswith("profile monoid has")  # past the probe
+    assert calls == [aut]
+
+
+@pytest.mark.parametrize("k", [5, 20, 50])
+def test_emptiness_stops_each_cycle_search_at_its_final(monkeypatch, k):
+    # k + 1 stems from the initial state, then f itself, the first of its
+    # first steps: the tail behind f -b-> is not searched again.
+    reads = []
+
+    def spy(*args, _fn=decide._discover):
+        for item in _fn(*args):
+            reads.append(item[0])
+            yield item
+
+    monkeypatch.setattr(decide, "_discover", spy)
+    w = nba_emptiness(tail_nba(k))
+    assert (w.stem, w.cycle) == ((), ("a",))
+    assert len(reads) == k + 2
+
