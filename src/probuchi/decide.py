@@ -72,7 +72,6 @@ from .markov import (
     _passage,
     _passage_row,
     _walk,
-    final_passage_matrix,
     lasso_acceptance,
 )
 from .textio import format_lasso, integer
@@ -562,30 +561,23 @@ def _rank_choices(
 ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """Every ranking at or below ``bounds`` that gives final states even
     ranks, in product order, each with the bitmask of its even-ranked
-    states.  More than the fixed branch limit raise :class:`ResourceLimitError`.
+    states.  Each state's allowed ranks extend every prefix once, so a
+    choice is built one (state, rank) pair at a time.  More than the fixed
+    branch limit raise :class:`ResourceLimitError` before any is built.
     """
-    dom = [t for t, _ in bounds]
-    choices: list[range] = []
-    count = 1
-    for t, bound in bounds:
-        allowed = range(0, bound + 1, 2 if final[t] else 1)
-        choices.append(allowed)
-        count *= len(allowed)
-        if count > COMPLEMENT_BRANCH_LIMIT:
-            raise ResourceLimitError(
-                f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
-                f"transition; the limit is fixed (input likely too large "
-                f"for the rank-based method)",
-                cap_name="branch_cap",
-                cap_value=COMPLEMENT_BRANCH_LIMIT,
-            )
-    out = []
-    for combo in itertools.product(*choices):
-        even = 0
-        for t, r in zip(dom, combo):
-            if not r & 1:
-                even |= 1 << t
-        out.append((tuple(zip(dom, combo)), even))
+    options = [[(((t, r),), 0 if r & 1 else 1 << t)
+                for r in range(0, bound + 1, 2 if final[t] else 1)] for t, bound in bounds]
+    if math.prod(map(len, options)) > COMPLEMENT_BRANCH_LIMIT:
+        raise ResourceLimitError(
+            f"rank branching exceeds {COMPLEMENT_BRANCH_LIMIT} at one "
+            f"transition; the limit is fixed (input likely too large "
+            f"for the rank-based method)",
+            cap_name="branch_cap",
+            cap_value=COMPLEMENT_BRANCH_LIMIT,
+        )
+    out: list[tuple[tuple[tuple[int, int], ...], int]] = [((), 0)]
+    for steps in options:
+        out = [(pairs + pair, even | bit) for pairs, even in out for pair, bit in steps]
     return out
 
 
@@ -1229,9 +1221,11 @@ def _witness_factors(b: Automaton, w: AsymptoticWitness,
                      x: Fraction) -> list[Fraction] | None:
     """The reach mass z = delta_u(qs, C), then each segment's worst-case
     final-passage return min over C; None at the first that fails z > x or
-    return > 1 - 2^-j, before any later matrix is built or symbol met, and
+    return > 1 - 2^-j, before any later row is walked or symbol met, and
     for a start index below 1, whose threshold 1 - 2^-j is not positive.
-    z reads one :func:`_passage_row`, after :func:`word_matrix`'s checks."""
+    z reads one :func:`_passage_row`, after :func:`word_matrix`'s checks,
+    and each segment one per state of C, after
+    :func:`final_passage_matrix`'s; no matrix is built."""
     if not w.states or not w.u or not w.segments or w.start_index < 1:
         return None
     if not b.is_probabilistic:
@@ -1241,16 +1235,20 @@ def _witness_factors(b: Automaton, w: AsymptoticWitness,
     for q in w.states:
         if q not in b.index:
             raise AutomatonError(f"unknown state {q!r}")
+    cols = [b.index[q] for q in w.states]
     row = _passage_row(b, b.initial, w.u, frozenset(b.states))
-    z = sum((row[b.index[q]] for q in w.states), Fraction(0))
+    z = sum((row[i] for i in cols), Fraction(0))
     if z <= x:
         return None
     factors = [z]
     for j, seg in enumerate(w.segments, w.start_index):
         if not seg:
             return None
-        fp = final_passage_matrix(b, seg)
-        factors.append(min(fp.row_sum(q, w.states) for q in w.states))
+        if not isinstance(b.acceptance, BuchiAcceptance):
+            raise AutomatonError("final-passage matrices need Buchi acceptance")
+        b.check_symbols(seg)
+        rows = (_passage_row(b, q, seg, b.acceptance.final) for q in w.states)
+        factors.append(min(sum((r[i] for i in cols), Fraction(0)) for r in rows))
         if factors[-1] <= 1 - Fraction(1, 2**j):
             return None
     return factors

@@ -2,6 +2,8 @@
 
 import io
 import json
+import pathlib
+import re
 import sys
 from fractions import Fraction
 
@@ -130,10 +132,10 @@ def test_witness(m_id_file, capsys):
 
 
 def test_witness_builds_each_matrix_once(m_id_file, capsys, monkeypatch):
-    # The search's closing re-check builds one final-passage matrix per
-    # segment and no word matrix: the stem mass is one row.  The lower
-    # bound reuses its factors.  decide has no word_matrix of its own; the
-    # spy set there counts one that comes back.
+    # The search's closing re-check builds no matrix: the stem mass is one
+    # row, and each segment's return reads only the witness states' rows.
+    # The lower bound reuses its factors.  decide has neither builder of its
+    # own; the spies set there count one that comes back.
     from probuchi import decide, markov
 
     built = []
@@ -145,7 +147,7 @@ def test_witness_builds_each_matrix_once(m_id_file, capsys, monkeypatch):
     assert run(["witness", m_id_file, "--max-len", "1", "--max-j", "3"]) == 0
     doc = out_doc(capsys)
     assert doc["lower_bound"] == "1/2" and len(doc["witness"]["segments"]) == 3
-    assert built == ["final_passage_matrix"] * 3
+    assert built == []
 
 
 def test_witness_rejects_negative_x(m_id_file, capsys):
@@ -557,6 +559,72 @@ def test_decision_output_is_pinned(tmp_path, capsys, args, code, answer, err):
     if answer is not _LIMIT:
         doc["semantics"] = "almost-sure" if "almost-sure" in argv else "positive"
     assert captured.out == json.dumps(doc | answer, indent=2) + "\n"
+
+
+def _format_md_fields() -> dict[str, set[str]]:
+    """The top-level keys FORMAT.md lists per query subcommand, from its
+    "Fixed JSON fields per command" table, and under ``resource-limit`` the
+    keys of its resource-limit document.  A table cell's top-level keys are
+    the leading names of its backticked entries outside parentheses."""
+    text = (pathlib.Path(__file__).parents[1] / "FORMAT.md").read_text()
+    table = text.split("Fixed JSON fields per command:")[1].split("\n\n")[1]
+    fields = {}
+    for line in table.splitlines()[2:]:
+        command, cell = (part.strip() for part in line.strip("|").split("|"))
+        while re.search(r"\([^()]*\)", cell):
+            cell = re.sub(r"\([^()]*\)", "", cell)
+        fields[command] = set(re.findall(r"`(\w+)", cell))
+    limit = re.search(r"Resource limits produce `(\{.*?\})`", text).group(1)
+    fields["resource-limit"] = set(re.findall(r'"(\w+)":', limit))
+    return fields
+
+
+# Each query subcommand with every answer it gives in process.
+_ANSWER_CASES = [
+    "validate pba", "validate bad.pba", "rank hpba", "rank nh.pba",
+    "prob pba ;0", "mc pba ;0 --samples 10 --seed 1",
+    "empty nba", "empty dead.nba", "empty fpm", "empty fpm --monoid-cap 1",
+    "universal top.nba", "universal nba", "universal fpm --monoid-cap 1",
+    "witness fpm --max-len 1 --max-j 3", "witness dead.pba --max-len 1 --max-j 1",
+    "contain top01.pba pba --semantics almost-sure --bound 2",
+    "contain pba top01.pba --semantics almost-sure --bound 2",
+    "decompose pra", "decompose many.pra",
+]
+
+
+def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
+    # Every top-level key a query prints after "command" is in FORMAT.md's
+    # row for that command; a resource-limit document has exactly the
+    # documented keys.
+    extra = {
+        "bad.pba": "type: pba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s : 1/2\n",
+        "top01.pba": "type: pba\nalphabet: 0 1\nstates: s\ninit: s\nfinal: s\n"
+                     "s -0-> s : 1\ns -1-> s : 1\n",
+        "many.pra": _DECISION_FILES["pra"].replace("pair: {s} {t}\n", "pair: {s} {t}\n" * 7),
+    }
+    files = {}
+    for name, text in (_DECISION_FILES | extra).items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    fields = _format_md_fields()
+    answers = set()
+    for args in _ANSWER_CASES:
+        argv = [files.get(a, a) for a in args.split()]
+        run(argv)
+        doc = out_doc(capsys)
+        command, *keys = doc
+        assert command == "command" and doc["command"] == argv[0], args
+        answer = doc.get("answer")
+        answers.add((argv[0], answer))
+        if answer == "resource-limit":
+            assert set(keys) == fields["resource-limit"], args
+        else:
+            assert set(keys) <= fields[argv[0]], (args, set(keys) - fields[argv[0]])
+    # Vacuity guard: every row is exercised, with each unknown and
+    # resource-limit answer the queries give.
+    assert {command for command, _ in answers} == set(fields) - {"resource-limit"}
+    assert {("witness", "unknown"), ("contain", "unknown"), ("empty", "resource-limit"),
+            ("universal", "resource-limit"), ("decompose", "resource-limit")} <= answers
 
 
 @pytest.mark.parametrize("env", ["PROBUCHI_MONOID_CAP", "PROBUCHI_COMPLEMENT_CAP"])

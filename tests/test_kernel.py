@@ -14,7 +14,8 @@ mixed node of a lasso chain, the sampler that refines a ``Fraction``
 interval and the splitmix64 bit source, per-sample seed and integer
 Knuth-Yao pick that the sampler's one loop now inlines, the monitor
 universality scan over every monoid element's
-doomed mask, the rank-based complement explored on state names, and the
+doomed mask, the rank-based complement explored on state names and its
+product-then-zip rank choices, and the
 containment scan and universality probe that built one chain or product
 per lasso, the dense per-symbol product behind word matrices (on the
 conftest's ``ref_identity`` and ``ref_matmul``), the ``Fraction`` step
@@ -820,6 +821,35 @@ def ref_nba_complement(a):
     return ref_reduce_nba(out)
 
 
+def ref_rank_choices(bounds, final, limit):
+    """The product-then-zip rank choices: a running count against ``limit``,
+    then every ``itertools.product`` tuple rebuilt with ``zip`` and its
+    even-rank mask set one bit at a time."""
+    dom = [t for t, _ in bounds]
+    choices = []
+    count = 1
+    for t, bound in bounds:
+        allowed = range(0, bound + 1, 2 if final[t] else 1)
+        choices.append(allowed)
+        count *= len(allowed)
+        if count > limit:
+            raise ResourceLimitError(
+                f"rank branching exceeds {limit} at one "
+                f"transition; the limit is fixed (input likely too large "
+                f"for the rank-based method)",
+                cap_name="branch_cap",
+                cap_value=limit,
+            )
+    out = []
+    for combo in itertools.product(*choices):
+        even = 0
+        for t, r in zip(dom, combo):
+            if not r & 1:
+                even |= 1 << t
+        out.append((tuple(zip(dom, combo)), even))
+    return out
+
+
 def ref_nba_lasso_member(a, w):
     """Stem loop and a private (state, cycle position) search."""
     current = {a.initial}
@@ -1609,6 +1639,45 @@ def test_complement_state_limit_one_below_a_shared_exploration():
     assert got.startswith("type: nba")
 
 
+def rank_outcome(fn, *args):
+    """The choices, or the branch-limit error's message, cap name and value."""
+    try:
+        return ("ok", fn(*args))
+    except ResourceLimitError as exc:
+        return ("limit", str(exc), exc.cap_name, exc.cap_value)
+
+
+def test_rank_choices_match_the_reference(monkeypatch):
+    # Random bound sets as _rank_bounds makes them (state indices in order,
+    # bounds up to 2n), under a branch limit small enough that both sides
+    # raise on some: the same choices in the same order, or the same error.
+    limit = 1_000
+    monkeypatch.setattr(decide, "COMPLEMENT_BRANCH_LIMIT", limit)
+    rng = random.Random(3131)
+    outcomes = {"ok": 0, "limit": 0}
+    for _ in range(2_000):
+        n = rng.randint(1, 7)
+        final = [rng.random() < 0.5 for _ in range(n)]
+        bounds = tuple((t, rng.randint(0, 2 * n))
+                       for t in sorted(rng.sample(range(n), rng.randint(0, n))))
+        got = rank_outcome(decide._rank_choices, bounds, final)
+        assert got == rank_outcome(ref_rank_choices, bounds, final, limit), (bounds, final)
+        outcomes[got[0]] += 1
+    # Vacuity guard: bound sets within the limit and past it.
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_rank_choices_raise_exactly_past_the_branch_limit():
+    # At the fixed limit, on a non-final and on a final state: exactly limit
+    # choices are built, and one allowed rank more raises as the reference.
+    limit = decide.COMPLEMENT_BRANCH_LIMIT
+    for t, bound, final in ((0, limit - 1, [False]), (1, 2 * limit - 2, [False, True])):
+        assert len(decide._rank_choices(((t, bound),), final)) == limit
+        past = ((t, bound + (2 if final[t] else 1)),)
+        got = rank_outcome(decide._rank_choices, past, final)
+        assert got[0] == "limit" and got == rank_outcome(ref_rank_choices, past, final, limit)
+
+
 def fpm_case(rng: random.Random, complemented: bool) -> Automaton:
     """A random monitor, or the complementation monitor of a random PBA,
     which is far more often universal."""
@@ -2335,8 +2404,9 @@ def _outcome(fn, *args):
 
 
 def test_witness_check_and_bound_match_the_reference(monkeypatch):
-    # The check reads the stem mass off one row, so decide has no
-    # word_matrix of its own; the spy set there counts one that comes back.
+    # The check reads the stem mass off one row and each segment's return
+    # off the witness states' rows, so decide has neither builder of its
+    # own; the spies set there count one that comes back.
     builds = {}
     for module in (decide, sys.modules[__name__]):
         for name in ("word_matrix", "final_passage_matrix"):
@@ -2357,16 +2427,16 @@ def test_witness_check_and_bound_match_the_reference(monkeypatch):
     for _ in range(600):
         b, w = next(draws)
         x = rng.choice(X_VALUES)
-        ref, ref_builds = counted(sys.modules[__name__], ref_verify_asymptotic_witness, b, w, x)
+        ref, _ = counted(sys.modules[__name__], ref_verify_asymptotic_witness, b, w, x)
         got, got_builds = counted(decide, decide.verify_asymptotic_witness, b, w, x)
-        assert got == ref and got_builds == [0, ref_builds[1]], (w, x, ref, got)
+        assert got == ref and got_builds == [0, 0], (w, x, ref, got)
         verdicts[ref[1] if ref[0] == "ok" else "error"] += 1
         ref, _ = counted(sys.modules[__name__], ref_acceptance_lower_bound, b, w)
         got, got_builds = counted(decide, decide.acceptance_lower_bound, b, w)
         assert got == ref, (w, ref, got)
         if got[0] == "ok":
             bounds += 1
-            assert got_builds == [0, len(w.segments)]  # one pass over the witness
+            assert got_builds == [0, 0]  # one pass over the witness, no matrix
     # Vacuity guard: witnesses that hold, fail and raise, and bounds built.
     assert verdicts[True] >= 100 and verdicts[False] >= 100 and verdicts["error"] >= 20, verdicts
     assert bounds >= 100, bounds

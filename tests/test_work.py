@@ -15,6 +15,7 @@ from probuchi import Automaton, BuchiAcceptance, decide
 from probuchi.decide import (
     fpm_positive_empty,
     fpm_positive_universal,
+    nba_complement,
     nba_emptiness,
     nba_universality,
 )
@@ -131,3 +132,30 @@ def test_emptiness_stops_each_cycle_search_at_its_final(monkeypatch, k):
     assert (w.stem, w.cycle) == ((), ("a",))
     assert len(reads) == k + 2
 
+
+@pytest.mark.parametrize("aut, macro_states, blocks, expansions, choices", [
+    (prefix_nba(2), 33, 17, 28, 124), (prefix_nba(4), 73, 49, 66, 426),
+    (prefix_nba(6), 129, 97, 120, 1016), (perm_nba(3), 56, 1, 36, 184),
+    (perm_nba(4), 146, 1, 94, 830), (perm_nba(5), 302, 1, 195, 2645),
+])
+def test_complement_explores_and_quotients(monkeypatch, aut, macro_states, blocks,
+                                           expansions, choices):
+    # The rank-based exploration's macro-states, the blocks its quotient
+    # keeps, and the bound sets expanded with the choices they give; perm_nba
+    # is universal, so its complement is the one-block empty NBA.
+    tables, sizes = [], []
+
+    def quotient(name, alphabet, table, finals, initial, _fn=decide._quotient):
+        tables.append(len(table))
+        return _fn(name, alphabet, table, finals, initial)
+
+    def rank_choices(*args, _fn=decide._rank_choices):
+        out = _fn(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(decide, "_quotient", quotient)
+    monkeypatch.setattr(decide, "_rank_choices", rank_choices)
+    out = nba_complement(aut)
+    assert tables == [macro_states] and len(out.states) == blocks
+    assert (len(sizes), sum(sizes)) == (expansions, choices)
