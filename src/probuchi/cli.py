@@ -307,16 +307,14 @@ def _cmd_witness(args) -> int:
     from . import decide
 
     aut = _load(args.file)
-    found = decide._bounded_witness(aut, args.max_len, args.max_j, args.x, None)
-    if found is None:
+    w = decide.pba_positive_nonempty_bounded(aut, args.max_len, args.max_j, args.x)
+    if w is None:
         return _emit(
             args,
             {"answer": "unknown", "max_len": args.max_len, "max_j": args.max_j},
             "unknown (no witness within bounds)",
         )
-    # the search's factors, confirmed by its closing re-check: no matrix is built again
-    w, factors = found
-    bound = decide._lower_bound(w, factors)
+    bound = decide.acceptance_lower_bound(aut, w)
     return _emit(
         args,
         {

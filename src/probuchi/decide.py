@@ -1272,26 +1272,14 @@ def pba_positive_nonempty_bounded(
 
     Scans state sets C (by size, then position), reach words u and segment
     words u_j of length up to ``max_len``, with segment thresholds
-    1 - 2^-j for j = 1..max_j.  Returns a re-verified witness, or None
-    meaning "no witness within these bounds"; emptiness is never asserted
-    (the problem is only semi-answerable in this direction).  Each reach
-    word's state masses are one integer :func:`_walk` from its prefix's; its
-    final-passage matrix comes from :func:`_passage` on the automaton
-    validated once here, and the closing re-check uses the public calls.
+    1 - 2^-j for j = 1..max_j.  Returns the witness its closing
+    :func:`verify_asymptotic_witness` accepted, or None meaning "no witness
+    within these bounds"; emptiness is never asserted (the problem is only
+    semi-answerable in this direction).  Each reach word's state masses are
+    one integer :func:`_walk` from its prefix's; its final-passage matrix
+    comes from :func:`_passage` on the automaton validated once here.
+    ``cancel`` is polled per stem, per reach word's matrix and per state set.
     """
-    found = _bounded_witness(b, max_len, max_j, x, cancel)
-    return None if found is None else found[0]
-
-
-def _bounded_witness(
-    b: Automaton, max_len: int, max_j: int, x: Fraction, cancel: Cancel
-) -> tuple[AsymptoticWitness, list[Fraction]] | None:
-    """:func:`pba_positive_nonempty_bounded` with the witness's factors, the
-    ones :func:`acceptance_lower_bound` multiplies: the reach mass from the
-    integer walk and each segment's return from the search's own
-    final-passage matrix, the values its closing re-check confirmed.  A
-    caller that wants the bound too then builds each public matrix once,
-    in that re-check."""
     if not (b.is_probabilistic and b.is_buchi):
         raise AutomatonError("bounded witness search needs a probabilistic Buchi automaton")
     require_valid(b)
@@ -1301,7 +1289,10 @@ def _bounded_witness(
         raise AutomatonError("x must be at least 0")
     reach = _walk_stems(b.alphabet, max_len, ({b.initial: 1}, 1), partial(_walk, b), cancel)
     del reach[()]
-    fps = [_passage(b, u, b.acceptance.final) for u in reach]
+    fps = []
+    for u in reach:
+        _check_cancel(cancel)
+        fps.append(_passage(b, u, b.acceptance.final))
     state_list = list(b.states)
     for size in range(1, len(state_list) + 1):
         for combo in itertools.combinations(range(len(state_list)), size):
@@ -1311,23 +1302,20 @@ def _bounded_witness(
                       if sum(p for q, p in nums.items() if q in c) > x * den), None)
             if u is None:
                 continue
-            segments = []  # (word, final-passage matrix) pairs
+            segments = []
             for j in range(1, max_j + 1):
                 bound = 1 - Fraction(1, 2**j)
-                seg = next(((w, fp) for w, fp in zip(reach, fps)
+                seg = next((w for w, fp in zip(reach, fps)
                             if all(fp.row_sum(q, c) > bound for q in c)), None)
                 if seg is None:
                     break
                 segments.append(seg)
             if len(segments) < max_j:
                 continue
-            witness = AsymptoticWitness(c, u, tuple(w for w, _ in segments), 1)
+            witness = AsymptoticWitness(c, u, tuple(segments), 1)
             _certify(verify_asymptotic_witness(b, witness, x), b, witness.lasso(),
                      "asymptotic witness {} failed re-verification")
-            nums, den = reach[u]
-            factors = [Fraction(sum(p for q, p in nums.items() if q in c), den)]
-            factors += [min(fp.row_sum(q, c) for q in c) for _, fp in segments]
-            return witness, factors
+            return witness
     return None
 
 
@@ -1346,11 +1334,6 @@ def acceptance_lower_bound(b: Automaton, w: AsymptoticWitness) -> LassoLowerBoun
     factors = _witness_factors(b, w, Fraction(0))
     if factors is None:
         raise AutomatonError("invalid asymptotic witness")
-    return _lower_bound(w, factors)
-
-
-def _lower_bound(w: AsymptoticWitness, factors: Sequence[Fraction]) -> LassoLowerBound:
-    """The bound from ``w``'s checked :func:`_witness_factors`."""
     return LassoLowerBound(value=math.prod(factors), asymptotic=factors[-1] == 1,
                            lasso=w.lasso())
 

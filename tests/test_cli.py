@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from probuchi import gen_m_id, gen_succinct
+from probuchi import gen_m_id, gen_p3, gen_succinct
 from probuchi.cli import run
 from probuchi.textio import parse, serialize
 
@@ -134,8 +134,9 @@ def test_witness(m_id_file, capsys):
 def test_witness_builds_each_matrix_once(m_id_file, capsys, monkeypatch):
     # The search's closing re-check builds no matrix: the stem mass is one
     # row, and each segment's return reads only the witness states' rows.
-    # The lower bound reuses its factors.  decide has neither builder of its
-    # own; the spies set there count one that comes back.
+    # The lower bound re-walks the same rows through acceptance_lower_bound.
+    # decide has neither builder of its own; the spies set there count one
+    # that comes back.
     from probuchi import decide, markov
 
     built = []
@@ -586,32 +587,66 @@ _ANSWER_CASES = [
     "empty nba", "empty dead.nba", "empty fpm", "empty fpm --monoid-cap 1",
     "universal top.nba", "universal nba", "universal fpm --monoid-cap 1",
     "witness fpm --max-len 1 --max-j 3", "witness dead.pba --max-len 1 --max-j 1",
+    "witness p3.pba --max-len 3 --max-j 3", "witness p3.pba --max-len 3 --max-j 2 --x 1/8",
     "contain top01.pba pba --semantics almost-sure --bound 2",
     "contain pba top01.pba --semantics almost-sure --bound 2",
     "decompose pra", "decompose many.pra",
 ]
 
 
+def _nested(doc: dict):
+    """Every (key, value) of ``doc`` and of the objects nested in it."""
+    for key, value in doc.items():
+        yield key, value
+        if isinstance(value, dict):
+            yield from _nested(value)
+
+
+def _fresh_certificate(auts, w) -> dict:
+    """A lasso's certificate, computed again from its automata."""
+    from probuchi.decide import nba_lasso_member
+    from probuchi.markov import lasso_acceptance
+
+    if len(auts) == 2:
+        return {"left_acceptance": str(lasso_acceptance(auts[0], w)),
+                "right_acceptance": str(lasso_acceptance(auts[1], w))}
+    if auts[0].role == "nba":
+        return {"member": nba_lasso_member(auts[0], w)}
+    return {"acceptance": str(lasso_acceptance(auts[0], w))}
+
+
+# "Numbers": an optional minus, ASCII digits, and a nonzero denominator if any.
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL_FIELDS = {"probability", "lower_bound", "acceptance", "left_acceptance",
+                    "right_acceptance"}
+
+
 def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
     # Every top-level key a query prints after "command" is in FORMAT.md's
     # row for that command; a resource-limit document has exactly the
-    # documented keys.
+    # documented keys.  The exit code follows the answer ("Exit codes"),
+    # every lasso reads back over the first file's alphabet ("Lasso
+    # syntax"), every exact rational has the grammar of "Numbers", and each
+    # certificate is the value its lasso gets afresh.
+    from probuchi.textio import format_lasso, parse_lasso
+
     extra = {
         "bad.pba": "type: pba\nalphabet: a\nstates: s\ninit: s\nfinal: s\ns -a-> s : 1/2\n",
         "top01.pba": "type: pba\nalphabet: 0 1\nstates: s\ninit: s\nfinal: s\n"
                      "s -0-> s : 1\ns -1-> s : 1\n",
         "many.pra": _DECISION_FILES["pra"].replace("pair: {s} {t}\n", "pair: {s} {t}\n" * 7),
+        "p3.pba": serialize(gen_p3(Fraction(1, 3))),
     }
     files = {}
     for name, text in (_DECISION_FILES | extra).items():
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
     fields = _format_md_fields()
-    answers = set()
+    answers, seen, docs = set(), set(), {}
     for args in _ANSWER_CASES:
         argv = [files.get(a, a) for a in args.split()]
-        run(argv)
-        doc = out_doc(capsys)
+        code = run(argv)
+        doc = docs[args] = out_doc(capsys)
         command, *keys = doc
         assert command == "command" and doc["command"] == argv[0], args
         answer = doc.get("answer")
@@ -620,11 +655,30 @@ def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
             assert set(keys) == fields["resource-limit"], args
         else:
             assert set(keys) <= fields[argv[0]], (args, set(keys) - fields[argv[0]])
+        assert code == (2 if answer in ("unknown", "resource-limit") else 0), args
+        auts = [parse(pathlib.Path(a).read_text()) for a in argv[1:] if a in files.values()]
+        for key, value in _nested(doc):
+            if key in ("lasso", "assembled_lasso"):
+                w = parse_lasso(value, auts[0].alphabet)
+                assert format_lasso(w, auts[0].alphabet) == value, args
+                seen.add(key)
+            if key in _RATIONAL_FIELDS:
+                assert _RATIONAL.fullmatch(value), (args, key, value)
+                seen.add(key)
+        for found in [doc, *(value for _, value in _nested(doc))]:
+            if isinstance(found, dict) and "certificate" in found:
+                w = parse_lasso(found.get("lasso") or found["assembled_lasso"], auts[0].alphabet)
+                assert found["certificate"] == _fresh_certificate(auts, w), args
+                seen.add("certificate")
     # Vacuity guard: every row is exercised, with each unknown and
-    # resource-limit answer the queries give.
+    # resource-limit answer the queries give, and every checked field.
     assert {command for command, _ in answers} == set(fields) - {"resource-limit"}
     assert {("witness", "unknown"), ("contain", "unknown"), ("empty", "resource-limit"),
             ("universal", "resource-limit"), ("decompose", "resource-limit")} <= answers
+    assert seen == _RATIONAL_FIELDS | {"lasso", "assembled_lasso", "certificate"}
+    p3 = docs["witness p3.pba --max-len 3 --max-j 3"]
+    assert (p3["lower_bound"], p3["asymptotic"]) == ("128/729", False)
+    assert docs["witness p3.pba --max-len 3 --max-j 2 --x 1/8"]["answer"] == "nonempty"
 
 
 @pytest.mark.parametrize("env", ["PROBUCHI_MONOID_CAP", "PROBUCHI_COMPLEMENT_CAP"])

@@ -475,22 +475,46 @@ def test_acceptance_lower_bound_random_witnesses():
     assert checked >= 5
 
 
-def test_search_factors_give_the_public_lower_bound():
-    # The witness CLI multiplies the search's own factors instead of calling
-    # acceptance_lower_bound; both must give the same bound, also above x.
-    from probuchi.decide import _bounded_witness, _lower_bound
+def test_witness_cli_prints_the_public_lower_bound(tmp_path, capsys):
+    # probuchi witness prints acceptance_lower_bound of the search's own
+    # witness, also above x, and answers unknown exactly when it finds none.
+    from probuchi.cli import run
+    from probuchi.textio import format_lasso, serialize
 
     rng = random.Random(808)
+    path = tmp_path / "b.pba"
     found = 0
     for i in range(60):
         b = random_pba(rng, rng.randint(2, 3))
         x = (F(0), F(1, 4), F(1, 2))[i % 3]
-        hit = _bounded_witness(b, 2, 3, x, None)
-        assert (hit and hit[0]) == pba_positive_nonempty_bounded(b, 2, 3, x)
-        if hit is not None:
-            assert _lower_bound(*hit) == acceptance_lower_bound(b, hit[0])
-            found += 1
+        path.write_text(serialize(b))
+        code = run(["witness", str(path), "--max-len", "2", "--max-j", "3", "--x", str(x)])
+        doc = json.loads(capsys.readouterr().out)
+        w = pba_positive_nonempty_bounded(b, 2, 3, x)
+        if w is None:
+            assert (code, doc["answer"]) == (2, "unknown")
+            continue
+        lb = acceptance_lower_bound(b, w)
+        assert (code, doc["answer"]) == (0, "nonempty")
+        assert doc["lower_bound"] == str(lb.value)
+        assert doc["asymptotic"] == lb.asymptotic
+        assert doc["assembled_lasso"] == format_lasso(lb.lasso, b.alphabet)
+        found += 1
     assert found >= 20
+
+
+def test_witness_search_polls_cancel_before_each_matrix(monkeypatch):
+    # gen_m_id has 126 reach words up to length 6: 126 polls walk the stems,
+    # and the next one comes before the first final-passage matrix.
+    from probuchi import decide
+
+    built, polls = [], []
+    real = decide._passage
+    monkeypatch.setattr(decide, "_passage", lambda *a: built.append(a) or real(*a))
+    with pytest.raises(SearchCancelled):
+        pba_positive_nonempty_bounded(gen_m_id(), 6, 3,
+                                      cancel=lambda: polls.append(1) or len(polls) >= 127)
+    assert (len(polls), len(built)) == (127, 0)
 
 
 def test_acceptance_lower_bound_rejects_bad_witness():

@@ -9,9 +9,12 @@ it shows up as time.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from probuchi import Automaton, BuchiAcceptance, decide
+from probuchi import Automaton, BuchiAcceptance, core, decide, gen_m_id, gen_p3, markov
+from probuchi.cli import run
 from probuchi.decide import (
     fpm_positive_empty,
     fpm_positive_universal,
@@ -19,6 +22,7 @@ from probuchi.decide import (
     nba_emptiness,
     nba_universality,
 )
+from probuchi.textio import serialize
 
 from test_monitor_emptiness import perm_monitor
 
@@ -159,3 +163,32 @@ def test_complement_explores_and_quotients(monkeypatch, aut, macro_states, block
     out = nba_complement(aut)
     assert tables == [macro_states] and len(out.states) == blocks
     assert (len(sizes), sum(sizes)) == (expansions, choices)
+
+
+@pytest.mark.parametrize("aut, max_len, answer, search_rows, check_rows, validations", [
+    (gen_m_id(), 1, 0, 6, 8, 5), (gen_m_id(), 2, 0, 18, 8, 5), (gen_m_id(), 3, 0, 42, 8, 5),
+    (gen_p3(Fraction(1, 3)), 1, 2, 12, 0, 1), (gen_p3(Fraction(1, 3)), 2, 2, 48, 0, 1),
+    (gen_p3(Fraction(1, 3)), 3, 0, 156, 8, 5),
+])
+def test_witness_walks_rows_and_validates(tmp_path, capsys, monkeypatch, aut, max_len, answer,
+                                          search_rows, check_rows, validations):
+    # The search builds one final-passage matrix per reach word, a row per
+    # state each; its closing re-check and the lower bound walk 1 + |C| rows
+    # each through decide's own binding; the search, its re-check, the bound
+    # and its check, and the certificate validate once each.
+    counts = {"search": 0, "check": 0, "validate": 0}
+
+    def counting(key, fn):
+        def spy(*args):
+            counts[key] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(markov, "_passage_row", counting("search", markov._passage_row))
+    monkeypatch.setattr(decide, "_passage_row", counting("check", decide._passage_row))
+    monkeypatch.setattr(core, "validate", counting("validate", core.validate))
+    path = tmp_path / "aut.pba"
+    path.write_text(serialize(aut))
+    assert run(["witness", str(path), "--max-len", str(max_len), "--max-j", "3"]) == answer
+    capsys.readouterr()
+    assert counts == {"search": search_rows, "check": check_rows, "validate": validations}
