@@ -13,10 +13,16 @@ so the estimator carries no floating-point bias and needs no rational
 arithmetic per decision.
 
 An estimate runs as one loop over the chain compiled to integer node ids,
-with the seeding, the generator and the walk inlined, so a sample costs
-time per random choice, not per chain step: a node with one successor
-draws no bit, and the sampler jumps over each stretch of such nodes at
-once.  The jumped steps still count against :data:`MC_STEP_LIMIT`.
+with the generator and the walk inlined, so a sample costs time per random
+choice, not per chain step: a node with one successor draws no bit, and the
+sampler jumps over each stretch of such nodes at once.  The jumped steps
+still count against :data:`MC_STEP_LIMIT`.  Seeds and first words are
+batched: for each block of :data:`_BLOCK` samples, the same splitmix64
+arithmetic that seeds each sample and draws its first 64-bit word runs
+lane-wise on one Python integer with a 128-bit lane per sample (SIMD within
+a register, Fisher & Dietz, LCPC 1998), so a 64-bit product never carries
+into the next lane.  The loop reads the blocks lazily and draws any later
+word itself, so every bit drawn is the one the per-sample generator draws.
 
 Monitor sessions keep the exact state distribution as integer numerators
 over one running denominator, stepped by ``markov._walk`` over the rows
@@ -35,9 +41,12 @@ pays one gcd per symbol on the odd part, as a plain ``Fraction`` would.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import gcd, lcm, sqrt
 from typing import Iterable, Iterator
 
@@ -48,6 +57,13 @@ __all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream"
 
 _MASK = (1 << 64) - 1
 _WORD_END = 1 << 64
+_GAMMA = 0x9E3779B97F4A7C15
+# Samples whose seeds and first words are computed together, one 128-bit
+# lane each in one integer.  Memory stays O(_BLOCK) for any sample count.
+_BLOCK = 1024
+# int.from_bytes and int.to_bytes read and write the lanes little-endian,
+# while an array's words lie in memory in the host's byte order.
+_SWAP = sys.byteorder == "big"
 # Chain steps one Monte Carlo sample may take before it enters a bottom SCC.
 # The benchmark's longest sample takes about 2,200; a transient node whose
 # exit has a tiny probability would otherwise hold the sampler for ever.
@@ -144,18 +160,9 @@ def mc_lasso_estimate(
     ]
     start = ([end[v] for v in init_nodes], [skip[v] for v in init_nodes], init_den, init_cum)
     limit = MC_STEP_LIMIT
-    root = seed & _MASK
     hits = 0
-    for i in range(n):
-        # The sample's splitmix64 seed: mix64(root ^ mix64(i + 1)).
-        z = i + 1
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        z = root ^ z ^ (z >> 31)
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        state = z ^ (z >> 31)
-        word = 1
+    for state, word in _first_words(seed & _MASK, n):
+        word |= _WORD_END
         targets, costs, den, cum = start
         steps = 0
         while True:
@@ -170,7 +177,7 @@ def mc_lasso_estimate(
             k, g, d = 0, cum[0], 1
             while g < den:
                 if word == 1:
-                    state = (state + 0x9E3779B97F4A7C15) & _MASK
+                    state = (state + _GAMMA) & _MASK
                     z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
                     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
                     word = z ^ (z >> 31) | _WORD_END
@@ -198,6 +205,60 @@ def mc_lasso_estimate(
     mean = hits / n
     stderr = sqrt(mean * (1.0 - mean) / n)
     return McEstimate(mean=mean, stderr=stderr, samples=n, seed=seed)
+
+
+def _first_words(root: int, n: int) -> Iterator[tuple[int, int]]:
+    """``(state, word)`` for samples 0 .. n-1 of root seed ``root`` < 2^64:
+    sample i's splitmix64 state after its first step and the 64-bit word
+    that step draws, where the sample's seed is mix64(root ^ mix64(i + 1)).
+
+    Blocks of :data:`_BLOCK` samples are computed as they are read.
+    """
+    return chain.from_iterable(map(partial(_first_words_block, root, n), range(0, n, _BLOCK)))
+
+
+def _first_words_block(root: int, n: int, first: int) -> Iterator[tuple[int, int]]:
+    """:func:`_first_words` for samples ``first`` up to the block's end."""
+    count = min(_BLOCK, n - first)
+    # Lane j holds sample first + j's value in its low 64 bits.  Every lane
+    # is below 2^64 before a product by a 64-bit constant, so the product
+    # stays inside its 128 bits, and ``m`` restores each lane mod 2^64.
+    ones = _lanes(array("Q", [1, 0]) * count)
+    m = ones * _MASK
+    index = array("Q", bytes(16 * count))
+    index[0::2] = array("Q", range(first + 1, first + count + 1))
+    z = _mix_lanes(_lanes(index), m) ^ ones * root
+    state = _mix_lanes(z, m) + ones * _GAMMA & m
+    # Each lane comes back as two words: the state, then its first word.
+    words = iter(_words(state | _mix_lanes(state, m) << 64, 2 * count))
+    return zip(words, words)
+
+
+def _mix_lanes(z: int, m: int) -> int:
+    """splitmix64's mix64 on every 128-bit lane of ``z``, given lanes below
+    2^64 and ``m`` holding 2^64 - 1 in every lane."""
+    z = ((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9 & m
+    z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB & m
+    return (z ^ (z >> 31)) & m
+
+
+def _lanes(words: array, swap: bool = _SWAP) -> int:
+    """The integer whose 64-bit digit j is ``words[j]``.  ``swap`` says the
+    array stores its words big-endian, as on a big-endian host; they are
+    then byte-swapped in place first."""
+    if swap:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _words(x: int, count: int, swap: bool = _SWAP) -> array:
+    """The ``count`` 64-bit digits of ``0 <= x < 2^(64 count)``, lowest
+    first, in an array that stores its words big-endian when ``swap``."""
+    words = array("Q")
+    words.frombytes(x.to_bytes(8 * count, "little"))
+    if swap:
+        words.byteswap()
+    return words
 
 
 class MonitorError(AutomatonError):

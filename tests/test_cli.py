@@ -223,6 +223,52 @@ def test_union_product_intersect(tmp_path, capsys, m_id_file):
     assert parse(capsys.readouterr().out).role == "fpm"
 
 
+def test_constructions_print_the_library_result(tmp_path, capsys):
+    # Every construction subcommand's stdout parses back to the automaton
+    # its library function builds from the same parsed inputs, and
+    # serializing that gives stdout back byte for byte.
+    from probuchi import complement_to_fpm, construct, decide
+
+    swapped = serialize(construct.generate_example("m_id_swapped"))
+    texts = {
+        "m_id.fpm": serialize(gen_m_id()),
+        # m_id_swapped with state names of its own, so intersect accepts it
+        "r_id.fpm": swapped.replace("q0", "r0").replace("q1", "r1").replace("qr", "rr"),
+        "c.fpm": serialize(complement_to_fpm(gen_m_id())),
+        "d.dra": "type: dra\nalphabet: a b\nstates: qb qa\ninit: qb\npair: {} {qa}\n"
+                 "qa -a-> qa\nqa -b-> qb\nqb -a-> qa\nqb -b-> qb\n",
+        "n.nba": "type: nba\nalphabet: a b\nstates: p q\ninit: p\nfinal: q\n"
+                 "p -a-> p\np -b-> p\np -b-> q\nq -b-> q\n",
+        "s2.hpba": serialize(gen_succinct(2)),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    cases = [
+        ("gen", ["m_id"], lambda: construct.generate_example("m_id")),
+        ("gen", ["p3", "1/3"], lambda: construct.generate_example("p3", "1/3")),
+        ("gen", ["succinct", "3"], lambda: construct.generate_example("succinct", "3")),
+        ("complement", ["n.nba"], decide.nba_complement),
+        ("product", ["c.fpm", "c.fpm"], construct.fpm_product),
+        ("union", ["m_id.fpm", "r_id.fpm"], construct.almost_sure_union),
+        ("intersect", ["m_id.fpm", "r_id.fpm"], construct.almost_sure_intersection),
+        ("dra2hpba", ["d.dra"], construct.dra_to_hpba),
+        ("hpba2nba", ["s2.hpba"], construct.hpba_to_nba),
+        ("closure", ["s2.hpba"], construct.safety_closure),
+    ]
+    for command, args, build in cases:
+        if command == "gen":
+            argv, want = [command, *args], build()
+        else:
+            argv = [command, *(str(tmp_path / name) for name in args)]
+            want = build(*(parse(texts[name]) for name in args))
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert parse(out) == want, argv
+        assert serialize(parse(out)) == out, argv
+    assert {c for c, _, _ in cases} == {
+        "gen", "complement", "product", "union", "intersect", "dra2hpba", "hpba2nba", "closure"}
+
+
 def test_decompose(tmp_path, capsys):
     pra = tmp_path / "r.pra"
     pra.write_text(

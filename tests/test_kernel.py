@@ -12,7 +12,8 @@ quotient with its own searches, the private NBA lasso product, the
 monitor's own accumulation loop, the dense absorption system over every
 mixed node of a lasso chain, the sampler that refines a ``Fraction``
 interval and the splitmix64 bit source, per-sample seed and integer
-Knuth-Yao pick that the sampler's one loop now inlines, the monitor
+Knuth-Yao pick that the sampler's one loop now inlines, each sample's
+seed and first word that it now computes a block at a time, the monitor
 universality scan over every monoid element's
 doomed mask, the rank-based complement explored on state names and its
 product-then-zip rank choices, and the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
+from array import array
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -1896,6 +1898,89 @@ def test_mc_step_limit_boundary_matches_reference(monkeypatch, case):
     for count in (first + 1, n):
         assert mc_outcome(mc_lasso_estimate, aut, w, count, seed) == ("step_cap", most - 1)
         assert mc_outcome(partial(ref_mc_estimate, limit=most - 1), aut, w, count, seed) == ("step_cap", most - 1)
+
+
+# Root seeds for the lane-wise seeding: both ends of the 64-bit range, its
+# top bit alone, and one drawn value.
+LANE_ROOTS = [0, 1, 2**63, 2**64 - 1, random.Random(19).getrandbits(64)]
+
+
+def ref_first_words(root: int, n: int) -> list[tuple[int, int]]:
+    """``(state, word)`` per sample: the sample's generator state after its
+    first step, and the 64 bits that step gives, lowest first."""
+    out = []
+    for i in range(n):
+        bits = ref_bits(ref_sample_seed(root, i))
+        word = sum(bits.bit() << j for j in range(64))
+        out.append((bits._state, word))
+    return out
+
+
+@pytest.mark.parametrize("root", LANE_ROOTS)
+def test_lane_first_words_match_the_per_sample_generator(root):
+    # One sample, one short of a block, a block, one past it, and two
+    # blocks and one sample.
+    want = ref_first_words(root, 2049)
+    for n in (1, 1023, 1024, 1025, 2049):
+        assert list(sim._first_words(root, n)) == want[:n]
+
+
+def test_lanes_built_through_the_byte_swapped_path_match_the_per_sample_generator(monkeypatch):
+    # A host of the other byte order stores every array word byte-swapped.
+    # Hand the lane code arrays stored that way, read the arrays it returns
+    # that way, and set ``swap`` for that host: the lanes must not change.
+    lanes, words = sim._lanes, sim._words
+
+    def foreign_lanes(native: array) -> int:
+        stored = array("Q", native)
+        stored.byteswap()
+        return lanes(stored, not sim._SWAP)
+
+    def foreign_words(x: int, count: int) -> array:
+        stored = words(x, count, not sim._SWAP)
+        stored.byteswap()
+        return stored
+
+    monkeypatch.setattr(sim, "_lanes", foreign_lanes)
+    monkeypatch.setattr(sim, "_words", foreign_words)
+    root = LANE_ROOTS[-1]
+    assert list(sim._first_words(root, 1025)) == ref_first_words(root, 1025)
+
+
+def slow_leak_pba() -> Automaton:
+    """s stays on a with probability 9/10 and leaks 1/20 each to an accepting
+    and a rejecting sink: acceptance 1/2, and ten picks per sample on
+    average, none of them dyadic."""
+    F = Fraction
+    trans = {("s", "a"): (("s", F(9, 10)), ("acc", F(1, 20)), ("rej", F(1, 20))),
+             ("acc", "a"): (("acc", F(1)),), ("rej", "a"): (("rej", F(1)),)}
+    return Automaton(name="slow_leak", role="pba", alphabet=("a",), states=("s", "acc", "rej"),
+                     initial="s", acceptance=BuchiAcceptance(frozenset({"acc"})), transitions=trans)
+
+
+def test_mc_estimate_past_one_block_matches_the_reference(monkeypatch):
+    drawn = []
+
+    class TallyBits(ref_bits):
+        """ref_bits that records how many bits each sample draws."""
+
+        def __init__(self, seed: int):
+            super().__init__(seed)
+            self.index = len(drawn)
+            drawn.append(0)
+
+        def bit(self) -> int:
+            drawn[self.index] += 1
+            return super().bit()
+
+    monkeypatch.setitem(globals(), "ref_bits", TallyBits)
+    aut, w, root = slow_leak_pba(), LassoWord((), ("a",)), LANE_ROOTS[-1]
+    want = ref_mc_estimate(aut, w, 1025, root)
+    assert mc_lasso_estimate(aut, w, 1025, root) == want
+    # Guard against a vacuous differential: the mean is one a wrong bit can
+    # move, and ten samples or more draw past their first word, so the
+    # sampler's own refill after the batched first word runs.
+    assert len(drawn) == 1025 and 0 < want.mean < 1 and sum(d > 64 for d in drawn) >= 10, (want.mean, sorted(drawn)[-12:])
 
 
 @settings(max_examples=100, deadline=None)

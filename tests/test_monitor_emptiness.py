@@ -22,7 +22,6 @@ from probuchi.decide import (
     SearchCancelled,
     SubsetWitness,
     _certify_numbering,
-    _image,
     _monoid,
     _symbol_masks,
     _word_key,
@@ -32,7 +31,7 @@ from probuchi.decide import (
 from probuchi.textio import serialize
 
 from conftest import random_fpm, random_pba
-from test_kernel import ref_lex_reach_words
+from test_kernel import ref_image, ref_lex_reach_words
 
 F = Fraction
 
@@ -51,7 +50,7 @@ def ref_fpm_positive_empty(m: Automaton) -> SubsetWitness | None:
         for q in candidates:
             closure = frontier = 1 << idx[q]
             while frontier:
-                step = _image(frontier, rows)
+                step = ref_image(frontier, rows)
                 if step & reject_bit:
                     break
                 frontier = step & ~closure

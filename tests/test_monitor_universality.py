@@ -20,14 +20,18 @@ from probuchi.decide import (
     SearchCancelled,
     _almost_sure_supports,
     _belief_supports,
-    _image,
     _symbol_masks,
     almost_sure_empty,
     fpm_positive_universal,
 )
 
 from conftest import PALETTE, random_fpm, random_pba
-from test_kernel import ref_fpm_positive_universal, ref_safe_start_mask, ref_transition_monoid
+from test_kernel import (
+    ref_fpm_positive_universal,
+    ref_image,
+    ref_safe_start_mask,
+    ref_transition_monoid,
+)
 from test_monitor_emptiness import perm_monitor
 
 F = Fraction
@@ -110,7 +114,7 @@ def ref_almost_sure_supports(m, supports):
         while todo:
             t = todo.pop()
             for a in m.alphabet:
-                u = _image(t, gen[a])
+                u = ref_image(t, gen[a])
                 if u not in seen:
                     seen.add(u)
                     todo.append(u)
