@@ -27,11 +27,17 @@ word itself, so every bit drawn is the one the per-sample generator draws.
 Monitor sessions keep the exact state distribution as integer numerators
 over one running denominator, stepped by ``markov._walk`` over the rows
 ``Automaton.weights`` compiles once per automaton, and keep the running
-denominator split into its power of two and its odd part.
-The power of two it shares with the numerators is read off their low bits,
-so only the odd part, 1 for a monitor whose weights have power-of-two
-denominators, ever meets a gcd.  Each fed symbol's reject mass is reduced
-that way and built without a second gcd; every ``_REDUCE_PERIOD`` symbols
+denominator split into its power of two and its odd part.  A fed symbol
+costs one lookup of its split, which is also the unknown-symbol check, one
+``_walk`` step and the reject mass, reduced inline: the power of two it
+shares with the denominator is read off its numerator's low bits, with no
+mask at all when the numerator is odd, so only the odd part, 1 for a
+monitor whose weights have power-of-two denominators, ever meets a gcd.
+The mass is built from its coprime parts without the ``Fraction``
+constructor's gcd: through ``Fraction._from_coprime_ints`` on Python 3.12
+and later, by setting the two slots it sets on 3.10 and 3.11.
+:attr:`MonitorSession.reject_probability` returns the mass of the last
+feed, so reading it does no arithmetic.  Every ``_REDUCE_PERIOD`` symbols
 the whole state is divided by its content, so the denominator stays within
 a bounded factor of the reduced one.  With power-of-two denominators a
 symbol costs time linear in the width of the numerators, so an N-symbol
@@ -75,11 +81,15 @@ MC_STEP_LIMIT = 1_000_000
 _REDUCE_PERIOD = 16
 
 # Builds Fraction(n, d) for coprime n and d > 0 without the constructor's
-# gcd, through a private constructor where one exists.
+# gcd or argument checks.
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
     _coprime_fraction = Fraction._from_coprime_ints
-else:
-    _coprime_fraction = partial(Fraction, _normalize=False)  # 3.10 and 3.11
+else:  # 3.10 and 3.11: set the two slots, as _from_coprime_ints does
+    def _coprime_fraction(n: int, d: int, _new=object.__new__) -> Fraction:
+        f = _new(Fraction)
+        f._numerator = n
+        f._denominator = d
+        return f
 
 
 def _cumulative(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
@@ -274,7 +284,8 @@ class MonitorSession:
     """Stateful streaming run of a monitor over a symbol stream.
 
     Keeps the exact state distribution; :meth:`feed` consumes one symbol and
-    returns the current reject mass, which is monotone non-decreasing.  A
+    returns the current reject mass, which is monotone non-decreasing;
+    :attr:`reject_probability` is the last one returned, 0 before any.  A
     feed that fails (unknown symbol) leaves the session state untouched.
     Sessions are single-owner: feeding one session concurrently is not
     supported, distinct sessions are independent.
@@ -293,37 +304,42 @@ class MonitorSession:
         self._twos = 0
         self._odd = 1
         self._position = 0
+        self._reject = m.reject
+        self._mass = Fraction(0)
 
     @property
     def reject_probability(self) -> Fraction:
-        # gcd(den, num) is 2**k times gcd(odd part, num): k comes from the
-        # num's low bits below the denominator's power of two, and math.gcd
-        # sees only the odd part, when it is not 1.
-        assert self._m.reject is not None
-        num, odd, k = self._nums.get(self._m.reject, 0), self._odd, self._twos
-        low = num & ((1 << k) - 1)
-        if low:
-            k = _twos(low)
-        if odd > 1:
-            g = gcd(odd, num)
-            num, odd = num // g, odd // g
-        return _coprime_fraction(num >> k, odd << (self._twos - k))
+        """The reject mass after the last successful feed; 0 before any."""
+        return self._mass
 
     def feed(self, symbol: str) -> Fraction:
-        if symbol not in self._split:
+        split = self._split.get(symbol)
+        if split is None:
             raise MonitorError(symbol, self._position)
-        sym_twos, sym_odd = self._split[symbol]
         self._nums = _walk(self._m, (self._nums, 1), symbol)[0]
-        self._twos += sym_twos
-        self._odd *= sym_odd
+        self._twos += split[0]
+        self._odd *= split[1]
         self._position += 1
         if self._position % _REDUCE_PERIOD == 0:
             self._reduce()
-        return self.reject_probability
+        # gcd(den, num) is 2**k times gcd(odd part, num): an odd num shares
+        # no power of two, an even one shares its low zero bits below the
+        # denominator's, and math.gcd sees only the odd part, when it is
+        # not 1.
+        num, twos, odd = self._nums.get(self._reject, 0), self._twos, self._odd
+        k = 0
+        if not num & 1:
+            low = num & ((1 << twos) - 1)
+            k = _twos(low) if low else twos
+        if odd > 1:
+            g = gcd(odd, num)
+            num, odd = num // g, odd // g
+        self._mass = mass = _coprime_fraction(num >> k, odd << (twos - k))
+        return mass
 
     def _reduce(self) -> None:
         """Divide the numerators and the denominator by their content,
-        found as in :attr:`reject_probability`."""
+        found as for the reject mass in :meth:`feed`."""
         nums = self._nums.values()
         k = self._twos
         for p in nums:

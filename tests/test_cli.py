@@ -11,7 +11,7 @@ import pytest
 
 from probuchi import gen_m_id, gen_p3, gen_succinct
 from probuchi.cli import run
-from probuchi.textio import parse, serialize
+from probuchi.textio import FormatError, parse, serialize
 
 
 @pytest.fixture()
@@ -809,6 +809,27 @@ def test_construction_prints_rationals_beyond_the_digit_limit(tmp_path, capsys):
         assert parse(out) == fpm_product(big, big)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-from-str digit limit"
+)
+def test_construction_output_past_the_digit_limit_does_not_read_back(tmp_path, capsys):
+    # FORMAT.md: parsing keeps the 4,300-digit limit, so the product of two
+    # monitors over 2,201-digit denominators prints 4,401-digit integers
+    # that parse refuses with a message naming the limit.
+    assert sys.get_int_max_str_digits() == 4300
+    den = 10**2200
+    path = tmp_path / "big.fpm"
+    path.write_text(
+        "type: fpm\nalphabet: a\nstates: q r\ninit: q\nfinal: q\nreject: r\n"
+        f"q -a-> q : {den - 1}/{den}\nq -a-> r : 1/{den}\nr -a-> r : 1\n"
+    )
+    assert run(["product", str(path), str(path)]) == 0
+    out = capsys.readouterr().out
+    assert max(len(n) for n in re.findall(r"\d+", out)) == 4401
+    with pytest.raises(FormatError, match=r"line 7, column 20: .* longer than Python's 4,300-digit limit"):
+        parse(out)
 
 
 def test_usage_errors_are_input_errors_naming_the_argument(m_id_file, capsys):

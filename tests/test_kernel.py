@@ -9,10 +9,11 @@ the kernel packs into one mask per row), the linked-pair universality
 loop over every idempotent and element pair, the early-exit
 cycle-word search, the layered breadth-first reach words, the NBA trim and
 quotient with its own searches, the private NBA lasso product, the
-monitor's own accumulation loop, the dense absorption system over every
-mixed node of a lasso chain, the sampler that refines a ``Fraction``
-interval and the splitmix64 bit source, per-sample seed and integer
-Knuth-Yao pick that the sampler's one loop now inlines, each sample's
+monitor's own accumulation loop, the monitor session's former feed,
+which reduced the reject mass from the state on every read, the dense
+absorption system over every mixed node of a lasso chain, the sampler
+that refines a ``Fraction`` interval and the splitmix64 bit source,
+per-sample seed and integer Knuth-Yao pick that the sampler's one loop now inlines, each sample's
 seed and first word that it now computes a block at a time, the monitor
 universality scan over every monoid element's
 doomed mask, the rank-based complement explored on state names and its
@@ -91,7 +92,9 @@ from probuchi.markov import (
     word_matrix,
 )
 from probuchi.sim import (
+    _REDUCE_PERIOD,
     McEstimate,
+    MonitorError,
     MonitorSession,
     _cumulative,
     mc_lasso_estimate,
@@ -2136,6 +2139,123 @@ def test_mixed_prime_cases_exercise_both_factor_kinds():
         _, _, seen = feed_mixed_prime_case(*mixed_prime_fpm(rng))
         counts = [c + s for c, s in zip(counts, seen)]
     assert counts[0] >= 60 and counts[1] >= 40 and counts[2] >= 30, counts
+
+
+# ---------------------------------------------------------------------------
+# Monitor sessions against their former feed
+
+
+class RefMonitorSession(MonitorSession):
+    """A monitor session with its former feed: each feed returns
+    :attr:`reject_probability`, which reduces the reject mass from the
+    session's state on every read.  The mass is built by the public
+    ``Fraction`` constructor, whose own gcd would repair a mass that was
+    not in lowest terms."""
+
+    @property
+    def reject_probability(self) -> Fraction:
+        num, odd, k = self._nums.get(self._m.reject, 0), self._odd, self._twos
+        low = num & ((1 << k) - 1)
+        if low:
+            k = (low & -low).bit_length() - 1
+        if odd > 1:
+            g = gcd(odd, num)
+            num, odd = num // g, odd // g
+        return Fraction(num >> k, odd << (self._twos - k))
+
+    def feed(self, symbol: str) -> Fraction:
+        if symbol not in self._split:
+            raise MonitorError(symbol, self._position)
+        sym_twos, sym_odd = self._split[symbol]
+        self._nums = _walk(self._m, (self._nums, 1), symbol)[0]
+        self._twos += sym_twos
+        self._odd *= sym_odd
+        self._position += 1
+        if self._position % _REDUCE_PERIOD == 0:
+            self._reduce()
+        return self.reject_probability
+
+
+def session_split(session):
+    """A session's numerators in order, with its denominator's split."""
+    return list(session._nums.items()), session._twos, session._odd
+
+
+def feed_against_reference(m, word, unknown=()):
+    """Feed ``word`` to a session and to :class:`RefMonitorSession` side by
+    side, and before each position in ``unknown`` a symbol outside the
+    alphabet, which both must refuse at the same position, leaving the
+    session as it was.  Compares every mass, hash included, and the state
+    after every feed.  Returns whether a reduction divided the state, some
+    denominator had an odd part above 1, and some reject numerator over a
+    power of two was even (the masked path) or odd (no mask)."""
+    got, want = MonitorSession(m), RefMonitorSession(m)
+    reduced = odd_part = even_num = odd_num = False
+    for i, a in enumerate(word):
+        if i in unknown:
+            before = session_split(got), got.reject_probability
+            with pytest.raises(MonitorError) as err:
+                got.feed("?")
+            with pytest.raises(MonitorError) as ref_err:
+                want.feed("?")
+            assert err.value.position == ref_err.value.position == i
+            assert (session_split(got), got.reject_probability) == before
+        twos, odd = got._twos, got._odd
+        r, s = got.feed(a), want.feed(a)
+        assert (r.numerator, r.denominator, hash(r)) == (s.numerator, s.denominator, hash(s))
+        assert got.reject_probability is r
+        assert session_split(got) == session_split(want)
+        reduced |= got._twos < twos or got._odd < odd
+        odd_part |= got._odd > 1
+        num = got._nums.get(m.reject, 0)
+        even_num |= got._twos > 0 and num > 0 and num % 2 == 0
+        odd_num |= got._twos > 0 and num % 2 == 1
+    return reduced, odd_part, even_num, odd_num
+
+
+def session_case(rng: random.Random, kind: str):
+    """A ``random_fpm`` or ``mixed_prime_fpm`` monitor, a stream of up to
+    120 of its symbols, and up to three positions of unknown symbols."""
+    if kind == "mixed-prime":
+        m, _ = mixed_prime_fpm(rng)
+    else:
+        alphabet = rng.choice([("a", "b"), ("a", "b", "c")])
+        m = random_fpm(rng, rng.randint(2, 7), alphabet)
+    word = [rng.choice(m.alphabet) for _ in range(rng.randint(0, 120))]
+    return m, word, set(rng.sample(range(len(word) + 1), min(3, rng.randint(0, len(word)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from(["fpm", "mixed-prime"]))
+def test_monitor_feed_matches_its_former_feed(seed, kind):
+    feed_against_reference(*session_case(random.Random(seed), kind))
+
+
+def test_monitor_feed_matches_its_former_feed_on_the_long_leak_stream():
+    # 1 - (1023/1024)^n has an odd numerator over 1024^n, 30,000 bits wide
+    # after 3,000 symbols; the stream ends on an unknown symbol.
+    keep = Fraction(1023, 1024)
+    leak = Automaton(
+        name="leak", role="fpm", alphabet=("a",), states=("q", "rej"), initial="q",
+        acceptance=BuchiAcceptance(frozenset({"q"})),
+        transitions={("q", "a"): (("q", keep), ("rej", 1 - keep)), ("rej", "a"): (("rej", Fraction(1)),)},
+        reject="rej",
+    )
+    seen = feed_against_reference(leak, ["a"] * 3000 + ["a"], unknown={3000})
+    assert seen == (False, False, False, True)
+
+
+def test_monitor_session_cases_exercise_every_path():
+    # Guard against a vacuous differential: the drawn cases must cross
+    # reductions that divide the state, carry odd denominator parts, and
+    # reach the reject mass with even and with odd numerators over a power
+    # of two.
+    rng = random.Random(59)
+    counts = [0, 0, 0, 0]
+    for i in range(100):
+        seen = feed_against_reference(*session_case(rng, ["fpm", "mixed-prime"][i % 2]))
+        counts = [c + s for c, s in zip(counts, seen)]
+    assert min(counts) >= 20, counts
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ it shows up as time.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from probuchi import Automaton, BuchiAcceptance, core, decide, gen_m_id, gen_p3, markov
+from probuchi import Automaton, BuchiAcceptance, core, decide, fpm_product, gen_m_id, gen_p3, markov, sim
 from probuchi.cli import run
 from probuchi.decide import (
     fpm_positive_empty,
@@ -192,3 +193,39 @@ def test_witness_walks_rows_and_validates(tmp_path, capsys, monkeypatch, aut, ma
     assert run(["witness", str(path), "--max-len", str(max_len), "--max-j", "3"]) == answer
     capsys.readouterr()
     assert counts == {"search": search_rows, "check": check_rows, "validate": validations}
+
+
+def leak_monitor(keep: Fraction) -> Automaton:
+    """q keeps ``keep`` of its mass on a and leaks the rest to the reject r:
+    over 2/3 the masses are 2^n and 3^n - 2^n over 3^n, which no reduction
+    shortens."""
+    return Automaton(
+        name="leak", role="fpm", alphabet=("a",), states=("q", "r"), initial="q",
+        acceptance=BuchiAcceptance(frozenset({"q"})),
+        transitions={("q", "a"): (("q", keep), ("r", 1 - keep)), ("r", "a"): (("r", Fraction(1)),)},
+        reject="r",
+    )
+
+
+@pytest.mark.parametrize("aut, symbols, n, gcds", [
+    (gen_m_id(), "01", 3000, 0),
+    (fpm_product(gen_m_id(), gen_m_id()), "01", 3000, 0),
+    (leak_monitor(Fraction(1023, 1024)), "a", 3000, 0),
+    (leak_monitor(Fraction(2, 3)), "a", 320, 320 + 320 // 16),
+])
+def test_monitor_streams_take_gcds_only_on_odd_denominators(monkeypatch, aut, symbols, n, gcds):
+    # A monitor whose weights have power-of-two denominators never meets a
+    # gcd; one over 3 takes one per symbol for its reject mass and one per
+    # periodic reduction.  Reading the last mass back takes none.
+    calls = []
+
+    def spy(*args, _fn=sim.gcd):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(sim, "gcd", spy)
+    session = sim.MonitorSession(aut)
+    rng = random.Random(5)
+    for a in [rng.choice(symbols) for _ in range(n)]:
+        assert session.feed(a) is session.reject_probability
+    assert len(calls) == gcds
