@@ -239,9 +239,9 @@ def _cmd_monitor(args) -> int:
     from . import sim
 
     symbols = (line.strip() for line in sys.stdin)
-    stream = sim.monitor_stream(_load(args.file), (a for a in symbols if a))
-    for fed, p in enumerate(stream):
-        print(_text(p))
+    lines = sim.monitor_text(_load(args.file), (a for a in symbols if a))
+    for fed, line in enumerate(lines):
+        print(line)
     print(f"monitored {fed} symbol(s)", file=sys.stderr)
     return EXIT_ANSWERED
 

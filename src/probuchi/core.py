@@ -256,7 +256,8 @@ class Automaton:
                 entries = []
                 seen: set[str] = set()
                 for target, p in row:  # type: ignore[misc]
-                    p = Fraction(p)
+                    if type(p) is not Fraction:
+                        p = Fraction(p)
                     if target in seen:
                         raise ValueError(
                             f"duplicate target {target!r} in row {key}"
@@ -264,7 +265,8 @@ class Automaton:
                     seen.add(target)
                     if p != 0:
                         entries.append((target, p))
-                entries.sort(key=lambda tp: (order.get(tp[0], len(order)), tp[0]))
+                if len(entries) > 1:
+                    entries.sort(key=lambda tp: (order.get(tp[0], len(order)), tp[0]))
                 if entries:
                     norm[key] = tuple(entries)
             else:

@@ -43,6 +43,10 @@ a bounded factor of the reduced one.  With power-of-two denominators a
 symbol costs time linear in the width of the numerators, so an N-symbol
 stream costs O(N^2), not the O(N^3) of a gcd per symbol; any other monitor
 pays one gcd per symbol on the odd part, as a plain ``Fraction`` would.
+:func:`monitor_text` writes the same masses as decimal lines from a
+``decimal.Decimal`` twin of a session's integers, so that a line whose
+mass is about as wide as the session's denominator costs time linear in
+its width.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact
+from decimal import InvalidOperation, Overflow, Rounded, localcontext
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -59,7 +65,8 @@ from typing import Iterable, Iterator
 from .core import Automaton, AutomatonError, LassoWord, ResourceLimitError, _clip, require_valid
 from .markov import _walk, build_lasso_chain
 
-__all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "MonitorError"]
+__all__ = ["McEstimate", "mc_lasso_estimate", "MonitorSession", "monitor_stream", "monitor_text",
+           "MonitorError"]
 
 _MASK = (1 << 64) - 1
 _WORD_END = 1 << 64
@@ -79,6 +86,10 @@ MC_STEP_LIMIT = 1_000_000
 # slower on the benchmark's streams; never reducing lets the denominator
 # grow by the symbol's lcm on every step even when the masses do not change.
 _REDUCE_PERIOD = 16
+# Integer arithmetic on decimals that never rounds: a result that would need
+# rounding raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow])
 
 # Builds Fraction(n, d) for coprime n and d > 0 without the constructor's
 # gcd or argument checks.
@@ -367,3 +378,48 @@ def monitor_stream(m: Automaton, stream: Iterable[str]) -> Iterator[Fraction]:
     yield Fraction(0)
     for symbol in stream:
         yield session.feed(symbol)
+
+
+def monitor_text(m: Automaton, stream: Iterable[str]) -> Iterator[str]:
+    """``str(p)`` for each ``p`` of :func:`monitor_stream`, of any length.
+
+    A session's integers are binary, and CPython writes one in decimal in
+    time quadratic in its width at the widths a stream reaches, so printing
+    the masses of an N-symbol stream that way costs O(N^3).  Here a twin of
+    the session's numerators and denominator is kept as exact
+    ``decimal.Decimal`` integers, stepped by the same ``markov._walk``, and
+    each line is written from it.  The binary session supplies the two
+    divisors the twin needs: the content its numerators and denominator
+    are divided by whenever the session reduces, and the factor the reject
+    mass loses to its gcd.  When that factor fits in a word, as on a leak
+    monitor, whose masses are in lowest terms, a line costs time linear in
+    its width.  A wider factor means a mass narrower than the twin by more
+    than a word; that mass is converted itself, at about the cost of
+    ``str``.  The contents are wide only after the denominator has grown by
+    as much, so they cost no more in all than the session's own steps.
+    """
+    session = MonitorSession(m)
+    yield "0"
+    nums: dict[str, Decimal] = {m.initial: Decimal(1)}
+    den = Decimal(1)
+    for symbol in stream:
+        twos, odd = session._twos, session._odd
+        mass = session.feed(symbol)
+        sym_twos, sym_odd = session._split[symbol]
+        twos, odd = twos + sym_twos, odd * sym_odd
+        with localcontext(_EXACT):
+            nums, den = _walk(m, (nums, den), symbol)
+            if twos != session._twos or odd != session._odd:  # the session reduced
+                content = Decimal((odd // session._odd) << (twos - session._twos))
+                nums = {q: p // content for q, p in nums.items()}
+                den //= content
+            f = (session._odd << session._twos) // mass.denominator
+            if mass.denominator == 1:  # 0 or 1
+                line = str(mass.numerator)
+            elif f == 1:
+                line = f"{nums[m.reject]}/{den}"
+            elif f < _WORD_END:
+                line = f"{nums[m.reject] // f}/{den // f}"
+            else:  # the mass is narrower than the twin by more than a word
+                line = f"{Decimal(mass.numerator)}/{Decimal(mass.denominator)}"
+        yield line

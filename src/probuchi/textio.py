@@ -97,86 +97,95 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def _role(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> str:
-    if len(rest) != 1 or rest[0][0] not in ROLES:
-        raise FormatError("type must be one of pba|fpm|hpba|nba|dra|pra", line_no, col)
-    return rest[0][0]
+def _error(message: str, line_no: int, raw: str, i: int) -> FormatError:
+    """A :class:`FormatError` at token ``i`` of the line ``raw``.  Columns
+    are found only here, so a line that parses never pays for them."""
+    return FormatError(message, line_no, _tokens(raw)[i][1])
 
 
-def _alphabet(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
+def _role(key: str, rest: list[str], line_no: int, raw: str) -> str:
+    if len(rest) != 1 or rest[0] not in ROLES:
+        raise _error("type must be one of pba|fpm|hpba|nba|dra|pra", line_no, raw, 0)
+    return rest[0]
+
+
+def _alphabet(key: str, rest: list[str], line_no: int, raw: str) -> tuple:
     """The symbols.  None may contain a separator of the lasso syntax over
     them: ``;``, or ``,`` when some symbol is longer than one character."""
-    symbols = _some_names(key, rest, line_no, col)
+    symbols = _some_names(key, rest, line_no, raw)
     separators = ";" + word_separator(symbols)
-    for sym, sym_col in rest:
+    for i, sym in enumerate(rest, start=1):
         for ch in separators:
             if ch in sym:
-                raise FormatError(f"symbol {_clip(sym)} contains {ch!r}, a separator in "
-                                  f"lassos over this alphabet", line_no, sym_col)
+                raise _error(f"symbol {_clip(sym)} contains {ch!r}, a separator in "
+                             f"lassos over this alphabet", line_no, raw, i)
     return symbols
 
 
-def _one_state(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> str:
+def _one_state(key: str, rest: list[str], line_no: int, raw: str) -> str:
     if len(rest) != 1:
-        raise FormatError(f"{key} takes one state", line_no, col)
-    return rest[0][0]
+        raise _error(f"{key} takes one state", line_no, raw, 0)
+    return rest[0]
 
 
-def _names(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
-    return tuple(t for t, _ in rest)
+def _names(key: str, rest: list[str], line_no: int, raw: str) -> tuple:
+    return tuple(rest)
 
 
-def _some_names(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
+def _some_names(key: str, rest: list[str], line_no: int, raw: str) -> tuple:
     if not rest:
-        raise FormatError(f"{key} must not be empty", line_no, col)
-    return _names(key, rest, line_no, col)
+        raise _error(f"{key} must not be empty", line_no, raw, 0)
+    return tuple(rest)
 
 
-def _pair(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> tuple:
-    """One Rabin pair, as a 1-tuple so that repeated ``pair:`` lines add up."""
-    text = " ".join(t for t, _ in rest)
-    col = rest[0][1] if rest else 1
+def _pair(key: str, rest: list[str], line_no: int, raw: str) -> tuple:
+    """One Rabin pair, as a 1-tuple so that repeated ``pair:`` lines add up.
+    Every error is reported at the first token after the key."""
+
+    def error(message: str) -> FormatError:
+        return _error(message, line_no, raw, 1) if rest else FormatError(message, line_no)
+
     groups = []
     depth = 0
     cur: list[str] = []
-    for ch in text:
+    for ch in " ".join(rest):
         if ch == "{":
             if depth:
-                raise FormatError("nested '{' in pair", line_no, col)
+                raise error("nested '{' in pair")
             depth = 1
             cur = []
         elif ch == "}":
             if not depth:
-                raise FormatError("unmatched '}' in pair", line_no, col)
+                raise error("unmatched '}' in pair")
             depth = 0
             groups.append(frozenset("".join(cur).split()))
         elif depth:
             cur.append(ch)
         elif ch.strip():
-            raise FormatError("pair must be '{b1 b2 ...} {g1 g2 ...}'", line_no, col)
+            raise error("pair must be '{b1 b2 ...} {g1 g2 ...}'")
     if depth or len(groups) != 2:
-        raise FormatError("pair must be '{b1 b2 ...} {g1 g2 ...}'", line_no, col)
+        raise error("pair must be '{b1 b2 ...} {g1 g2 ...}'")
     return ((groups[0], groups[1]),)
 
 
-def _ranks(key: str, rest: list[tuple[str, int]], line_no: int, col: int) -> dict:
+def _ranks(key: str, rest: list[str], line_no: int, raw: str) -> dict:
     ranks = {}
-    for tok, col in rest:
+    for i, tok in enumerate(rest, start=1):
         if "=" not in tok:
-            raise FormatError(f"rank entry {_clip(tok)} needs q=level", line_no, col)
+            raise _error(f"rank entry {_clip(tok)} needs q=level", line_no, raw, i)
         q, _, level = tok.partition("=")
         try:
             ranks[q] = integer(level, signed=False)
         except ValueError:
-            raise FormatError(f"bad level in {_clip(tok)}", line_no, col) from None
+            raise _error(f"bad level in {_clip(tok)}", line_no, raw, i) from None
     return ranks
 
 
-# Every header key: the reader of its tokens (given the key, the tokens, the
-# line and the key's column), the roles that need the line and the error when
-# it is missing, the roles that allow it and the error when it is not.  After
-# the last line, missing lines are reported in table order, then lines not
-# allowed in reverse order.
+# Every header key: the reader of its tokens (given the key, the tokens after
+# it, the line number and the line), the roles that need the line and the
+# error when it is missing, the roles that allow it and the error when it is
+# not.  After the last line, missing lines are reported in table order, then
+# lines not allowed in reverse order.
 _HEADER_KEYS = {
     "type": (_role, (), "", ROLES, ""),
     "alphabet": (_alphabet, ROLES, "missing 'alphabet' line", ROLES, ""),
@@ -197,62 +206,62 @@ def parse(text: str, name: str = "automaton") -> Automaton:
     Semantic problems (row sums, absorption, rankings) are deferred to
     :func:`probuchi.core.validate`; only grammar-level rules are enforced
     here, including the role-required header lines.
+
+    Each line is split once, each distinct probability token is read once,
+    and token columns are found only for the line an error is reported on.
     """
     header: dict = {}  # the keys of _HEADER_KEYS read so far, to their values
     transitions: dict = {}
     seen_edges: set[tuple[str, str, str]] = set()
+    probs: dict[str, Fraction] = {}  # each probability token read so far
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+        # str.split() and _TOKEN_RE split on the same whitespace.
+        toks = (_COMMENT_RE.split(raw, 1)[0] if "#" in raw else raw).split()
         if not toks:
             continue
-        head, head_col = toks[0]
+        head = toks[0]
         role = header.get("type")
         if role is None and head != "type:":
-            raise FormatError("first line must be 'type: <role>'", line_no, head_col)
+            raise _error("first line must be 'type: <role>'", line_no, raw, 0)
         if head.endswith(":"):
             key = head[:-1]
             if key in header and key != "pair":  # the one key that repeats
-                raise FormatError(f"duplicate key {key!r}", line_no, head_col)
+                raise _error(f"duplicate key {key!r}", line_no, raw, 0)
             if key not in _HEADER_KEYS:
-                raise FormatError(f"unknown key {_clip(key)}", line_no, head_col)
-            value = _HEADER_KEYS[key][0](key, toks[1:], line_no, head_col)
+                raise _error(f"unknown key {_clip(key)}", line_no, raw, 0)
+            value = _HEADER_KEYS[key][0](key, toks[1:], line_no, raw)
             header[key] = header.get(key, ()) + value if key == "pair" else value
             continue
         # transition line
         if len(toks) not in (3, 5):
-            raise FormatError("transition must be \"q -sym-> q'\" or \"q -sym-> q' : p\"",
-                              line_no, head_col)
-        src = toks[0][0]
-        arrow, arrow_col = toks[1]
-        dst = toks[2][0]
+            raise _error("transition must be \"q -sym-> q'\" or \"q -sym-> q' : p\"",
+                         line_no, raw, 0)
+        src, arrow, dst = toks[:3]
         if not (arrow.startswith("-") and arrow.endswith("->") and len(arrow) > 3):
-            raise FormatError(f"bad transition arrow {_clip(arrow)}", line_no, arrow_col)
+            raise _error(f"bad transition arrow {_clip(arrow)}", line_no, raw, 1)
         sym = arrow[1:-2]
         probabilistic_role = role in PROBABILISTIC_ROLES
         if (src, sym, dst) in seen_edges:
             # the tokens as written, unless _clip has to cut them
             edge = " ".join(t if len(t) <= _CLIP_WIDTH else _clip(t) for t in (src, arrow, dst))
-            raise FormatError(f"duplicate transition {edge}", line_no, head_col)
+            raise _error(f"duplicate transition {edge}", line_no, raw, 0)
         seen_edges.add((src, sym, dst))
         if len(toks) == 5:
-            colon, colon_col = toks[3]
-            if colon != ":":
-                raise FormatError("expected ':' before probability", line_no, colon_col)
+            if toks[3] != ":":
+                raise _error("expected ':' before probability", line_no, raw, 3)
             if not probabilistic_role:
-                raise FormatError(
-                    f"role {role} takes unweighted transitions", line_no, colon_col
-                )
-            try:
-                p = rational(toks[4][0], "probability")
-            except ValueError as exc:
-                raise FormatError(str(exc), line_no, toks[4][1]) from None
+                raise _error(f"role {role} takes unweighted transitions", line_no, raw, 3)
+            p = probs.get(toks[4])
+            if p is None:
+                try:
+                    p = probs[toks[4]] = rational(toks[4], "probability")
+                except ValueError as exc:
+                    raise _error(str(exc), line_no, raw, 4) from None
             transitions.setdefault((src, sym), []).append((dst, p))
         else:
             if probabilistic_role:
-                raise FormatError(
-                    f"role {role} needs ': p' on every transition", line_no, head_col
-                )
+                raise _error(f"role {role} needs ': p' on every transition", line_no, raw, 0)
             transitions.setdefault((src, sym), []).append(dst)
 
     role = header.get("type")

@@ -669,7 +669,8 @@ _RATIONAL_FIELDS = {"probability", "lower_bound", "acceptance", "left_acceptance
 
 def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
     # Every top-level key a query prints after "command" is in FORMAT.md's
-    # row for that command; a resource-limit document has exactly the
+    # row for that command, and each row's keys are all printed by some
+    # answer of its command; a resource-limit document has exactly the
     # documented keys.  The exit code follows the answer ("Exit codes"),
     # every lasso reads back over the first file's alphabet ("Lasso
     # syntax"), every exact rational has the grammar of "Numbers", and each
@@ -688,7 +689,7 @@ def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
     fields = _format_md_fields()
-    answers, seen, docs = set(), set(), {}
+    answers, seen, docs, printed = set(), set(), {}, {}
     for args in _ANSWER_CASES:
         argv = [files.get(a, a) for a in args.split()]
         code = run(argv)
@@ -701,6 +702,7 @@ def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
             assert set(keys) == fields["resource-limit"], args
         else:
             assert set(keys) <= fields[argv[0]], (args, set(keys) - fields[argv[0]])
+            printed.setdefault(argv[0], set()).update(keys)
         assert code == (2 if answer in ("unknown", "resource-limit") else 0), args
         auts = [parse(pathlib.Path(a).read_text()) for a in argv[1:] if a in files.values()]
         for key, value in _nested(doc):
@@ -719,6 +721,8 @@ def test_json_fields_are_listed_in_format_md(tmp_path, capsys):
     # Vacuity guard: every row is exercised, with each unknown and
     # resource-limit answer the queries give, and every checked field.
     assert {command for command, _ in answers} == set(fields) - {"resource-limit"}
+    assert printed == {command: keys for command, keys in fields.items()
+                       if command != "resource-limit"}
     assert {("witness", "unknown"), ("contain", "unknown"), ("empty", "resource-limit"),
             ("universal", "resource-limit"), ("decompose", "resource-limit")} <= answers
     assert seen == _RATIONAL_FIELDS | {"lasso", "assembled_lasso", "certificate"}

@@ -1,12 +1,14 @@
 """Monte Carlo estimation and streaming monitor sessions."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from probuchi import (
+    Automaton,
     complement_to_fpm,
     gen_m_id,
     gen_m_id_squared,
@@ -16,12 +18,14 @@ from probuchi import (
 from probuchi import sim
 from probuchi.core import AutomatonError, ResourceLimitError, UnknownSymbolError
 from probuchi.sim import (
+    _REDUCE_PERIOD,
     MonitorError,
     MonitorSession,
     _coprime_fraction,
     _cumulative,
     mc_lasso_estimate,
     monitor_stream,
+    monitor_text,
 )
 
 from probuchi.textio import parse
@@ -267,3 +271,130 @@ def test_mc_sample_past_the_step_limit_raises(monkeypatch):
         mc_lasso_estimate(parse(slow_exit_monitor(10**30)), lasso("", "a"), 5, seed=3)
     assert err.value.cap_name == "step_cap" and err.value.cap_value == 500
     assert "500 chain steps" in str(err.value) and "fixed" in str(err.value)
+
+
+# Row weights over 3, 5 and their products, alone or next to halves, so a
+# session's denominator has an odd part and often a power of two too.
+ODD_PALETTE = [
+    (F(1, 3), F(2, 3)),
+    (F(2, 5), F(3, 5)),
+    (F(1, 3), F(1, 3), F(1, 3)),
+    (F(2, 5), F(2, 5), F(1, 5)),
+    (F(1, 2), F(1, 3), F(1, 6)),
+    (F(1, 3), F(1, 3), F(1, 6), F(1, 6)),
+    (F(2, 5), F(1, 10), F(1, 4), F(1, 4)),
+]
+
+
+def _text_case(rng, odd: bool):
+    """A ``random_fpm`` over a b, its rows reweighted from ODD_PALETTE if
+    ``odd``, plus s, which keeps every state, and z, which sends every state
+    to the reject; and a stream for it that crosses the session's periodic
+    reduction up to six times."""
+    m = random_fpm(rng, rng.randint(2, 5))
+    rows = dict(m.transitions)
+    if odd:
+        for key, row in rows.items():
+            fits = [w for w in ODD_PALETTE if len(w) == len(row)]
+            if key[0] != m.reject and fits:
+                rows[key] = tuple(zip((t for t, _ in row), rng.choice(fits)))
+    for q in m.states:
+        rows[(q, "s")] = ((q, F(1)),)
+        rows[(q, "z")] = ((m.reject, F(1)),)
+    m = Automaton(name="text_case", role="fpm", alphabet=("a", "b", "s", "z"),
+                  states=m.states, initial=m.initial, acceptance=m.acceptance,
+                  transitions=rows, reject=m.reject)
+    n = rng.choice([0, 1, _REDUCE_PERIOD - 1, _REDUCE_PERIOD, _REDUCE_PERIOD + 1,
+                    rng.randint(0, 6 * _REDUCE_PERIOD)])
+    word = ["s"] * rng.randint(0, 3) + rng.choices("absz", [8, 8, 2, 1], k=n)
+    return m, word[:n]
+
+
+def _twin_divisors(m, word):
+    """Per fed symbol, the two divisors the decimal twin of a session takes
+    from it, and the mass: the content the state is divided by (1 when the
+    session does not reduce), and the factor the mass loses to its gcd."""
+    session = MonitorSession(m)
+    out = []
+    for a in word:
+        sym_twos, sym_odd = session._split[a]
+        twos, odd = session._twos + sym_twos, session._odd * sym_odd
+        mass = session.feed(a)
+        content = (odd // session._odd) << (twos - session._twos)
+        out.append((content, (session._odd << session._twos) // mass.denominator, mass))
+    return out
+
+
+def test_monitor_text_is_str_of_monitor_stream():
+    rng = random.Random(35)
+    zeros = ones = contents = factors = odd_factors = 0
+    for case in range(400):
+        m, word = _text_case(rng, odd=case % 2 == 1)
+        lines = list(monitor_text(m, word))
+        assert lines == [str(p) for p in monitor_stream(m, word)], (m, word)
+        zeros += lines[1:].count("0")
+        ones += lines.count("1")
+        divisors = _twin_divisors(m, word)
+        contents += sum(c > 1 for c, _, _ in divisors)
+        # Factors of masses other than 0 and 1, which print no division.
+        fs = [f for _, f, p in divisors if p.denominator > 1 and f > 1]
+        factors += len(fs)
+        odd_factors += sum(f % 2 == 1 for f in fs)
+    # Vacuity guard: masses of 0 and 1, reductions that divide the twin, and
+    # masses whose gcd with the denominator is neither 1 nor all of it, with
+    # odd gcds among them.
+    assert zeros >= 100 and ones >= 100, (zeros, ones)
+    assert contents >= 100 and factors >= 100 and odd_factors >= 100, (
+        contents, factors, odd_factors)
+
+
+def test_monitor_text_of_a_narrow_mass_over_a_wide_denominator():
+    # After c the reject mass stays 1/2, while each a halves q's mass, so
+    # the denominator grows a bit per symbol and the mass's gcd factor with
+    # it: a line must not pay for dividing the twin by that factor.
+    m = parse("type: fpm\nalphabet: a c\nstates: q s rej\ninit: q\nfinal: q s\nreject: rej\n"
+              "q -a-> q : 1/2\nq -a-> s : 1/2\ns -a-> s : 1\n"
+              "q -c-> q : 1/2\nq -c-> rej : 1/2\ns -c-> s : 1/2\ns -c-> rej : 1/2\n"
+              "rej -a-> rej : 1\nrej -c-> rej : 1\n")
+    word = ["c"] + ["a"] * 300
+    lines = list(monitor_text(m, word))
+    assert lines == ["0"] + ["1/2"] * 301
+    assert [f.bit_length() for _, f, _ in _twin_divisors(m, word)] == list(range(1, 302))
+
+
+def test_monitor_text_of_an_empty_stream_and_a_bad_symbol():
+    m = complement_to_fpm(gen_m_id())
+    assert list(monitor_text(m, [])) == ["0"]
+    assert list(monitor_text(m, ["0", "0"])) == ["0", "1/2", "5/8"]
+    lines = monitor_text(m, ["0", "x"])
+    assert next(lines) == "0" and next(lines) == "1/2"
+    with pytest.raises(MonitorError) as err:
+        next(lines)
+    assert err.value.position == 1
+
+
+def test_monitor_text_of_the_long_leak_stream_at_the_default_digit_limit():
+    # The reject mass after n symbols a is 1 - (1023/1024)^n, past 4,300
+    # digits from symbol 1,429 on; the lines come out at the default
+    # int-to-str limit, which stays set.
+    keep = F(1023, 1024)
+    leak = parse("type: fpm\nalphabet: a b\nstates: q r\ninit: q\nfinal: q\nreject: r\n"
+                 "q -a-> q : 1023/1024\nq -a-> r : 1/1024\nq -b-> q : 1\n"
+                 "r -a-> r : 1\nr -b-> r : 1\n")
+    word = ["a"] * 1500
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    lines = list(monitor_text(leak, word))
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert lines == [str(p) for p in monitor_stream(leak, word)]
+        assert lines[-1] == f"{1024**1500 - 1023**1500}/{1024**1500}"
+        assert len(lines[-1].split("/")[0]) > 4300
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert 1 - F(*map(int, lines[1].split("/"))) == keep
+    # Vacuity guard: here the twin never divides, so its lines are the
+    # twin's own integers.
+    assert {(c, f) for c, f, _ in _twin_divisors(leak, word)} == {(1, 1)}

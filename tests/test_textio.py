@@ -250,7 +250,8 @@ def test_bad_rank_entry_quotes_at_most_40_characters(entry, message):
 
 
 # ---------------------------------------------------------------------------
-# The parser before its header keys moved into one table, kept as an oracle.
+# The parser before its header keys moved into one table, kept as an oracle
+# (tests/test_parse_oracle.py keeps the table-driven one as ref_parse).
 # It differs from parse only on rank levels: it read them with int(), so it
 # also took a sign, underscores and non-ASCII digits.
 
@@ -323,7 +324,7 @@ def _ref_parse_pair(rest, line_no):
     return groups[0], groups[1]
 
 
-def ref_parse(text, name="automaton"):
+def ref_parse_untabled(text, name="automaton"):
     from probuchi.core import (
         BUCHI_ROLES, PROBABILISTIC_ROLES, ROLES, Automaton, BuchiAcceptance,
         RabinAcceptance, RankFunction,
@@ -535,7 +536,7 @@ def _mutate(rng, text):
 
 def _rank_level_change(ref, new):
     """The one intended difference: a rank level that int() reads but that is
-    not ASCII digits only, rejected by parse before ref_parse stops (it
+    not ASCII digits only, rejected by parse before ref_parse_untabled stops (it
     parses, fails on a later token, or fails after the last line)."""
     m = _re.fullmatch(r"bad level in '([^']*)'", new[2].split(": ", 1)[1])
     if new[0] != "error" or m is None:
@@ -560,7 +561,7 @@ def test_parse_matches_the_reference_on_mutated_serializations():
     reject_kinds, messages = set(), set()
     for _ in range(20_000):
         text = _mutate(rng, next(sources))
-        ref, new = _outcome(ref_parse, text), _outcome(parse, text)
+        ref, new = _outcome(ref_parse_untabled, text), _outcome(parse, text)
         if ref != new:
             assert _rank_level_change(ref, new), (text, ref, new)
             level_changes += 1
